@@ -2,7 +2,7 @@
 propagator decompositions, and tomography reports as deterministic
 CSV/JSON files.
 
-Exit codes: 0 success, 2 validation error, 3 numerical error.
+Exit codes: 0 success, 1 i/o error, 2 validation error, 3 numerical error.
 """
 
 import argparse

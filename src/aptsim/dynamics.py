@@ -1,9 +1,13 @@
 """Two-qubit state evolution under the nonunitary propagator with trace
 renormalization, and trajectory sampling.
 
-Every sample is propagated from t = 0 with the closed-form propagator at
-absolute time, never by composing steps, so there is no accumulation of
-step error and samples are independent of the grid.
+One batched kernel serves run(), evolve_state() and bell_concurrence_curve().
+rho0 = F F^H is factored once by eigh; each column of F, as a 2x2 block F_k,
+evolves as U1(t) F_k U2(t)^T over the whole grid at once, from t = 0 at
+absolute time. The norm is N(t) = sum_k |U1 F_k U2^T|^2, and local filtering
+(Verstraete, Dehaene & De Moor, PRA 64, 010101, 2001) with |det U| = 1 for
+traceless H gives C(t) = C(rho0) / N(t): no eigensolver per sample, and no
+cancellation where the state's entries grow large.
 """
 
 from dataclasses import dataclass
@@ -12,10 +16,11 @@ from typing import Optional, Union
 import numpy as np
 
 from . import propagator
-from .linalg import ID2, kron
-from .model import AptParams
+from .model import AptParams, hamiltonian
 
 NORM_FLOOR = 1e-300
+# eigh resolves eigenvalues to a few eps of the largest; below this they are noise
+_RANK_RTOL = 1e-14
 
 
 class InvalidStateError(ValueError):
@@ -76,32 +81,6 @@ def validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-
         raise InvalidStateError(f"negative eigenvalue {smallest:.3e}")
 
 
-def _single_propagators(p1, p2, t):
-    u1 = propagator.closed_form(p1, t)
-    u2 = ID2 if isinstance(p2, IdentityEvolution) else propagator.closed_form(p2, t)
-    return u1, u2
-
-
-def _evolve_with_norm(initial, p1, p2, t, norm_floor=NORM_FLOOR):
-    u1, u2 = _single_propagators(p1, p2, t)
-    u = kron(u1, u2)
-    m = u @ np.asarray(initial, dtype=complex) @ u.conj().T
-    norm = float(np.real(np.trace(m)))
-    if norm < norm_floor:
-        raise DegenerateNormError(t, norm)
-    return (m + m.conj().T) / (2.0 * norm), norm
-
-
-def evolve_state(initial, p1, p2, t, norm_floor=NORM_FLOOR):
-    """rho(t) = U rho(0) U+ / Tr[U rho(0) U+], re-symmetrized.
-
-    p2 may be an IdentityEvolution marker. Raises DegenerateNormError when
-    the trace denominator falls below norm_floor.
-    """
-    rho, _ = _evolve_with_norm(initial, p1, p2, t, norm_floor)
-    return rho
-
-
 @dataclass(frozen=True)
 class EvolutionSpec:
     """One trajectory request: qubit parameters, grid, and initial state
@@ -136,47 +115,78 @@ class Trajectory:
     states: Optional[list] = None
 
 
-def run(spec, keep_states=False):
-    """Sample concurrence and unnormalized norm over the grid of spec.
+def _rank_factor(rho0):
+    """(r, 2, 2) blocks F_k with rho0 = sum_k vec(F_k) vec(F_k)^H."""
+    w, v = np.linalg.eigh(rho0)
+    keep = w > _RANK_RTOL * w[-1]
+    return (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, 2, 2)
 
-    A DegenerateNormError from any sample propagates with the offending
-    time attached.
-    """
+
+def _terms(p, times):
+    """(c, ts, H) of exp(-i H t) = c I - i ts H; H = 0 for a frozen qubit."""
+    if isinstance(p, IdentityEvolution):
+        return np.ones(times.size), np.zeros(times.size), np.zeros((2, 2))
+    return (*propagator.propagator_terms(p, times), hamiltonian(p))
+
+
+def _evolve(rho0, p1, p2, times, keep_states=False, norm_floor=NORM_FLOOR):
+    """The Trajectory of rho0 over `times`. U1 F U2^T expands over
+    {I, H1} x {I, H2}: one (T, 4) x (4, 4r) product of scalar terms with
+    four constant blocks. A norm that is not finite or below norm_floor
+    raises OverflowError or DegenerateNormError naming the first such t."""
     from .entanglement import concurrence  # deferred: entanglement uses our validators
 
-    times = spec.time_grid()
-    rho0 = spec.initial_state()
+    rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0)
-    conc = np.empty(times.size)
-    norms = np.empty(times.size)
-    states = [] if keep_states else None
-    for i, t in enumerate(times):
-        rho, norm = _evolve_with_norm(rho0, spec.p1, spec.p2, float(t))
-        conc[i] = concurrence(rho, validate=False).value
-        norms[i] = norm
-        if keep_states:
-            states.append(rho)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    f = _rank_factor(rho0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c1, s1, h1 = _terms(p1, times)
+        c2, s2, h2 = _terms(p2, times)
+        fh2 = f @ h2.T
+        basis = np.stack([f, -1j * fh2, -1j * (h1 @ f), -(h1 @ fh2)]).reshape(4, -1)
+        terms = np.stack([c1 * c2, c1 * s2, s1 * c2, s1 * s2], axis=1)
+        blocks = terms @ basis
+        flat = blocks.view(float)
+        norms = np.einsum("ti,ti->t", flat, flat)
+    healthy = np.isfinite(norms) & (norms >= norm_floor)
+    if not healthy.all():
+        i = int(np.argmin(healthy))
+        t, norm = float(times[i]), float(norms[i])
+        if np.isfinite(norm):
+            raise DegenerateNormError(t, norm)
+        raise OverflowError(f"evolution norm is not finite at t={t}: {norm!r}")
+    conc = np.minimum(concurrence(rho0, validate=False).value / norms, 1.0)
+
+    states = None
+    if keep_states:
+        kets = blocks.reshape(times.size, -1, 4)
+        m = kets.transpose(0, 2, 1) @ kets.conj()
+        states = list((m + m.conj().transpose(0, 2, 1)) / (2.0 * norms[:, None, None]))
     return Trajectory(times=times, concurrence=conc,
                       unnormalized_norm=norms, states=states)
 
 
-def bell_concurrence_curve(p1, p2, times):
-    """Concurrence of the Bell-initial trajectory, vectorized over times.
+def evolve_state(initial, p1, p2, t, norm_floor=NORM_FLOOR):
+    """rho(t) = U rho(0) U+ / Tr[U rho(0) U+], re-symmetrized.
 
-    For traceless Hamiltonians |det U| = 1, which pins the spin-flip
-    invariant of the evolved pure state, and the concurrence reduces to
-    the inverse of the unnormalized norm. This is the fast path used by
-    period scans; the test suite cross-checks it against run() at 1e-10.
-    p2 may be an IdentityEvolution marker. APT family only.
+    p2 may be an IdentityEvolution marker. Raises DegenerateNormError when
+    the trace denominator falls below norm_floor, OverflowError when it is
+    not finite.
     """
-    times = np.asarray(times, dtype=float)
-    a1, b1, c1 = propagator.coefficient_arrays(p1, times)
-    g1 = a1 * a1 + b1 * b1
-    h1 = c1 * c1
-    if isinstance(p2, IdentityEvolution):
-        return 1.0 / (g1 + h1)
-    a2, b2, c2 = propagator.coefficient_arrays(p2, times)
-    g2 = a2 * a2 + b2 * b2
-    h2 = c2 * c2
-    norm = (g1 + h1) * (g2 + h2) + 4.0 * c1 * c2 * (a1 * a2 + b1 * b2)
-    return 1.0 / norm
+    return _evolve(initial, p1, p2, [t], True, norm_floor).states[0]
+
+
+def run(spec, keep_states=False):
+    """Sample concurrence and unnormalized norm over the grid of spec.
+
+    DegenerateNormError or OverflowError names the first bad sample.
+    """
+    return _evolve(spec.initial_state(), spec.p1, spec.p2, spec.time_grid(),
+                   keep_states)
+
+
+def bell_concurrence_curve(p1, p2, times):
+    """Concurrence of the Bell-initial trajectory over any array of times;
+    p2 may be an IdentityEvolution marker, and either family is allowed."""
+    return _evolve(bell_state(), p1, p2, times).concurrence

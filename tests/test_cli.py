@@ -176,6 +176,15 @@ class TestErrorMapping:
         monkeypatch.setattr(cli, "run", explode)
         assert cli.main(["figure", "--figure", "2a", "--out", str(tmp_path)]) == 3
 
+    def test_broken_regime_overflow_exits_3(self, tmp_path, capsys):
+        # a = 0.8 outgrows float64 near t = 295: a numerical error naming the
+        # first bad sample, not a validation error and not rows of inf
+        assert cli.main(["figure", "--figure", "4b", "--t-max", "400",
+                         "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "t=" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main([])

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aptsim.dynamics import (IDENTITY, DegenerateNormError, EvolutionSpec,
                              InvalidStateError, bell_concurrence_curve,
                              bell_ket, bell_state, evolve_state,
                              maximally_mixed, run, validate_density_matrix)
-from aptsim.model import AptParams, Family
+from aptsim.entanglement import concurrence
+from aptsim.linalg import expm_series
+from aptsim.model import AptParams, Family, hamiltonian
 from aptsim.propagator import closed_form
 
 
@@ -73,6 +77,10 @@ class TestEvolveState:
         expected = (m + m.conj().T) / (2.0 * np.real(np.trace(m)))
         assert np.max(np.abs(got - expected)) < 1e-14
 
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError, match="t=400"):
+            evolve_state(bell_state(), AptParams(a=0.5), AptParams(a=0.5), 400.0)
+
     def test_degenerate_norm_raises_with_time(self):
         p = AptParams(a=1.2)
         with pytest.raises(DegenerateNormError) as err:
@@ -122,6 +130,15 @@ class TestRun:
             gap = np.max(np.abs(traj.concurrence - 1.0 / traj.unnormalized_norm))
             assert gap < 1e-10
 
+    def test_broken_regime_matches_cancellation_free_law(self):
+        # identical evolution at a < 1: C = w^2 / (w^2 + 8|w| S + 8 S^2) with
+        # w = a^2 - 1 and S = sinh^2(sqrt(-w) t); C falls to ~1e-15 by t = 14
+        traj = run(EvolutionSpec(p1=AptParams(a=0.8), p2=AptParams(a=0.8), t_max=14.0))
+        w = 0.8 ** 2 - 1.0
+        s = np.sinh(np.sqrt(-w) * traj.times) ** 2
+        exact = w * w / (w * w + 8.0 * abs(w) * s + 8.0 * s * s)
+        assert np.max(np.abs(traj.concurrence / exact - 1.0)) < 1e-9
+
     def test_identity_evolution_minimum(self):
         traj = run(EvolutionSpec(p1=AptParams(a=1.2), p2=IDENTITY, t_max=14.0))
         w = 1.2 ** 2 - 1.0
@@ -161,3 +178,49 @@ class TestFastBellCurve:
             traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=9.95, dt=0.05))
             assert fast.size == traj.concurrence.size
             assert np.max(np.abs(fast - traj.concurrence)) < 1e-10
+
+
+def _reference_sample(rho0, p1, p2, t):
+    """(concurrence, norm) at one time through the 4x4 route: series
+    exponentials, np.kron, the sandwich, and the Wootters concurrence."""
+    u2 = np.eye(2) if p2 is IDENTITY else expm_series(hamiltonian(p2), t)
+    u = np.kron(expm_series(hamiltonian(p1), t), u2)
+    m = u @ rho0 @ u.conj().T
+    norm = float(np.real(np.trace(m)))
+    return concurrence((m + m.conj().T) / (2.0 * norm), validate=False).value, norm
+
+
+# the EP band |a - 1| <= 1e-9 is drawn on purpose: it is where a regime
+# branch would be least accurate
+_A_VALUES = st.one_of(st.floats(0.3, 3.0),
+                      st.floats(-1e-9, 1e-9).map(lambda d: 1.0 + d))
+_QUBITS = st.builds(AptParams, a=_A_VALUES, gamma=st.floats(0.5, 2.5),
+                    family=st.sampled_from(Family))
+
+
+def _growth_rate(p):
+    return 0.0 if p is IDENTITY else p.gamma * np.sqrt(abs(p.a ** 2 - 1.0))
+
+
+class TestRunProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p1=_QUBITS, p2=st.one_of(_QUBITS, st.just(IDENTITY)),
+           t_max=st.floats(0.0, 30.0), rank=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_sample_reference(self, p1, p2, t_max, rank, seed):
+        # keep |U| below ~e^40 so the reference's norm stays finite
+        t_max = min(t_max, 40.0 / max(_growth_rate(p1), _growth_rate(p2), 1e-3))
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho0 = f @ f.conj().T
+        rho0 = (rho0 + rho0.conj().T) / (2.0 * np.real(np.trace(rho0)))
+        spec = EvolutionSpec(p1=p1, p2=p2, t_max=t_max,
+                             dt=max(t_max / 4.0, 1e-3), initial=rho0)
+        traj = run(spec, keep_states=True)
+        conc_tol = 1e-10 if rank == 1 else 1e-5
+        for t, c, n, rho in zip(traj.times, traj.concurrence,
+                                traj.unnormalized_norm, traj.states):
+            ref_c, ref_n = _reference_sample(rho0, p1, p2, float(t))
+            assert n == pytest.approx(ref_n, rel=1e-9)
+            assert abs(c - ref_c) < conc_tol
+            validate_density_matrix(rho)

@@ -103,6 +103,33 @@ class TestClosedForm:
                 gap = np.max(np.abs(closed_form(p, t) - eig_expm(h, t)))
                 assert gap < 1e-10
 
+    @pytest.mark.parametrize("family", [Family.APT, Family.PT])
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    @pytest.mark.parametrize("delta", [0.9999e-9, -0.9999e-9])
+    def test_inside_ep_band(self, family, gamma, delta):
+        # the series oracle itself carries ~1e-9 absolute error on entries of
+        # size ~gamma * t here, so the gap is measured relative to |U|
+        p = AptParams(a=1.0 + delta, gamma=gamma, family=family)
+        series = expm_series(hamiltonian(p), 70.0)
+        gap = np.max(np.abs(closed_form(p, 70.0) - series))
+        assert gap / np.max(np.abs(series)) < 1e-10
+
+    def test_inside_ep_band_vs_exact_exponential(self):
+        mp = pytest.importorskip("mpmath")
+        for family in (Family.APT, Family.PT):
+            for a in (1.0 + 0.9999e-9, 1.0 - 0.9999e-9):
+                p = AptParams(a=a, gamma=2.5, family=family)
+                with mp.workdps(40):
+                    a_, g = mp.mpf(a), mp.mpf(2.5)
+                    if family is Family.APT:
+                        h = g * mp.matrix([[a_, 1j], [1j, -a_]])
+                    else:
+                        h = g * mp.matrix([[-1j * a_, 1], [1, 1j * a_]])
+                    exact = mp.expm(-1j * h * 70)
+                    gap = max(abs(complex(exact[i, j]) - closed_form(p, 70.0)[i, j])
+                              for i in range(2) for j in range(2))
+                assert gap < 1e-12
+
     def test_symmetric_off_diagonal(self):
         for a in (0.8, 1.0, 1.2):
             u = closed_form(AptParams(a=a), 1.3)

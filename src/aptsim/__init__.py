@@ -10,17 +10,17 @@ from .dynamics import (IDENTITY, DegenerateNormError, EvolutionSpec,
 from .entanglement import (ConcurrenceReport, analytic_concurrence_identical,
                            concurrence, concurrence_minimum_identical,
                            concurrence_period, ep_concurrence)
-from .linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, eig2, expm_series, kron
+from .linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
 from .model import AptParams, Family, Regime, classify, hamiltonian
 from .optics import (BeamPaths, DecompositionError, DecompositionParams,
                      PlateKind, WavePlate, bd_circuit, decompose, hwp,
                      loss_matrix, qwp, reconstruct, waveplate_matrix)
 from .propagator import (PropagatorCoefficients, closed_form,
-                         coefficient_arrays, coefficients, two_qubit)
+                         coefficient_arrays, coefficients)
 from .tomography import (CountRecord, MleConvergenceError, MleResult,
                          ProjectionBasis, basis_set, counts_from_csv,
                          counts_to_csv, fidelity, mle_reconstruct,
-                         mle_result_from_json, mle_result_to_json,
-                         simulate_counts)
+                         mle_reconstruct_batch, mle_result_from_json,
+                         mle_result_to_json, simulate_counts)
 
 __version__ = "0.1.0"

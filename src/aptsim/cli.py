@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (IDENTITY, DegenerateNormError, EvolutionSpec,
-                       IdentityEvolution, bell_state, evolve_state, run)
+                       IdentityEvolution, run)
 from .entanglement import concurrence
 from .model import AptParams, Family
 from .optics import DecompositionError, decompose
-from .tomography import MleConvergenceError, mle_reconstruct, simulate_counts
+from .tomography import (MleConvergenceError, mle_reconstruct_batch,
+                         simulate_counts)
 
 FIGURE_IDS = ("2a", "2b", "3a", "3b", "4a", "4b", "4c", "4d", "A4", "A5")
 
@@ -115,6 +116,10 @@ def run_figure(args):
 
 
 def run_sweep(args):
+    for flag in ("a1", "a2_min", "a2_max", "a2_step"):
+        if not np.isfinite(getattr(args, flag)):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite, "
+                             f"got {getattr(args, flag)}")
     if args.a2_step <= 0:
         raise ValueError(f"--a2-step must be > 0, got {args.a2_step}")
     if args.a2_max < args.a2_min:
@@ -157,26 +162,24 @@ def run_tomography(args):
         raise ValueError(f"--total must be > 0, got {args.total}")
     p1 = _apt(args.a1)
     p2 = IDENTITY if args.identity_qubit2 else _apt(args.a2)
-    spec = EvolutionSpec(p1=p1, p2=p2, t_max=args.t_max, dt=args.dt)
-    rho0 = bell_state()
-
-    points = []
-    for i, t in enumerate(spec.time_grid()):
-        truth = evolve_state(rho0, p1, p2, float(t))
-        counts = simulate_counts(truth, total=args.total,
-                                 seed=args.seed + i, noiseless=args.noiseless)
-        try:
-            result = mle_reconstruct(counts, truth=truth)
-        except MleConvergenceError as exc:
-            raise MleConvergenceError(f"t={float(t):g}: {exc}") from exc
-        points.append({
-            "t": float(t),
-            "fidelity": result.fidelity_vs_truth,
-            "concurrence_theory": concurrence(truth).value,
-            "concurrence_mle": concurrence(result.rho_hat).value,
-            "log_likelihood": result.log_likelihood,
-            "iterations": result.iterations,
-        })
+    traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=args.t_max, dt=args.dt),
+               keep_states=True)
+    count_sets = [simulate_counts(truth, total=args.total, seed=args.seed + i,
+                                  noiseless=args.noiseless)
+                  for i, truth in enumerate(traj.states)]
+    try:
+        results = mle_reconstruct_batch(count_sets, truths=traj.states)
+    except MleConvergenceError as exc:
+        raise MleConvergenceError(f"t={float(traj.times[exc.points[0]]):g}: {exc}",
+                                  exc.points) from exc
+    points = [{
+        "t": float(t),
+        "fidelity": result.fidelity_vs_truth,
+        "concurrence_theory": float(c),
+        "concurrence_mle": concurrence(result.rho_hat).value,
+        "log_likelihood": result.log_likelihood,
+        "iterations": result.iterations,
+    } for t, c, result in zip(traj.times, traj.concurrence, results)]
 
     report = {
         "a1": args.a1,

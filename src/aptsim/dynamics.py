@@ -92,6 +92,9 @@ class EvolutionSpec:
     initial: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        for name in ("t_max", "dt"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_max < 0:

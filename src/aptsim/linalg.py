@@ -1,6 +1,5 @@
-"""Dense complex-matrix kernel for 2x2 and 4x4 work: Kronecker product,
-a series matrix exponential used as the regime-independent oracle, and
-closed-form 2x2 eigenvalues."""
+"""Dense complex-matrix constants and the Kronecker product for 2x2 and
+4x4 work."""
 
 import numpy as np
 
@@ -9,62 +8,7 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-# Taylor order 24 at scaled norm <= 0.5 keeps the truncation error far
-# below the 1e-12 contract; squaring doublings restore the full time.
-_SERIES_ORDER = 24
-_SCALE_TARGET = 0.5
-_MAX_TIME = 100.0
-DEFAULT_OVERFLOW_BOUND = 1e150
-
 
 def kron(a, b):
     """Kronecker product; block (i, j) of the result equals a[i, j] * b."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def expm_series(m, t, overflow_bound=DEFAULT_OVERFLOW_BOUND):
-    """exp(-i * m * t) for a 2x2 matrix by scaling-and-squaring Taylor series.
-
-    |t| is capped at 100 and intermediates are checked against
-    `overflow_bound`: off the unitary case the exponential grows without
-    bound, and silent overflow would poison downstream trajectories.
-    """
-    if abs(t) > _MAX_TIME:
-        raise ValueError(f"|t| must be <= {_MAX_TIME}, got {t}")
-    scaled = -1j * np.asarray(m, dtype=complex) * t
-    if scaled.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {scaled.shape}")
-    if not np.all(np.isfinite(scaled)):
-        raise ValueError("matrix contains non-finite entries")
-
-    norm = float(np.linalg.norm(scaled, ord=np.inf))
-    squarings = 0
-    if norm > _SCALE_TARGET:
-        squarings = int(np.ceil(np.log2(norm / _SCALE_TARGET)))
-        scaled = scaled / (2.0 ** squarings)
-
-    term = np.eye(2, dtype=complex)
-    acc = np.eye(2, dtype=complex)
-    for k in range(1, _SERIES_ORDER + 1):
-        term = term @ scaled / k
-        acc = acc + term
-    for _ in range(squarings):
-        acc = acc @ acc
-        if np.max(np.abs(acc)) > overflow_bound:
-            raise OverflowError(
-                f"matrix exponential exceeded the overflow bound {overflow_bound:g}")
-    if not np.all(np.isfinite(acc)):
-        raise OverflowError("matrix exponential produced non-finite entries")
-    return acc
-
-
-def eig2(m):
-    """Both eigenvalues of a 2x2 matrix from the characteristic polynomial,
-    ordered by (real part, imaginary part) descending."""
-    m = np.asarray(m, dtype=complex)
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = np.sqrt(complex(tr * tr - 4.0 * det))
-    lo, hi = sorted(((tr + disc) / 2.0, (tr - disc) / 2.0),
-                    key=lambda z: (z.real, z.imag))
-    return complex(hi), complex(lo)

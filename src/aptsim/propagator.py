@@ -1,5 +1,5 @@
 """Closed-form nonunitary propagators exp(-i H t): one formula for every
-regime and both Hamiltonian families, plus the two-qubit tensor propagator.
+regime and both Hamiltonian families.
 
 H is traceless, so H^2 = k I (k = -det H) and exp(-i H t) = c I - i t s H
 with z = k t^2, c = cos(sqrt z), s = sin(sqrt z) / sqrt z. Both are entire
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron
 from .model import Family, Regime, classify, hamiltonian
 
 
@@ -64,8 +63,3 @@ def closed_form(p, t):
     the exceptional-point band included.
     """
     return propagators(p, [t])[0]
-
-
-def two_qubit(p1, p2, t):
-    """Two-qubit propagator U1(t) (x) U2(t)."""
-    return kron(closed_form(p1, t), closed_form(p2, t))

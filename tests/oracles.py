@@ -1,0 +1,73 @@
+"""Reference implementations that only the tests use: a series matrix
+exponential, closed-form 2x2 eigenvalues and the two-qubit tensor
+propagator. They are deliberately independent of the closed-form
+propagator in `aptsim.propagator`, which they check."""
+
+import numpy as np
+
+from aptsim.linalg import kron
+from aptsim.propagator import closed_form
+
+# Taylor order 24 at scaled norm <= 0.5 makes the truncation error
+# negligible; the 10-odd squarings that restore the full time amplify
+# rounding instead. Near the exceptional point -iHt is nearly nilpotent
+# and its entries grow like gamma * t, so the absolute error reaches
+# 1.3e-9 at a = 1 +- 1e-9, gamma = 2.5, t = 70 (7e-12 relative to |U|),
+# against a 40-digit mpmath exponential.
+_SERIES_ORDER = 24
+_SCALE_TARGET = 0.5
+_MAX_TIME = 100.0
+DEFAULT_OVERFLOW_BOUND = 1e150
+
+
+def expm_series(m, t, overflow_bound=DEFAULT_OVERFLOW_BOUND):
+    """exp(-i * m * t) for a 2x2 matrix by scaling-and-squaring Taylor series.
+
+    |t| is capped at 100 and intermediates are checked against
+    `overflow_bound`: off the unitary case the exponential grows without
+    bound, and silent overflow would poison downstream trajectories.
+    """
+    if abs(t) > _MAX_TIME:
+        raise ValueError(f"|t| must be <= {_MAX_TIME}, got {t}")
+    scaled = -1j * np.asarray(m, dtype=complex) * t
+    if scaled.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {scaled.shape}")
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError("matrix contains non-finite entries")
+
+    norm = float(np.linalg.norm(scaled, ord=np.inf))
+    squarings = 0
+    if norm > _SCALE_TARGET:
+        squarings = int(np.ceil(np.log2(norm / _SCALE_TARGET)))
+        scaled = scaled / (2.0 ** squarings)
+
+    term = np.eye(2, dtype=complex)
+    acc = np.eye(2, dtype=complex)
+    for k in range(1, _SERIES_ORDER + 1):
+        term = term @ scaled / k
+        acc = acc + term
+    for _ in range(squarings):
+        acc = acc @ acc
+        if np.max(np.abs(acc)) > overflow_bound:
+            raise OverflowError(
+                f"matrix exponential exceeded the overflow bound {overflow_bound:g}")
+    if not np.all(np.isfinite(acc)):
+        raise OverflowError("matrix exponential produced non-finite entries")
+    return acc
+
+
+def eig2(m):
+    """Both eigenvalues of a 2x2 matrix from the characteristic polynomial,
+    ordered by (real part, imaginary part) descending."""
+    m = np.asarray(m, dtype=complex)
+    tr = m[0, 0] + m[1, 1]
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    disc = np.sqrt(complex(tr * tr - 4.0 * det))
+    lo, hi = sorted(((tr + disc) / 2.0, (tr - disc) / 2.0),
+                    key=lambda z: (z.real, z.imag))
+    return complex(hi), complex(lo)
+
+
+def two_qubit(p1, p2, t):
+    """Two-qubit propagator U1(t) (x) U2(t)."""
+    return kron(closed_form(p1, t), closed_form(p2, t))

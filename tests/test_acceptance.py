@@ -10,12 +10,12 @@ from aptsim.dynamics import (IDENTITY, EvolutionSpec, bell_concurrence_curve,
 from aptsim.entanglement import (analytic_concurrence_identical,
                                  concurrence_minimum_identical,
                                  concurrence_period, ep_concurrence)
-from aptsim.linalg import expm_series
 from aptsim.model import AptParams, Family, hamiltonian
 from aptsim.optics import bd_circuit, decompose, loss_matrix, reconstruct
 from aptsim.propagator import closed_form
 from aptsim.tomography import mle_reconstruct, simulate_counts
 
+from oracles import expm_series
 from trajkit import (brute_concurrence, measured_period, refine_maximum,
                      refine_minimum, refined_peak_times, scan_best_period)
 

@@ -6,6 +6,7 @@ import pytest
 from aptsim import cli
 from aptsim.dynamics import DegenerateNormError
 from aptsim.entanglement import concurrence_minimum_identical
+from aptsim.tomography import MleConvergenceError
 
 
 def read_csv_columns(path):
@@ -67,6 +68,14 @@ class TestFigureCommand:
             cli.main(["figure", "--figure", "9z", "--out", str(tmp_path)])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--t-max", "inf", "t_max"), ("--dt", "nan", "dt")])
+    def test_non_finite_grid_exits_2(self, tmp_path, capsys, flag, value, field):
+        assert cli.main(["figure", "--figure", "2a", flag, value,
+                         "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "one", tmp_path / "two"
         for out in (out1, out2):
@@ -100,6 +109,17 @@ class TestSweepCommand:
     def test_bad_step_exits_2(self, tmp_path):
         assert cli.main(["sweep", "--a2-step", "0",
                          "--out", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--a1", "nan"), ("--a1", "inf"), ("--a2-min", "nan"),
+        ("--a2-max", "inf"), ("--a2-step", "nan"), ("--t-max", "inf"),
+        ("--dt", "nan")])
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert not out.exists()
 
 
 class TestDecomposeCommand:
@@ -159,6 +179,14 @@ class TestTomographyCommand:
         assert cli.main(["tomography", "--total", "0",
                          "--out", str(tmp_path / "t.json")]) == 2
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--t-max", "inf", "t_max"), ("--dt", "nan", "dt")])
+    def test_non_finite_grid_exits_2(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "t.json"
+        assert cli.main(["tomography", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+        assert not out.exists()
+
     def test_seeded_determinism(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for out in (out1, out2):
@@ -175,6 +203,16 @@ class TestErrorMapping:
 
         monkeypatch.setattr(cli, "run", explode)
         assert cli.main(["figure", "--figure", "2a", "--out", str(tmp_path)]) == 3
+
+    def test_mle_convergence_error_names_time(self, tmp_path, capsys, monkeypatch):
+        def stall(count_sets, truths=None):
+            raise MleConvergenceError("no convergence", [1])
+
+        monkeypatch.setattr(cli, "mle_reconstruct_batch", stall)
+        out = tmp_path / "t.json"
+        assert cli.main(["tomography", "--t-max", "1", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical error: t=0.5:")
+        assert not out.exists()
 
     def test_broken_regime_overflow_exits_3(self, tmp_path, capsys):
         # a = 0.8 outgrows float64 near t = 295: a numerical error naming the

@@ -8,9 +8,10 @@ from aptsim.dynamics import (IDENTITY, DegenerateNormError, EvolutionSpec,
                              bell_ket, bell_state, evolve_state,
                              maximally_mixed, run, validate_density_matrix)
 from aptsim.entanglement import concurrence
-from aptsim.linalg import expm_series
 from aptsim.model import AptParams, Family, hamiltonian
 from aptsim.propagator import closed_form
+
+from oracles import expm_series
 
 
 class TestStatesAndValidation:
@@ -156,6 +157,12 @@ class TestRun:
                           t_max=1.0, dt=0.0)
         with pytest.raises(ValueError):
             EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2), t_max=-1.0)
+        for field, grid in (("t_max", dict(t_max=np.inf)),
+                            ("t_max", dict(t_max=np.nan)),
+                            ("dt", dict(t_max=1.0, dt=np.inf)),
+                            ("dt", dict(t_max=1.0, dt=np.nan))):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2), **grid)
 
     def test_invalid_initial_rejected(self):
         spec = EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2),

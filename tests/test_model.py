@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from aptsim.linalg import eig2
 from aptsim.model import AptParams, Family, Regime, classify, hamiltonian
 from aptsim.propagator import closed_form
+
+from oracles import eig2
 
 RNG = np.random.default_rng(42)
 

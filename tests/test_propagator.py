@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from aptsim.linalg import expm_series, kron
+from aptsim.linalg import kron
 from aptsim.model import AptParams, Family, Regime, hamiltonian
-from aptsim.propagator import (closed_form, coefficient_arrays, coefficients,
-                               two_qubit)
+from aptsim.propagator import closed_form, coefficient_arrays, coefficients
+
+from oracles import expm_series, two_qubit
 
 RNG = np.random.default_rng(7)
 

@@ -1,15 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import aptsim
 from aptsim.dynamics import bell_state, evolve_state, maximally_mixed, validate_density_matrix
 from aptsim.entanglement import concurrence
 from aptsim.model import AptParams
 from aptsim.tomography import (BASIS_LABELS, CountRecord, MleConvergenceError,
                                basis_set, counts_from_csv, counts_to_csv,
-                               fidelity, mle_reconstruct, mle_result_from_json,
-                               mle_result_to_json, simulate_counts)
+                               fidelity, mle_reconstruct, mle_reconstruct_batch,
+                               mle_result_from_json, mle_result_to_json,
+                               simulate_counts)
 
 
 class TestBasisSet:
@@ -129,6 +137,74 @@ class TestMleReconstruct:
         counts = simulate_counts(bell_state(), total=10000, seed=1)
         with pytest.raises(MleConvergenceError):
             mle_reconstruct(counts, max_iter=2)
+
+
+def _frank_wolfe_gap(rho, counts):
+    """<G, rho> - lambda_min(G) for G the gradient of
+    f = sum_b [N_b p_b - n_b log p_b] at rho. f is convex, so the gap
+    bounds f(rho) - min f over density matrices, and it is 0 only at the
+    maximum-likelihood state."""
+    kets = np.array([b.ket for b in basis_set()])
+    p = np.real(np.einsum("bi,ij,bj->b", kets.conj(), rho, kets))
+    w = np.array([r.total_per_basis - (r.observed / p_b if r.observed else 0.0)
+                  for r, p_b in zip(counts, p)])
+    g = np.einsum("b,bi,bj->ij", w, kets, kets.conj())
+    return float(np.real(np.vdot(g, rho))) - float(np.linalg.eigvalsh(g)[0])
+
+
+def _random_state(rank, seed):
+    f = np.random.default_rng(seed).normal(size=(4, rank, 2)).view(complex)[..., 0]
+    rho = f @ f.conj().T
+    return (rho + rho.conj().T) / (2.0 * np.real(np.trace(rho)))
+
+
+class TestMleOptimality:
+    # The fit stops once an accepted step gains less than 1e-12 * sum_b N_b
+    # three times running, which leaves a gap of about sqrt(1e-12) per
+    # count: at most 3.3e-6 * sum_b N_b over 4,500 random draws of state,
+    # seed and total (1e2 to 1e6 per basis). A stopping test 100 times
+    # looser fails this bound.
+    GAP_PER_COUNT = 1e-5
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rank=st.integers(1, 4), state_seed=st.integers(0, 2 ** 32 - 1),
+           count_seed=st.integers(0, 2 ** 31 - 1), log_total=st.floats(2.0, 6.0))
+    def test_frank_wolfe_gap_at_estimate(self, rank, state_seed, count_seed, log_total):
+        counts = simulate_counts(_random_state(rank, state_seed),
+                                 total=int(10 ** log_total), seed=count_seed)
+        result = mle_reconstruct(counts)
+        scale = sum(r.total_per_basis for r in counts)
+        assert _frank_wolfe_gap(result.rho_hat, counts) < self.GAP_PER_COUNT * scale
+
+    def test_batch_matches_one_at_a_time(self):
+        p = AptParams(a=1.2)
+        count_sets = [simulate_counts(evolve_state(bell_state(), p, p, 0.5 * i),
+                                      total=10000, seed=40 + i, noiseless=i % 3 == 2)
+                      for i in range(10)]
+        batch = mle_reconstruct_batch(count_sets)
+        shuffled = mle_reconstruct_batch(count_sets[::-1])[::-1]
+        for counts, together, reversed_ in zip(count_sets, batch, shuffled):
+            alone = mle_reconstruct(counts)
+            for other in (together, reversed_):
+                assert fidelity(alone.rho_hat, other.rho_hat) >= 1.0 - 1e-9
+                assert other.iterations == alone.iterations
+
+    def test_batch_error_names_stalled_points(self):
+        count_sets = [simulate_counts(bell_state(), total=10000, seed=1),
+                      simulate_counts(bell_state(), total=10000, seed=2)]
+        with pytest.raises(MleConvergenceError) as err:
+            mle_reconstruct_batch(count_sets, max_iter=2)
+        assert err.value.points == (0, 1)
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, aptsim, aptsim.cli; print('scipy' in sys.modules)"
+    src = str(Path(aptsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestFidelity:

@@ -13,8 +13,9 @@ from .entanglement import (ConcurrenceReport, analytic_concurrence_identical,
 from .linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
 from .model import AptParams, Family, Regime, classify, hamiltonian
 from .optics import (BeamPaths, DecompositionError, DecompositionParams,
-                     PlateKind, WavePlate, bd_circuit, decompose, hwp,
-                     loss_matrix, qwp, reconstruct, waveplate_matrix)
+                     PlateKind, WavePlate, bd_circuit, decompose,
+                     decompose_grid, hwp, loss_matrix, qwp, reconstruct,
+                     waveplate_matrix)
 from .propagator import (PropagatorCoefficients, closed_form,
                          coefficient_arrays, coefficients)
 from .tomography import (CountRecord, MleConvergenceError, MleResult,

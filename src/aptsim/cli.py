@@ -2,6 +2,11 @@
 propagator decompositions, and tomography reports as deterministic
 CSV/JSON files.
 
+CSV files are written column-wise: each float column leaves numpy once as
+Python floats, each row is one `%`-format ("%.6g" % x is the text of
+f"{x:.6g}" for every float, nan, inf and -0.0 included), and the time
+column that every curve of a command shares is formatted once.
+
 Exit codes: 0 success, 1 i/o error, 2 validation error, 3 numerical error.
 """
 
@@ -12,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (IDENTITY, DegenerateNormError, EvolutionSpec,
-                       IdentityEvolution, run)
+from .dynamics import (IDENTITY, MAX_SAMPLES, DegenerateNormError,
+                       EvolutionSpec, IdentityEvolution, run)
 from .entanglement import concurrence
 from .model import AptParams, Family
-from .optics import DecompositionError, decompose
+from .optics import DecompositionError, decompose_grid
 from .tomography import (MleConvergenceError, mle_reconstruct_batch,
                          simulate_counts)
 
@@ -74,15 +79,21 @@ def _param_token(p):
     return f"{p.a:g}"
 
 
-def _fmt(x):
-    return f"{x:.6g}"
+def _column(values):
+    """A float array's values as "%.6g" text, for a column that is shared."""
+    return list(map("%.6g".__mod__, values.tolist()))
 
 
-def _curve_csv(traj):
-    lines = ["t,concurrence,norm"]
-    for t, c, n in zip(traj.times, traj.concurrence, traj.unnormalized_norm):
-        lines.append(f"{_fmt(t)},{_fmt(c)},{_fmt(n)}")
-    return "\n".join(lines) + "\n"
+def _rows(fmt, t_text, *columns):
+    """One `fmt % (t, *values)` line per sample, from the formatted time
+    column and float arrays that leave numpy once."""
+    return "".join(map(fmt.__mod__, zip(t_text, *(c.tolist() for c in columns))))
+
+
+def _curve_csv(t_text, traj):
+    """A figure curve's CSV, with the time column already formatted."""
+    return "t,concurrence,norm\n" + _rows("%s,%.6g,%.6g\n", t_text, traj.concurrence,
+                                           traj.unnormalized_norm)
 
 
 def run_figure(args):
@@ -93,19 +104,22 @@ def run_figure(args):
 
     written = []
     payload = []
+    t_text = None  # every curve of a figure shares one time grid
     for p1, p2 in curves:
         traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=t_max, dt=args.dt))
         tok1, tok2 = _param_token(p1), _param_token(p2)
         if args.format == "json":
             payload.append({
                 "a1": tok1, "a2": tok2,
-                "t": [float(x) for x in traj.times],
-                "concurrence": [float(x) for x in traj.concurrence],
-                "norm": [float(x) for x in traj.unnormalized_norm],
+                "t": traj.times.tolist(),
+                "concurrence": traj.concurrence.tolist(),
+                "norm": traj.unnormalized_norm.tolist(),
             })
         else:
+            if t_text is None:
+                t_text = _column(traj.times)
             path = out_dir / f"fig{args.figure}_{tok1}_{tok2}.csv"
-            path.write_text(_curve_csv(traj))
+            path.write_text(_curve_csv(t_text, traj))
             written.append(path)
     if args.format == "json":
         path = out_dir / f"fig{args.figure}.json"
@@ -124,36 +138,40 @@ def run_sweep(args):
         raise ValueError(f"--a2-step must be > 0, got {args.a2_step}")
     if args.a2_max < args.a2_min:
         raise ValueError("--a2-max must be >= --a2-min")
-    n = int(np.floor((args.a2_max - args.a2_min) / args.a2_step + 1e-9))
+    span = (args.a2_max - args.a2_min) / args.a2_step
+    if not span + 1.0 <= MAX_SAMPLES:
+        raise ValueError(f"--a2-step {args.a2_step} gives {span + 1.0:.3g} a2 values, "
+                         f"more than {MAX_SAMPLES}")
+    n = int(np.floor(span + 1e-9))
     a2_values = [round(args.a2_min + i * args.a2_step, 12) for i in range(n + 1)]
 
-    lines = ["a1,a2,t,concurrence"]
+    blocks = ["a1,a2,t,concurrence\n"]
+    t_text = None  # every a2 value shares one time grid
     for a2 in a2_values:
         traj = run(EvolutionSpec(p1=_apt(args.a1), p2=_apt(a2),
                                  t_max=args.t_max, dt=args.dt))
-        for t, c in zip(traj.times, traj.concurrence):
-            lines.append(f"{_fmt(args.a1)},{_fmt(a2)},{_fmt(t)},{_fmt(c)}")
+        if t_text is None:
+            t_text = _column(traj.times)
+        # the constant a1 and a2 fields are formatted once per block
+        blocks.append(_rows("%.6g,%.6g," % (args.a1, a2) + "%s,%.6g\n",
+                            t_text, traj.concurrence))
     path = Path(args.out)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(blocks))
     return [path]
 
 
 def run_decompose(args):
     p = _apt(args.a1)
-    spec = EvolutionSpec(p1=p, p2=p, t_max=args.t_max, dt=args.dt)
-    lines = ["a,t,theta1_deg,theta2_deg,xi1_deg,xi2_deg,k,c"]
-    for t in spec.time_grid():
-        d = decompose(p, float(t))
-        lines.append(",".join([
-            _fmt(args.a1), _fmt(t), _fmt(d.theta1_deg), _fmt(d.theta2_deg),
-            _fmt(d.xi1_deg), _fmt(d.xi2_deg), str(d.k), _fmt(d.c),
-        ]))
+    times = EvolutionSpec(p1=p, p2=p, t_max=args.t_max, dt=args.dt).time_grid()
+    fmt = "%.6g," % args.a1 + "%.6g,%.6g,%.6g,%.6g,%.6g,%d,%.6g\n"
+    rows = [fmt % (t, d.theta1_deg, d.theta2_deg, d.xi1_deg, d.xi2_deg, d.k, d.c)
+            for t, d in zip(times.tolist(), decompose_grid(p, times))]
     path = Path(args.out)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("a,t,theta1_deg,theta2_deg,xi1_deg,xi2_deg,k,c\n" + "".join(rows))
     return [path]
 
 

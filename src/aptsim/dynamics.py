@@ -19,6 +19,8 @@ from . import propagator
 from .model import AptParams, hamiltonian
 
 NORM_FLOOR = 1e-300
+# Largest time grid a spec accepts; the figure presets use at most 7,001 samples.
+MAX_SAMPLES = 1_000_000
 # eigh resolves eigenvalues to a few eps of the largest; below this they are noise
 _RANK_RTOL = 1e-14
 
@@ -99,6 +101,10 @@ class EvolutionSpec:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_max < 0:
             raise ValueError(f"t_max must be >= 0, got {self.t_max}")
+        samples = self.t_max / self.dt + 1.0  # a float: no huge or infinite int
+        if not samples <= MAX_SAMPLES:
+            raise ValueError(f"dt = {self.dt} gives {samples:.3g} samples up to "
+                             f"t_max = {self.t_max}, more than {MAX_SAMPLES}")
 
     def time_grid(self):
         n = int(np.floor(self.t_max / self.dt + 1e-9))

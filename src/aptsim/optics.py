@@ -7,7 +7,9 @@ matrices below, QWP(45) HWP(theta) QWP(45) = -i * diag(-e^{-2i theta},
 e^{2i theta}); the two sandwiches in a full string therefore contribute a
 global factor of -1, which decompose() absorbs by adding 45 degrees to
 both theta angles. The branch integer k is not assumed: candidates are
-tried and the reconstruction round-trip decides.
+tried and the reconstruction round-trip decides. decompose_grid() does
+this for a whole time grid at once, with every candidate tried on every
+point as one stack of 2x2 plate products.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .model import Family
-from .propagator import closed_form, coefficients
+from .propagator import propagators
 
 _ROUNDTRIP_TOL = 1e-10
 _BRANCH_CANDIDATES = (0, 1, -1, 2)
@@ -37,15 +39,25 @@ class WavePlate:
         object.__setattr__(self, "angle_deg", float(self.angle_deg) % 180.0)
 
 
+def _jones(kind, angle_deg):
+    """Jones matrices of one plate kind over an array of setting angles, as
+    a (..., 2, 2) stack."""
+    ang = np.deg2rad(angle_deg)
+    m = np.empty(np.shape(ang) + (2, 2), dtype=complex)
+    if kind is PlateKind.HWP:
+        c2, s2 = np.cos(2.0 * ang), np.sin(2.0 * ang)
+        m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = c2, s2, s2, -c2
+        return m
+    c, s = np.cos(ang), np.sin(ang)
+    m[..., 0, 0] = c * c + 1j * s * s
+    m[..., 0, 1] = m[..., 1, 0] = s * c * (1.0 - 1j)
+    m[..., 1, 1] = s * s + 1j * c * c
+    return m
+
+
 def waveplate_matrix(plate):
     """Jones matrix of the plate at its setting angle."""
-    ang = np.deg2rad(plate.angle_deg)
-    if plate.kind is PlateKind.HWP:
-        c2, s2 = np.cos(2.0 * ang), np.sin(2.0 * ang)
-        return np.array([[c2, s2], [s2, -c2]], dtype=complex)
-    c, s = np.cos(ang), np.sin(ang)
-    return np.array([[c * c + 1j * s * s, s * c * (1.0 - 1j)],
-                     [s * c * (1.0 - 1j), s * s + 1j * c * c]])
+    return _jones(plate.kind, plate.angle_deg)
 
 
 def hwp(angle_deg):
@@ -57,9 +69,12 @@ def qwp(angle_deg):
 
 
 def loss_matrix(xi1_deg, xi2_deg):
-    """Loss-dependent element [[0, sin 2 xi1], [sin 2 xi2, 0]]."""
-    return np.array([[0.0, np.sin(2.0 * np.deg2rad(xi1_deg))],
-                     [np.sin(2.0 * np.deg2rad(xi2_deg)), 0.0]], dtype=complex)
+    """Loss-dependent element [[0, sin 2 xi1], [sin 2 xi2, 0]]; over arrays
+    of angles, a (..., 2, 2) stack."""
+    s1 = np.sin(2.0 * np.deg2rad(xi1_deg))
+    m = np.zeros(np.shape(s1) + (2, 2), dtype=complex)
+    m[..., 0, 1], m[..., 1, 0] = s1, np.sin(2.0 * np.deg2rad(xi2_deg))
+    return m
 
 
 class DecompositionError(ArithmeticError):
@@ -83,18 +98,71 @@ class DecompositionParams:
     lambda2: float
 
 
-def _first_string(theta1_deg):
-    return (hwp(0.0) @ hwp(22.5) @ qwp(45.0) @ hwp(theta1_deg) @ qwp(45.0))
+# the fixed plates of both strings, multiplied in the order the strings use
+_FIRST_HEAD = hwp(0.0) @ hwp(22.5) @ qwp(45.0)
+_QWP45 = qwp(45.0)
+_HWP67_5 = hwp(67.5)
 
 
-def _second_string(theta2_deg):
-    return (qwp(45.0) @ hwp(theta2_deg) @ qwp(45.0) @ hwp(67.5))
+def _plate_strings(theta1_deg, theta2_deg, xi1_deg, xi2_deg):
+    """second(theta2) @ loss(xi1, xi2) @ first(theta1), elementwise over
+    broadcast arrays of angles; the theta angles are taken modulo 180."""
+    first = _FIRST_HEAD @ _jones(PlateKind.HWP, np.remainder(theta1_deg, 180.0)) @ _QWP45
+    second = _QWP45 @ _jones(PlateKind.HWP, np.remainder(theta2_deg, 180.0)) @ _QWP45 \
+        @ _HWP67_5
+    return second @ loss_matrix(xi1_deg, xi2_deg) @ first
 
 
 def reconstruct(d):
     """Plate-string product: second(theta2) @ loss(xi1, xi2) @ first(theta1)."""
-    return _second_string(d.theta2_deg) @ loss_matrix(d.xi1_deg, d.xi2_deg) \
-        @ _first_string(d.theta1_deg)
+    return _plate_strings(d.theta1_deg, d.theta2_deg, d.xi1_deg, d.xi2_deg)
+
+
+def decompose_grid(p, times):
+    """decompose() at every t of `times`, as a list of DecompositionParams.
+
+    A, B and C come off one propagator stack and every field is computed
+    elementwise. Each branch candidate k is tried on every point at once;
+    a point keeps the first k whose round trip is within _ROUNDTRIP_TOL.
+    Raises DecompositionError naming the first t that is degenerate or
+    that no candidate reproduces.
+    """
+    if p.family is not Family.APT:
+        raise ValueError("decomposition is defined for the APT family only")
+    times = np.asarray(times, dtype=float).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        target = propagators(p, times)
+        a, b, off = target[:, 0, 0].real, -target[:, 0, 0].imag, target[:, 0, 1].real
+        mag = np.hypot(a, b)
+        degenerate = mag + np.abs(off) == 0.0
+        lam1 = np.maximum(mag - off, 0.0)
+        lam2 = np.maximum(mag + off, 0.0)
+        c = np.maximum(lam1, lam2)
+        xi1 = np.rad2deg(0.5 * np.arcsin(np.minimum(lam1 / c, 1.0)))
+        xi2 = np.rad2deg(0.5 * np.arcsin(np.minimum(lam2 / c, 1.0)))
+        phi = np.arctan2(b, a)
+        k = np.array(_BRANCH_CANDIDATES)[:, None]
+        theta1 = np.rad2deg((phi + k * np.pi) / 4.0 + np.pi / 4.0) % 180.0
+        theta2 = np.rad2deg((phi - k * np.pi) / 4.0 + np.pi / 4.0) % 180.0
+        recon = c[:, None, None] * _plate_strings(theta1, theta2, xi1, xi2)
+        err = np.max(np.abs(recon - target), axis=(-2, -1))  # (candidate, t)
+    matched = err < _ROUNDTRIP_TOL
+    bad = degenerate | ~matched.any(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"t={float(times[i]):g}"
+        if degenerate[i]:
+            raise DecompositionError(f"{where}: degenerate propagator: |A + iB| + |C| = 0")
+        errs = np.where(np.isnan(err[:, i]), np.inf, err[:, i])
+        best = int(np.argmin(errs))
+        raise DecompositionError(
+            f"{where}: no branch reproduced the propagator "
+            f"(best error {errs[best]:.3e} at k={_BRANCH_CANDIDATES[best]})")
+    first = np.argmax(matched, axis=0)
+    pick = first, np.arange(times.size)
+    return [DecompositionParams(*row) for row in zip(
+        theta1[pick].tolist(), theta2[pick].tolist(), xi1.tolist(), xi2.tolist(),
+        k[first, 0].tolist(), c.tolist(), lam1.tolist(), lam2.tolist())]
 
 
 def decompose(p, t):
@@ -103,34 +171,9 @@ def decompose(p, t):
     lambda1,2 = sqrt(A^2 + B^2) -+ C are both nonnegative because
     A^2 + B^2 = 1 + C^2; c = max(lambda1, lambda2) keeps both loss angles
     real. The smallest-|k| branch whose reconstruction reproduces the
-    propagator wins.
+    propagator wins. The one-point case of decompose_grid().
     """
-    if p.family is not Family.APT:
-        raise ValueError("decomposition is defined for the APT family only")
-    co = coefficients(p, t)
-    mag = float(np.hypot(co.A, co.B))
-    if mag + abs(co.C) == 0.0:
-        raise DecompositionError("degenerate propagator: |A + iB| + |C| = 0")
-    lam1 = max(mag - co.C, 0.0)
-    lam2 = max(mag + co.C, 0.0)
-    c = max(lam1, lam2)
-    xi1 = float(np.rad2deg(0.5 * np.arcsin(min(lam1 / c, 1.0))))
-    xi2 = float(np.rad2deg(0.5 * np.arcsin(min(lam2 / c, 1.0))))
-    phi = float(np.arctan2(co.B, co.A))
-
-    target = closed_form(p, t)
-    best_err, best = np.inf, None
-    for k in _BRANCH_CANDIDATES:
-        theta1 = float(np.rad2deg((phi + k * np.pi) / 4.0 + np.pi / 4.0)) % 180.0
-        theta2 = float(np.rad2deg((phi - k * np.pi) / 4.0 + np.pi / 4.0)) % 180.0
-        d = DecompositionParams(theta1, theta2, xi1, xi2, k, c, lam1, lam2)
-        err = float(np.max(np.abs(c * reconstruct(d) - target)))
-        if err < _ROUNDTRIP_TOL:
-            return d
-        if err < best_err:
-            best_err, best = err, d
-    raise DecompositionError(
-        f"no branch reproduced the propagator (best error {best_err:.3e} at k={best.k})")
+    return decompose_grid(p, [t])[0]
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aptsim import cli
-from aptsim.dynamics import DegenerateNormError
+from aptsim import cli, optics
+from aptsim.dynamics import DegenerateNormError, EvolutionSpec, Trajectory
 from aptsim.entanglement import concurrence_minimum_identical
 from aptsim.tomography import MleConvergenceError
+
+# nan, +-inf, +-0.0, subnormals, and both sides of the %g switch points
+_EDGE_FLOATS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.5e-310, 9.999995e-5, -9.999995e-5, 9.9999949e-5, 1e-4,
+                999999.5, -999999.5, 999999.49, 1e6)
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
 
 
 def read_csv_columns(path):
@@ -14,6 +23,50 @@ def read_csv_columns(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+class TestCsvRows:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(size=st.integers(1, 30), data=st.data())
+    def test_rows_match_per_value_fstrings(self, size, data):
+        t, c, n = (np.array(data.draw(st.lists(_FLOATS, min_size=size, max_size=size)))
+                   for _ in range(3))
+        a1, a2 = data.draw(_FLOATS), data.draw(_FLOATS)
+        t_text = cli._column(t)
+        # the per-value f-string joins that the writers replaced
+        assert cli._curve_csv(t_text, Trajectory(t, c, n)) == "t,concurrence,norm\n" + "".join(
+            f"{x:.6g},{y:.6g},{z:.6g}\n" for x, y, z in zip(t, c, n))
+        assert cli._rows("%.6g,%.6g," % (a1, a2) + "%s,%.6g\n", t_text, c) == "".join(
+            f"{a1:.6g},{a2:.6g},{x:.6g},{y:.6g}\n" for x, y in zip(t, c))
+
+
+class TestOversizedGrids:
+    @pytest.fixture(autouse=True)
+    def refuse_grids(self, monkeypatch):
+        # the rejection must come before a grid exists; should it regress,
+        # this fails the test instead of attempting the allocation
+        def refuse(spec):
+            raise AssertionError(f"time grid built for t_max={spec.t_max}, dt={spec.dt}")
+
+        monkeypatch.setattr(EvolutionSpec, "time_grid", refuse)
+
+    @pytest.mark.parametrize("argv,out,named", [
+        (["figure", "--figure", "2a", "--dt", "1e-12"], "figs", "dt = 1e-12"),
+        (["sweep", "--a2-step", "1e-320"], "s.csv", "--a2-step 1e-320"),
+        (["decompose", "--a1", "1.2", "--dt", "1e-320"], "d.csv", "dt = 1e-320"),
+        (["tomography", "--dt", "1e-320"], "t.json", "dt = 1e-320")])
+    def test_exits_2_without_output(self, tmp_path, capsys, argv, out, named):
+        assert cli.main(argv + ["--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} gives") and "more than" in err
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+    def test_sweep_counts_a2_values(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 20)  # the default sweep has 21
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --a2-step 0.1 gives 21 a2 values")
+        assert not out.exists()
 
 
 class TestFigureCommand:
@@ -222,6 +275,19 @@ class TestErrorMapping:
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and "t=" in err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("a1,t_max,dt,tol,named", [
+        ("1.2", "1", "0.5", 0.0, "t=0"),                   # no branch within tolerance
+        ("0.5", "1000", "1000", optics._ROUNDTRIP_TOL, "t=1000")])  # propagator overflows
+    def test_decomposition_failure_names_time(self, tmp_path, capsys, monkeypatch,
+                                              a1, t_max, dt, tol, named):
+        monkeypatch.setattr(optics, "_ROUNDTRIP_TOL", tol)
+        out = tmp_path / "d.csv"
+        assert cli.main(["decompose", "--a1", a1, "--t-max", t_max, "--dt", dt,
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"numerical error: {named}: no branch reproduced the propagator")
+        assert not out.exists()
 
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

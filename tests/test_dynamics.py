@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aptsim.dynamics import (IDENTITY, DegenerateNormError, EvolutionSpec,
-                             InvalidStateError, bell_concurrence_curve,
+from aptsim.dynamics import (IDENTITY, MAX_SAMPLES, DegenerateNormError,
+                             EvolutionSpec, InvalidStateError, bell_concurrence_curve,
                              bell_ket, bell_state, evolve_state,
                              maximally_mixed, run, validate_density_matrix)
 from aptsim.entanglement import concurrence
@@ -163,6 +163,14 @@ class TestRun:
                             ("dt", dict(t_max=1.0, dt=np.nan))):
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
                 EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2), **grid)
+        # grids too large to allocate are rejected from their float sample count
+        for grid in (dict(t_max=14.0, dt=1e-12), dict(t_max=14.0, dt=1e-320),
+                     dict(t_max=float(MAX_SAMPLES), dt=1.0)):
+            with pytest.raises(ValueError, match="^dt = .* more than"):
+                EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2), **grid)
+        largest = EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2),
+                                t_max=float(MAX_SAMPLES - 1), dt=1.0)
+        assert largest.time_grid().size == MAX_SAMPLES > 7001  # figures 2b, 3b: 7001
 
     def test_invalid_initial_rejected(self):
         spec = EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2),

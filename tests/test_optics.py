@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from aptsim import optics
 from aptsim.model import AptParams, Family
-from aptsim.optics import (BeamPaths, DecompositionParams, PlateKind,
-                           WavePlate, bd_circuit, decompose, hwp, loss_matrix,
-                           qwp, reconstruct, waveplate_matrix)
+from aptsim.optics import (BeamPaths, DecompositionError, DecompositionParams,
+                           PlateKind, WavePlate, bd_circuit, decompose,
+                           decompose_grid, hwp, loss_matrix, qwp, reconstruct,
+                           waveplate_matrix)
 from aptsim.propagator import closed_form
 
 RNG = np.random.default_rng(11)
@@ -80,10 +82,10 @@ class TestDecompose:
         assert d.lambda2 == pytest.approx((a + 1.0) / w, abs=1e-9)
 
     def test_roundtrip_across_regimes(self):
+        times = (0.1, 0.5, 1.0, 2.0, 5.0)
         for a in (0.8, 1.0, 1.2, 1.8):
             p = AptParams(a=a)
-            for t in (0.1, 0.5, 1.0, 2.0, 5.0):
-                d = decompose(p, t)
+            for t, d in zip(times, decompose_grid(p, times)):
                 err = np.max(np.abs(d.c * reconstruct(d) - closed_form(p, t)))
                 assert err < 1e-9, f"a={a} t={t}: {err}"
 
@@ -113,6 +115,38 @@ class TestDecompose:
     def test_pt_rejected(self):
         with pytest.raises(ValueError):
             decompose(AptParams(a=1.2, family=Family.PT), 1.0)
+        with pytest.raises(ValueError):
+            decompose_grid(AptParams(a=1.2, family=Family.PT), [0.5, 1.0])
+
+    @pytest.mark.parametrize("a", [0.5, 0.8, 1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.2, 1.8, 2.5])
+    def test_grid_equals_one_point(self, a):
+        p = AptParams(a=a)
+        times = np.arange(401) * 0.05  # t up to 20
+        singles = []
+        for t in times.tolist():
+            try:
+                singles.append(decompose(p, t))
+            except DecompositionError:
+                # the absolute round-trip tolerance fails where |U| grows
+                # large (a = 0.5 from t = 14.35, a = 0.8 at t = 19.85); the
+                # grid must stop at the same point and name it
+                with pytest.raises(DecompositionError, match=f"^t={t:g}: "):
+                    decompose_grid(p, times)
+                break
+        assert len(singles) > 280
+        assert decompose_grid(p, times[:len(singles)]) == singles
+
+    def test_failing_point_names_its_t(self, monkeypatch):
+        monkeypatch.setattr(optics, "_ROUNDTRIP_TOL", 0.0)
+        with pytest.raises(DecompositionError,
+                           match=r"^t=0\.5: no branch reproduced the propagator"):
+            decompose_grid(AptParams(a=1.2), [0.5, 1.0])
+        with pytest.raises(DecompositionError, match=r"^t=1: no branch"):
+            decompose(AptParams(a=1.2), 1.0)
+
+    def test_overflowing_point_names_its_t(self):
+        with pytest.raises(DecompositionError, match=r"^t=1000: .*best error inf"):
+            decompose_grid(AptParams(a=0.5), [0.0, 1000.0])
 
 
 class TestBeamDisplacerCircuit:

@@ -19,9 +19,7 @@ from .optics import (BeamPaths, DecompositionError, DecompositionParams,
 from .propagator import (PropagatorCoefficients, closed_form,
                          coefficient_arrays, coefficients)
 from .tomography import (CountRecord, MleConvergenceError, MleResult,
-                         ProjectionBasis, basis_set, counts_from_csv,
-                         counts_to_csv, fidelity, mle_reconstruct,
-                         mle_reconstruct_batch, mle_result_from_json,
-                         mle_result_to_json, simulate_counts)
+                         ProjectionBasis, basis_set, fidelity, mle_reconstruct,
+                         mle_reconstruct_batch, simulate_counts)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .dynamics import (IDENTITY, MAX_SAMPLES, DegenerateNormError,
 from .entanglement import concurrence
 from .model import AptParams, Family
 from .optics import DecompositionError, decompose_grid
-from .tomography import (MleConvergenceError, mle_reconstruct_batch,
+from .tomography import (MAX_TOTAL, MleConvergenceError, mle_reconstruct_batch,
                          simulate_counts)
 
 FIGURE_IDS = ("2a", "2b", "3a", "3b", "4a", "4b", "4c", "4d", "A4", "A5")
@@ -176,8 +176,8 @@ def run_decompose(args):
 
 
 def run_tomography(args):
-    if args.total <= 0:
-        raise ValueError(f"--total must be > 0, got {args.total}")
+    if not 0 < args.total <= MAX_TOTAL:
+        raise ValueError(f"--total must be in [1, {MAX_TOTAL:.0e}], got {args.total}")
     p1 = _apt(args.a1)
     p2 = IDENTITY if args.identity_qubit2 else _apt(args.a2)
     traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=args.t_max, dt=args.dt),

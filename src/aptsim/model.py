@@ -39,10 +39,11 @@ class AptParams:
     family: Family = Family.APT
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"a must be > 0, got {self.a}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        for field, value in (("a", self.a), ("gamma", self.gamma)):
+            if not 0 < value < np.inf:
+                raise ValueError(f"{field} must be finite and > 0, got {value}")
+        if not abs(self.gamma * self.gamma * (self.a - 1.0) * (self.a + 1.0)) < np.inf:
+            raise ValueError(f"a = {self.a}, gamma = {self.gamma} overflow k = gamma^2 (a^2 - 1)")
 
 
 def hamiltonian(p):

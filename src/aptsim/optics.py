@@ -123,7 +123,8 @@ def decompose_grid(p, times):
 
     A, B and C come off one propagator stack and every field is computed
     elementwise. Each branch candidate k is tried on every point at once;
-    a point keeps the first k whose round trip is within _ROUNDTRIP_TOL.
+    a point keeps the first k whose round-trip error is within _ROUNDTRIP_TOL
+    of the point's largest |U| entry, since U grows like cosh in t.
     Raises DecompositionError naming the first t that is degenerate or
     that no candidate reproduces.
     """
@@ -145,7 +146,8 @@ def decompose_grid(p, times):
         theta1 = np.rad2deg((phi + k * np.pi) / 4.0 + np.pi / 4.0) % 180.0
         theta2 = np.rad2deg((phi - k * np.pi) / 4.0 + np.pi / 4.0) % 180.0
         recon = c[:, None, None] * _plate_strings(theta1, theta2, xi1, xi2)
-        err = np.max(np.abs(recon - target), axis=(-2, -1))  # (candidate, t)
+        err = (np.max(np.abs(recon - target), axis=(-2, -1))  # (candidate, t)
+               / np.max(np.abs(target), axis=(-2, -1)))
     matched = err < _ROUNDTRIP_TOL
     bad = degenerate | ~matched.any(axis=0)
     if bad.any():
@@ -157,7 +159,7 @@ def decompose_grid(p, times):
         best = int(np.argmin(errs))
         raise DecompositionError(
             f"{where}: no branch reproduced the propagator "
-            f"(best error {errs[best]:.3e} at k={_BRANCH_CANDIDATES[best]})")
+            f"(best error {errs[best]:.3e} of max |U| at k={_BRANCH_CANDIDATES[best]})")
     first = np.argmax(matched, axis=0)
     pick = first, np.arange(times.size)
     return [DecompositionParams(*row) for row in zip(

@@ -3,19 +3,17 @@ Kwiat, Munro & White (PRA 64, 052312, 2001) with Poisson count
 statistics, and maximum-likelihood reconstruction of the density matrix.
 
 The fit minimizes f(rho) = sum_b [N_b p_b - n_b log p_b], p_b = <b|rho|b>,
-the negative Poisson log-likelihood up to a constant, by accelerated
-projected gradient (Shang, Zhang & Ng, PRA 95, 062336, 2017): a gradient
-step, then the Euclidean projection onto the density matrices, with a
-backtracking step size, Nesterov momentum (k - 1) / (k + 2) and a restart
-whenever f rises. It starts from projected linear inversion. The time
-points of a batch are stacked only so that numpy works on all of them at
-once: each keeps its own step size, momentum, stopping test and iteration
-count, so its estimate does not depend on the batch.
+the negative Poisson log-likelihood up to a constant, over rho = T T^H with
+T lower triangular and |T| = 1 (Burer & Monteiro, Math. Program. 95, 329,
+2003), by damped Newton steps on that sphere with the exact Hessian and a
+line search. It starts from projected linear inversion mixed with a little
+I/4. A point stops once its Newton decrement is tiny and the Frank-Wolfe
+gap <G, rho> - lambda_min(G), G = grad f, certifies the optimum; if the gap
+fails there, the point is a saddle and restarts toward lambda_min(G)'s
+eigenvector. Each point of a batch keeps its own factor, damping, stopping
+test and step count, so its estimate does not depend on the batch.
 """
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,34 +42,43 @@ _SETTINGS = {
 }
 
 DEFAULT_TOTAL = 10000
+MAX_TOTAL = 10 ** 18  # numpy draws Poisson counts up to a mean of about 9.2e18
 DEFAULT_MAX_ITER = 100000
 
 # row b: the two-photon ket of BASIS_LABELS[b]
 _KETS = np.array([np.kron(_SINGLE_KETS[label[0]], _SINGLE_KETS[label[1]])
                   for label in BASIS_LABELS])
-# row b: |b><b| row-major, as interleaved (re, im) floats. For Hermitian
-# rho, p_b = tr(|b><b| rho) is the real dot product of the two rows, and
-# sum_b w_b |b><b| is w times this table. Both products, and linear
-# inversion, are written as broadcast sums over a fixed axis rather than
-# BLAS calls, whose summation order may change with the number of rows:
-# that keeps every point's arithmetic independent of its batch.
+# row b: |b><b| row-major, as interleaved (re, im) floats. Sums over the
+# basis are broadcast sums or BLAS-free einsums over C-contiguous arrays,
+# never BLAS products with the batch as a dimension, whose summation order
+# may change with the number of rows: each point's arithmetic is its own.
 _OUTER = np.einsum("bi,bj->bij", _KETS, _KETS.conj()).reshape(16, 16)
 _PROJECTORS = _OUTER.view(float)
-_PROJECTORS_T = np.ascontiguousarray(_PROJECTORS.T)
 _INVERSION = np.linalg.inv(_OUTER.conj())  # probabilities -> vec(rho)
 
-# APG constants. The objective is divided by sum_b N_b, so a first step of
-# 1 suits any count total. A point stops after _QUIET accepted steps in a
-# row that each gain less than _TOL in these units: 1.6e-7 in
-# log-likelihood at 10,000 counts per basis.
-_SHRINK = 0.3
-_GROW = 1.1
-_TOL = 1e-12
-_QUIET = 3
-_ONE_TO_FOUR = np.arange(1.0, 5.0)
+# Newton constants, in units of f / sum_b N_b. A point stops when its Newton
+# decrement (about twice f - min f) and its Frank-Wolfe gap are below the two
+# tolerances. A pass keeps the step length that lowers f most among those
+# passing Armijo's test; lengths over 1 help where rho loses rank.
+_MIX = 1e-3
+_TOL_DECREMENT = 1e-13
+_TOL_GAP = 1e-6
+_ARMIJO = 1e-4
+_STEPS = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.25, 0.125, 0.0625])
+_DAMPING = 1e-12
 # p_b is floored here before any logarithm or division, in the fit and in
 # the reported log-likelihood
 _P_FLOOR = 1e-14
+
+# The fit's 16 real unknowns x are the entries of T.view(float) (row-major,
+# interleaved re/im) at _X_INDEX: the lower triangle, real on the diagonal.
+# The Hessian of <G, T T^H> in x is 2 (G (x) I), gathered from G.view(float)
+# at _G_SOURCE and scaled by _G_SIGN.
+_ROW, _COL, _PART = np.array([(i, j, part) for i in range(4) for j in range(i + 1)
+                              for part in range(1 + (i > j))]).T
+_X_INDEX = (4 * _ROW + _COL) * 2 + _PART
+_G_SOURCE = (4 * _ROW[:, None] + _ROW) * 2 + (_PART[:, None] != _PART)
+_G_SIGN = 2.0 * (_COL[:, None] == _COL) * np.where((_PART[:, None] == 0) & (_PART == 1), -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -90,8 +97,7 @@ class CountRecord:
 
 
 class MleConvergenceError(ArithmeticError):
-    """The likelihood optimization hit its iteration cap; `points` holds
-    the batch indices of the points that did not converge."""
+    """The fit hit its pass cap at the batch indices held in `points`."""
 
     def __init__(self, message, points=()):
         super().__init__(message)
@@ -127,8 +133,8 @@ def simulate_counts(rho, total=DEFAULT_TOTAL, seed=0, noiseless=False):
     observed ~ Poisson(expected), drawn in basis order from a generator
     seeded with `seed` (deterministic), or round(expected) in noiseless mode.
     """
-    if total <= 0:
-        raise ValueError(f"total must be > 0, got {total}")
+    if not 0 < total <= MAX_TOTAL:
+        raise ValueError(f"total must be in (0, {MAX_TOTAL:.0e}], got {total}")
     validate_density_matrix(rho)
     expected = np.clip(_probabilities(rho)[0] * total, 0.0, total)
     if noiseless:
@@ -145,91 +151,135 @@ def _project(m):
     the largest (cumsum_k - 1) / k of their descending order (Duchi et al.,
     ICML 2008), and the eigenvectors stay."""
     w, v = np.linalg.eigh(m)
-    shift = ((np.cumsum(w[:, ::-1], axis=1) - 1.0) / _ONE_TO_FOUR).max(axis=1)
+    shift = ((np.cumsum(w[:, ::-1], axis=1) - 1.0) / np.arange(1.0, 5.0)).max(axis=1)
     x = np.maximum(w - shift[:, None], 0.0)
     return (v * x[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def _objective(p, n, big_n):
-    return (big_n * p - n * np.log(np.maximum(p, _P_FLOOR))).sum(axis=1)
+def _to_matrix(x):
+    """The (P,4,4) triangular factors T of a (P,16) coordinate stack."""
+    t = np.zeros((len(x), 32))
+    t[:, _X_INDEX] = x
+    return t.view(complex).reshape(-1, 4, 4)
 
 
-def _weights(p, n, big_n):
-    """df/dp_b; the gradient is sum_b w_b |b><b|."""
-    return big_n - n / np.maximum(p, _P_FLOOR)
+def _unpermuted(factor, order):
+    """F F^H in the original basis, for a factor F whose rows follow `order`."""
+    f = np.take_along_axis(factor, np.argsort(order, axis=1)[:, :, None], 1)
+    return f @ f.conj().transpose(0, 2, 1)
 
 
-def _gradient(w):
-    return (w[:, None, :] * _PROJECTORS_T).sum(axis=2).view(complex).reshape(-1, 4, 4)
+def _start(rho):
+    """Unit coordinates of the Cholesky factor of (1 - _MIX) rho + _MIX I/4
+    in diagonal-pivoting order, so the columns that vanish at a rank-deficient
+    optimum come last; that order; and the kets in it, as conj(K), 2 K and
+    the (P,16,32) float table of |b><b|."""
+    m = (1.0 - _MIX) * rho + (_MIX / 4.0) * np.eye(4)
+    rows, order = np.arange(len(m)), np.zeros((len(m), 4), dtype=int)
+    schur, free = m, np.ones((len(m), 4), dtype=bool)
+    for k in range(4):
+        diag = np.where(free, np.real(np.diagonal(schur, axis1=1, axis2=2)), -np.inf)
+        order[:, k] = pivot = diag.argmax(axis=1)
+        free[rows, pivot] = False
+        col = schur[rows, :, pivot] / np.sqrt(diag[rows, pivot])[:, None]
+        schur = schur - col[:, :, None] * col.conj()[:, None, :]
+    m = np.take_along_axis(np.take_along_axis(m, order[:, :, None], 1), order[:, None, :], 2)
+    x = np.take(np.linalg.cholesky(m).view(float).reshape(-1, 32), _X_INDEX, axis=1)
+    kets = np.ascontiguousarray(_KETS[:, order].transpose(1, 0, 2))
+    outer = (kets[:, :, :, None] * kets.conj()[:, :, None, :]).view(float).reshape(-1, 16, 32)
+    return (x / np.sqrt((x * x).sum(axis=1, keepdims=True)), order, kets.conj(),
+            2.0 * kets[:, :, :, None], outer)
 
 
-def _apg(n, big_n, rho, max_iter):
-    """Minimize f over each row of the (P,4,4) start stack `rho`.
-
-    Returns the estimates, each row's accepted steps, and which rows met
-    the stopping test within max_iter steps. Rows that finish leave the
-    working arrays, so later passes cost only what is still running.
-    """
-    out, iterations = rho.copy(), np.zeros(len(rho), dtype=int)
-    converged = np.zeros(len(rho), dtype=bool)
-    rows = np.arange(len(rho))
-    p = _probabilities(rho)
-    f = _objective(p, n, big_n)
-    x, x_prev, p_prev = rho, rho, p
-    y, p_y, f_y, w_y = rho, p, f, _weights(p, n, big_n)
-    step = np.ones(len(rho))
-    steps, momentum, quiet = (np.zeros(len(rho), dtype=int) for _ in range(3))
+def _newton(n, big_n, rho, max_iter):
+    """Minimize f from each row of the (P,4,4) start stack `rho`: the
+    estimates, each row's accepted steps, and which rows stopped within
+    max_iter passes. Stopped rows leave the working arrays."""
+    x, order, conj_kets, twice_kets, projectors = _start(rho)
+    estimates = np.zeros((len(rho), 4, 4), dtype=complex)
+    iterations, steps, passes = np.zeros((3, len(rho)), dtype=int)
+    converged, rows = np.zeros(len(rho), dtype=bool), np.arange(len(rho))
+    damping = np.full(len(rho), _DAMPING)
     while rows.size:
-        z = _project(y - step[:, None, None] * _gradient(w_y))
-        p_z = _probabilities(z)
-        f_z = _objective(p_z, n, big_n)
-        d = (z - y).view(float).reshape(-1, 32)
-        ok = f_z <= (f_y + (w_y * (p_z - p_y)).sum(axis=1)
-                     + np.einsum("ij,ij->i", d, d) / (2.0 * step) + _TOL)
-        # a step that raises f under momentum is dropped, and the next one
-        # starts again from x without momentum
-        take = ok & ((f_z <= f) | (momentum == 0))
-        steps += ok
-        quiet = np.where(take, (f - f_z <= _TOL) * (quiet + 1), quiet)
-        momentum = np.where(ok, (momentum + 1) * take, momentum)
-        x_prev = np.where(take[:, None, None], x, x_prev)
-        x = np.where(take[:, None, None], z, x)
-        p_prev = np.where(take[:, None], p, p_prev)
-        p = np.where(take[:, None], p_z, p)
-        f = np.where(take, f_z, f)
-        m = np.where(ok, (momentum - 1.0) / (momentum + 2.0), 0.0).clip(0.0)
-        # nor does momentum carry y out of the domain of the logarithm
-        inside = ((p + m[:, None] * (p - p_prev) > _P_FLOOR) | (n == 0.0)).all(axis=1)
-        m, momentum = m * inside, momentum * inside
-        y = np.where(ok[:, None, None], x + m[:, None, None] * (x - x_prev), y)
-        p_y = np.where(ok[:, None], p + m[:, None] * (p - p_prev), p_y)
-        f_y = _objective(p_y, n, big_n)
-        w_y = _weights(p_y, n, big_n)
-        step = step * np.where(ok, _GROW, _SHRINK)
+        y = conj_kets @ _to_matrix(x)  # y[b, j] = <b| column j of T
+        y_float = y.view(float)
+        p = (y_float * y_float).sum(axis=2)
+        pf = np.maximum(p, _P_FLOOR)
+        w = big_n - n / pf
+        g_matrix = (w[:, :, None] * projectors).sum(axis=1)  # G.view(float)
+        lam_min = np.linalg.eigvalsh(g_matrix.view(complex).reshape(-1, 4, 4))[:, 0]
+        gap = (w * p).sum(axis=1) - lam_min
+        # dp[k, b] = dp_b/dx_k: 2 K_bi Y_bj at the coordinates of T
+        dp = np.take((twice_kets * y[:, :, None, :]).view(float).reshape(-1, 16, 32),
+                     _X_INDEX, axis=2).transpose(0, 2, 1).copy()
+        grad = (w[:, None, :] * dp).sum(axis=2)
+        jac = (np.sqrt(n) / pf)[:, None, :] * dp
+        # sum_b (n_b / p_b^2) dp_b dp_b^T, an einsum without BLAS
+        hess = np.einsum("pkb,plb->pkl", jac, jac) + np.take(g_matrix, _G_SOURCE, axis=1) * _G_SIGN
+        # Newton step on the sphere |x| = 1, bordered by x. Its Hessian's
+        # multiplier <G, rho> is replaced by lambda_min(G) <= <G, rho>, which
+        # makes it positive definite on the tangent space and equal at the optimum.
+        system = np.zeros((len(x), 17, 17))
+        system[:, :16, :16] = hess + np.eye(16) * (damping - 2.0 * lam_min)[:, None, None]
+        system[:, 16, :16] = system[:, :16, 16] = x
+        rhs = np.concatenate([-grad, np.zeros((len(x), 1))], axis=1)[:, :, None]
+        d = np.linalg.solve(system, rhs)[:, :16, 0].copy()
+        decrement = -(grad * d).sum(axis=1)
+        passes += 1
+        small = decrement <= _TOL_DECREMENT
+        stop = small & (gap <= _TOL_GAP)
 
-        done = (quiet >= _QUIET) | (steps >= max_iter)
+        # p along x(s) = (x + s d) / |x + s d|: T is linear in x and x . d = 0,
+        # so p(s) - p = (s lin + s^2 (|Y_d|^2 - p |d|^2)) / (1 + s^2 |d|^2)
+        y_d = (conj_kets @ _to_matrix(d)).view(float)
+        dd = (d * d).sum(axis=1)
+        lin = 2.0 * (y_float * y_d).sum(axis=2)
+        quad = (y_d * y_d).sum(axis=2) - p * dd[:, None]
+        delta = ((lin[:, :, None] * _STEPS + quad[:, :, None] * _STEPS ** 2)
+                 / (1.0 + dd[:, None, None] * _STEPS ** 2))
+        change = np.maximum(p[:, :, None] + delta, _P_FLOOR) - pf[:, :, None]
+        gain = (big_n[:, :, None] * delta
+                - n[:, :, None] * np.log1p(change / pf[:, :, None])).sum(axis=1)
+        accept = gain <= -_ARMIJO * _STEPS * decrement[:, None]
+        best = np.where(accept, gain, np.inf).argmin(axis=1)
+        take = accept.any(axis=1) & ~small
+        x = x + np.where(take, _STEPS[best], 0.0)[:, None] * d
+        x /= np.sqrt((x * x).sum(axis=1, keepdims=True))
+        steps += take
+        # a pass without an Armijo step damps the next one harder
+        damping = np.where(take | small, _DAMPING, damping * 100.0)
+
+        saddle = np.flatnonzero(small & ~stop)
+        if saddle.size:
+            # a stationary point that fails the certificate: restart from
+            # rho mixed toward the eigenvector of lambda_min(G)
+            u = np.linalg.eigh(g_matrix[saddle].view(complex).reshape(-1, 4, 4))[1][:, :, :1]
+            factor = np.concatenate([_to_matrix(x[saddle]), _MIX ** 0.5 * u], axis=2)
+            (x[saddle], order[saddle], conj_kets[saddle], twice_kets[saddle],
+             projectors[saddle]) = _start(_unpermuted(factor, order[saddle]))
+
+        done = stop | (passes >= max_iter)
         if done.any():
-            out[rows[done]] = x[done]
+            estimates[rows[done]] = _unpermuted(_to_matrix(x[done]), order[done])
             iterations[rows[done]] = steps[done]
-            converged[rows[done]] = quiet[done] >= _QUIET
+            converged[rows[done]] = stop[done]
             keep = ~done
-            (rows, x, x_prev, p, p_prev, f, y, p_y, f_y, w_y, step, steps,
-             momentum, quiet, n, big_n) = (v[keep] for v in (
-                 rows, x, x_prev, p, p_prev, f, y, p_y, f_y, w_y, step, steps,
-                 momentum, quiet, n, big_n))
-    return out, iterations, converged
+            (rows, x, order, conj_kets, twice_kets, projectors, steps, passes,
+             damping, n, big_n) = (v[keep] for v in (
+                 rows, x, order, conj_kets, twice_kets, projectors, steps, passes,
+                 damping, n, big_n))
+    return estimates, iterations, converged
 
 
 def mle_reconstruct_batch(count_sets, truths=None, max_iter=DEFAULT_MAX_ITER):
     """Maximum-likelihood state estimates for a sequence of count sets,
     fitted together; result i depends on count_sets[i] alone.
 
-    A point converges when three accepted APG steps in a row each improve
-    its log-likelihood by less than 1e-12 * sum_b N_b. `iterations` counts
-    the steps its backtracking test accepted, momentum restarts included.
-    Raises MleConvergenceError, naming the points, if any has not converged
-    after max_iter steps. When `truths` is given, each result carries the
-    fidelity against its truth.
+    A point converges when its Newton decrement is below 1e-13 * sum_b N_b
+    and its Frank-Wolfe gap below 1e-6 * sum_b N_b; `iterations` counts its
+    accepted Newton steps. Raises MleConvergenceError, naming the points, if
+    any has not converged within max_iter Newton passes. When `truths` is
+    given, each result carries the fidelity against its truth.
     """
     observed, totals = np.zeros((2, len(count_sets), 16))
     index = {label: b for b, label in enumerate(BASIS_LABELS)}
@@ -248,7 +298,7 @@ def mle_reconstruct_batch(count_sets, truths=None, max_iter=DEFAULT_MAX_ITER):
     scale = totals.sum(axis=1, keepdims=True)
     linear = ((observed / totals)[:, None, :] * _INVERSION).sum(axis=2).reshape(-1, 4, 4)
     start = _project((linear + linear.conj().transpose(0, 2, 1)) / 2.0)
-    rho, steps, converged = _apg(observed / scale, totals / scale, start, max_iter)
+    rho, steps, converged = _newton(observed / scale, totals / scale, start, max_iter)
     stuck = np.flatnonzero(~converged)
     if stuck.size:
         raise MleConvergenceError(
@@ -282,54 +332,3 @@ def fidelity(a, b):
     evals = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0), 0.0, None)
     value = float(np.sum(np.sqrt(evals)) ** 2)
     return min(max(value, 0.0), 1.0)
-
-
-def counts_to_csv(records):
-    """Serialize count records as `basis,observed,total` CSV text."""
-    lines = ["basis,observed,total"]
-    for record in records:
-        lines.append(f"{record.basis},{record.observed},{record.total_per_basis}")
-    return "\n".join(lines) + "\n"
-
-
-def counts_from_csv(text):
-    """Parse `basis,observed,total` CSV. Expected counts are not stored in
-    the file; parsed records carry NaN there."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != ["basis", "observed", "total"]:
-        raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-    records = []
-    for row in reader:
-        label = row["basis"].strip()
-        if label not in BASIS_LABELS:
-            raise ValueError(f"unknown basis label {label!r}")
-        records.append(CountRecord(label, float("nan"),
-                                   int(row["observed"]), int(row["total"])))
-    return records
-
-
-def mle_result_to_json(result):
-    """Serialize an MLE result: 16 row-major {re, im} entries plus the
-    log-likelihood and iteration count."""
-    entries = [{"re": float(z.real), "im": float(z.imag)}
-               for z in result.rho_hat.ravel()]
-    payload = {
-        "rho_hat": entries,
-        "log_likelihood": float(result.log_likelihood),
-        "iterations": int(result.iterations),
-    }
-    if result.fidelity_vs_truth is not None:
-        payload["fidelity_vs_truth"] = float(result.fidelity_vs_truth)
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def mle_result_from_json(text):
-    payload = json.loads(text)
-    entries = payload["rho_hat"]
-    if len(entries) != 16:
-        raise ValueError(f"expected 16 entries, got {len(entries)}")
-    rho = np.array([complex(e["re"], e["im"]) for e in entries]).reshape(4, 4)
-    return MleResult(rho_hat=rho,
-                     log_likelihood=float(payload["log_likelihood"]),
-                     iterations=int(payload["iterations"]),
-                     fidelity_vs_truth=payload.get("fidelity_vs_truth"))

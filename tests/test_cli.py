@@ -175,7 +175,39 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+class TestBadInput:
+    """Bad input exits 2 with a message that names it, and writes nothing."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["decompose", "--a1", "inf"], "error: a must be finite"),
+        (["tomography", "--a1", "inf"], "error: a must be finite"),
+        (["tomography", "--a2", "1e300"], "error: a = 1e+300, gamma = 1.0 overflow k"),
+        (["tomography", "--total", "100000000000000000000"], "error: --total must be in")])
+    def test_exits_2_naming_the_input(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out.file"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(named)
+        assert not out.exists()
+
+    def test_total_is_checked_before_any_draw(self, tmp_path, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("counts were drawn")
+
+        monkeypatch.setattr(cli, "simulate_counts", draw)
+        assert cli.main(["tomography", "--total", "100000000000000000000",
+                         "--out", str(tmp_path / "t.json")]) == 2
+
+
 class TestDecomposeCommand:
+    def test_a1_0_5_table_reaches_t_20(self, tmp_path):
+        # the round-trip bound is relative to max |U|, which is 3.8e7 at t = 20
+        out = tmp_path / "dec.csv"
+        assert cli.main(["decompose", "--a1", "0.5", "--t-max", "20", "--dt", "0.05",
+                         "--out", str(out)]) == 0
+        header, rows = read_csv_columns(out)
+        assert len(rows) == 401
+        assert float(rows[-1][header.index("t")]) == 20.0
+
     def test_table_format_and_content(self, tmp_path):
         out = tmp_path / "dec.csv"
         assert cli.main(["decompose", "--a1", "1.2", "--t-max", "1.0",

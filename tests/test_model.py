@@ -87,3 +87,21 @@ class TestParamsValidation:
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError):
             AptParams(a=1.2, gamma=0.0)
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("a", {"a": np.inf}), ("a", {"a": np.nan}),
+        ("gamma", {"a": 1.2, "gamma": np.inf}), ("gamma", {"a": 1.2, "gamma": np.nan})])
+    def test_non_finite_rejected_by_name(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            AptParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"a": 1e300}, {"a": 1.2, "gamma": 1e200},
+                                        {"a": 1e160}])
+    def test_overflowing_k_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=r"overflow k = gamma\^2"):
+            AptParams(**kwargs)
+
+    def test_finite_k_accepted(self):
+        # k is formed as in the propagator, gamma * gamma * (a - 1) * (a + 1)
+        for p in (AptParams(a=1e150), AptParams(a=1e160, gamma=1e-10)):
+            assert np.array_equal(closed_form(p, 0.0), np.eye(2))

@@ -127,9 +127,8 @@ class TestDecompose:
             try:
                 singles.append(decompose(p, t))
             except DecompositionError:
-                # the absolute round-trip tolerance fails where |U| grows
-                # large (a = 0.5 from t = 14.35, a = 0.8 at t = 19.85); the
-                # grid must stop at the same point and name it
+                # if a point fails, the grid must stop at the same point
+                # and name it
                 with pytest.raises(DecompositionError, match=f"^t={t:g}: "):
                     decompose_grid(p, times)
                 break

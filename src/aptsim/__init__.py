@@ -10,14 +10,13 @@ from .dynamics import (IDENTITY, DegenerateNormError, EvolutionSpec,
 from .entanglement import (ConcurrenceReport, analytic_concurrence_identical,
                            concurrence, concurrence_minimum_identical,
                            concurrence_period, ep_concurrence)
-from .linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
+from .linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .model import AptParams, Family, Regime, classify, hamiltonian
 from .optics import (BeamPaths, DecompositionError, DecompositionParams,
                      PlateKind, WavePlate, bd_circuit, decompose,
                      decompose_grid, hwp, loss_matrix, qwp, reconstruct,
                      waveplate_matrix)
-from .propagator import (PropagatorCoefficients, closed_form,
-                         coefficient_arrays, coefficients)
+from .propagator import closed_form
 from .tomography import (CountRecord, MleConvergenceError, MleResult,
                          ProjectionBasis, basis_set, fidelity, mle_reconstruct,
                          mle_reconstruct_batch, simulate_counts)

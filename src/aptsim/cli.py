@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 i/o error, 2 validation error, 3 numerical error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -99,32 +100,27 @@ def _curve_csv(t_text, traj):
 def run_figure(args):
     curves, default_t_max = figure_curves(args.figure)
     t_max = default_t_max if args.t_max is None else args.t_max
+    # every curve is computed before the first file is written, so a curve
+    # that fails leaves no partial output
+    trajs = [(_param_token(p1), _param_token(p2),
+              run(EvolutionSpec(p1=p1, p2=p2, t_max=t_max, dt=args.dt)))
+             for p1, p2 in curves]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    written = []
-    payload = []
-    t_text = None  # every curve of a figure shares one time grid
-    for p1, p2 in curves:
-        traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=t_max, dt=args.dt))
-        tok1, tok2 = _param_token(p1), _param_token(p2)
-        if args.format == "json":
-            payload.append({
-                "a1": tok1, "a2": tok2,
-                "t": traj.times.tolist(),
-                "concurrence": traj.concurrence.tolist(),
-                "norm": traj.unnormalized_norm.tolist(),
-            })
-        else:
-            if t_text is None:
-                t_text = _column(traj.times)
-            path = out_dir / f"fig{args.figure}_{tok1}_{tok2}.csv"
-            path.write_text(_curve_csv(t_text, traj))
-            written.append(path)
     if args.format == "json":
+        payload = [{"a1": tok1, "a2": tok2, "t": traj.times.tolist(),
+                    "concurrence": traj.concurrence.tolist(),
+                    "norm": traj.unnormalized_norm.tolist()}
+                   for tok1, tok2, traj in trajs]
         path = out_dir / f"fig{args.figure}.json"
         path.write_text(json.dumps({"figure": args.figure, "curves": payload},
                                    indent=2, sort_keys=True) + "\n")
+        return [path]
+    t_text = _column(trajs[0][2].times)  # every curve of a figure shares one time grid
+    written = []
+    for tok1, tok2, traj in trajs:
+        path = out_dir / f"fig{args.figure}_{tok1}_{tok2}.csv"
+        path.write_text(_curve_csv(t_text, traj))
         written.append(path)
     return written
 
@@ -216,7 +212,9 @@ def run_tomography(args):
     return [path]
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once on first use and shared."""
     parser = argparse.ArgumentParser(
         prog="aptsim",
         description="Two-qubit entanglement dynamics under anti-PT-symmetric "

@@ -2,13 +2,13 @@
 renormalization, and trajectory sampling.
 
 One batched kernel serves run(), evolve_state() and bell_concurrence_curve().
-rho0 = F F^H is factored once by eigh; each column of F, as a 2x2 block F_k,
-evolves as U1(t) F_k U2(t)^T over the whole grid at once, from t = 0 at
-absolute time. The norm is N(t) = sum_k |U1 F_k U2^T|^2, and local filtering
-(Verstraete, Dehaene & De Moor, PRA 64, 010101, 2001) with |det U| = 1 for
-traceless H gives C(t) = C(rho0) / N(t): no eigensolver per sample, and no
-cancellation where the state's entries grow large.
-"""
+rho0 = F F^H is factored once by eigh, which also checks that rho0 is a state;
+each column of F, as a 2x2 block F_k, evolves as U1(t) F_k U2(t)^T over the
+whole grid at once, from t = 0 at absolute time. The norm is
+N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes from the same F (linalg.wootters),
+and local filtering (Verstraete, Dehaene & De Moor, PRA 64, 010101, 2001) with
+|det U| = 1 for traceless H gives C(t) = C(rho0) / N(t): no eigensolver per
+sample, and no cancellation where the state's entries grow large."""
 
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -16,6 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import propagator
+from .linalg import wootters
 from .model import AptParams, hamiltonian
 
 NORM_FLOOR = 1e-300
@@ -66,7 +67,8 @@ def maximally_mixed():
 
 
 def validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-10):
-    """Raise InvalidStateError unless rho is a valid two-qubit state."""
+    """Raise InvalidStateError unless rho is a valid two-qubit state; return
+    the eigh (ascending eigenvalues, eigenvectors) of its Hermitian part."""
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
@@ -78,9 +80,20 @@ def validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > trace_tol:
         raise InvalidStateError(f"trace is {tr}, expected 1")
-    smallest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-    if smallest < eig_floor:
-        raise InvalidStateError(f"negative eigenvalue {smallest:.3e}")
+    w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    if w[0] < eig_floor:
+        raise InvalidStateError(f"negative eigenvalue {w[0]:.3e}")
+    return w, v
+
+
+def rank_factor(rho, validate=True):
+    """(4, r) F with rho = F F^H, from the one eigh that validation makes;
+    eigenvalues below _RANK_RTOL of the largest are dropped."""
+    rho = np.asarray(rho, dtype=complex)
+    w, v = (validate_density_matrix(rho) if validate
+            else np.linalg.eigh((rho + rho.conj().T) / 2.0))
+    keep = w > _RANK_RTOL * w[-1]
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 @dataclass(frozen=True)
@@ -124,13 +137,6 @@ class Trajectory:
     states: Optional[list] = None
 
 
-def _rank_factor(rho0):
-    """(r, 2, 2) blocks F_k with rho0 = sum_k vec(F_k) vec(F_k)^H."""
-    w, v = np.linalg.eigh(rho0)
-    keep = w > _RANK_RTOL * w[-1]
-    return (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, 2, 2)
-
-
 def _terms(p, times):
     """(c, ts, H) of exp(-i H t) = c I - i ts H; H = 0 for a frozen qubit."""
     if isinstance(p, IdentityEvolution):
@@ -143,12 +149,9 @@ def _evolve(rho0, p1, p2, times, keep_states=False, norm_floor=NORM_FLOOR):
     {I, H1} x {I, H2}: one (T, 4) x (4, 4r) product of scalar terms with
     four constant blocks. A norm that is not finite or below norm_floor
     raises OverflowError or DegenerateNormError naming the first such t."""
-    from .entanglement import concurrence  # deferred: entanglement uses our validators
-
-    rho0 = np.asarray(rho0, dtype=complex)
-    validate_density_matrix(rho0)
+    factor = rank_factor(rho0)
     times = np.asarray(times, dtype=float).reshape(-1)
-    f = _rank_factor(rho0)
+    f = factor.T.reshape(-1, 2, 2)  # rho0 = sum_k vec(F_k) vec(F_k)^H
     with np.errstate(over="ignore", invalid="ignore"):
         c1, s1, h1 = _terms(p1, times)
         c2, s2, h2 = _terms(p2, times)
@@ -165,7 +168,7 @@ def _evolve(rho0, p1, p2, times, keep_states=False, norm_floor=NORM_FLOOR):
         if np.isfinite(norm):
             raise DegenerateNormError(t, norm)
         raise OverflowError(f"evolution norm is not finite at t={t}: {norm!r}")
-    conc = np.minimum(concurrence(rho0, validate=False).value / norms, 1.0)
+    conc = np.minimum(wootters(factor)[0] / norms, 1.0)
 
     states = None
     if keep_states:

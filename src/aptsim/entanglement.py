@@ -1,17 +1,17 @@
 """Concurrence of two-qubit states, plus the closed forms (value, minimum,
-period) for the Bell-initial identical-evolution trajectories."""
+period) for the Bell-initial identical-evolution trajectories.
+
+concurrence() factors rho = F F^H with the one eigh that validation makes and
+takes Wootters' formula from the singular values of F^T (sy x sy) F
+(linalg.wootters), the same formula the evolution kernel applies to rho0."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import InvalidStateError, validate_density_matrix
-from .linalg import SIGMA_Y, kron
+from .dynamics import rank_factor
+from .linalg import wootters
 from .model import Family
-
-_YY = kron(SIGMA_Y, SIGMA_Y)
-_PURITY_TOL = 1e-12
-_EIG_CLAMP = -1e-10
 
 
 @dataclass(frozen=True)
@@ -23,36 +23,15 @@ class ConcurrenceReport:
 
 
 def concurrence(rho, validate=True):
-    """max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) over the
-    eigenvalues of rho (sy x sy) rho* (sy x sy), clamped to [0, 1].
-
-    Pure states take the 2|c0 c3 - c1 c2| shortcut: the general
-    eigensolver leaves O(sqrt(eps)) noise in the square roots of the
-    zero eigenvalues, which would swamp 1e-10 trajectory tolerances.
-    Eigenvalues below -1e-10 mean the input was not a state, and raise.
+    """max(0, s1 - s2 - s3 - s4), clamped to 1, over the singular values s of
+    F^T (sy x sy) F for rho = F F^H. r_eigenvalues are the s^2, the
+    eigenvalues of rho (sy x sy) rho* (sy x sy), padded with zeros to four.
+    With validate, an input that is not a state raises InvalidStateError.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if validate:
-        validate_density_matrix(rho)
-
-    purity = float(np.real(np.trace(rho @ rho)))
-    if purity >= 1.0 - _PURITY_TOL:
-        _, vecs = np.linalg.eigh(rho)
-        psi = vecs[:, -1]
-        value = 2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2])
-        value = min(max(float(value), 0.0), 1.0)
-        return ConcurrenceReport(value, (value * value, 0.0, 0.0, 0.0))
-
-    flipped = rho @ _YY @ rho.conj() @ _YY
-    lams = np.sort(np.real(np.linalg.eigvals(flipped)))[::-1]
-    if float(lams[-1]) < _EIG_CLAMP:
-        raise InvalidStateError(
-            f"spin-flip eigenvalue {lams[-1]:.3e} below the -1e-10 clamp")
-    lams = np.clip(lams, 0.0, None)
-    roots = np.sqrt(lams)
-    value = float(roots[0] - roots[1] - roots[2] - roots[3])
-    value = min(max(value, 0.0), 1.0)
-    return ConcurrenceReport(value, tuple(float(x) for x in lams))
+    value, s = wootters(rank_factor(rho, validate))
+    lams = np.zeros(4)
+    lams[:s.size] = s * s
+    return ConcurrenceReport(value, tuple(lams.tolist()))
 
 
 def analytic_concurrence_identical(a, t):

@@ -9,23 +9,9 @@ fallback is needed, not even inside the exceptional-point band. k is formed
 as gamma^2 (a - 1)(a + 1), which keeps its relative accuracy near a = 1.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import Family, Regime, classify, hamiltonian
-
-
-@dataclass(frozen=True)
-class PropagatorCoefficients:
-    """Real coefficients of the single-qubit propagator [[A-iB, C], [C, A+iB]].
-
-    A^2 + B^2 - C^2 = 1 identically in every regime.
-    """
-    A: float
-    B: float
-    C: float
-    regime: Regime
+from .model import Family, hamiltonian
 
 
 def propagator_terms(p, times):
@@ -40,20 +26,6 @@ def propagators(p, times):
     """exp(-i H t) for every t of `times`, as a (T, 2, 2) stack."""
     c, ts = propagator_terms(p, times)
     return c[:, None, None] * np.eye(2) - 1j * ts[:, None, None] * hamiltonian(p)
-
-
-def coefficient_arrays(p, times):
-    """(A, B, C) over a time grid, read off the propagator stack; APT only."""
-    if p.family is not Family.APT:
-        raise ValueError("closed-form coefficients exist for the APT family only")
-    u = propagators(p, times)
-    return u[:, 0, 0].real, -u[:, 0, 0].imag, u[:, 0, 1].real
-
-
-def coefficients(p, t):
-    """(A, B, C) at time t, with the regime label of p."""
-    a, b, c = coefficient_arrays(p, [t])
-    return PropagatorCoefficients(float(a[0]), float(b[0]), float(c[0]), classify(p))
 
 
 def closed_form(p, t):

@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aptsim import cli, optics
+from aptsim import cli, dynamics, optics
 from aptsim.dynamics import DegenerateNormError, EvolutionSpec, Trajectory
 from aptsim.entanglement import concurrence_minimum_identical
 from aptsim.tomography import MleConvergenceError
@@ -325,3 +325,53 @@ class TestErrorMapping:
         with pytest.raises(SystemExit) as err:
             cli.main([])
         assert err.value.code == 2
+
+
+# per command: the float flags, the integer flags, and the switches
+_COMMAND_FLAGS = {
+    "figure": (("--t-max", "--dt"), (), ("--format=json",)),
+    "sweep": (("--a1", "--a2-min", "--a2-max", "--a2-step", "--t-max", "--dt"), (), ()),
+    "decompose": (("--t-max", "--dt"), (), ()),
+    "tomography": (("--a1", "--a2", "--t-max", "--dt"), ("--seed", "--total"),
+                   ("--identity-qubit2", "--noiseless")),
+}
+_NUMBERS = st.one_of(
+    st.sampled_from((0.0, -0.0, -1.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-320)),
+    st.floats(-30.0, 30.0))
+_INTEGERS = st.one_of(st.sampled_from((0, -1, 10 ** 20)), st.integers(-10, 10 ** 5))
+
+
+@st.composite
+def _argv(draw):
+    """One command with a random subset of its flags; values go after "=",
+    so that argparse reads "-inf" or "-1e300" as a value, not as an option."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    floats, ints, switches = _COMMAND_FLAGS[command]
+    argv = [command]
+    if command == "figure":
+        argv.append("--figure=" + draw(st.sampled_from(cli.FIGURE_IDS)))
+    if command == "decompose":
+        argv.append(f"--a1={draw(_NUMBERS)!r}")
+    for flags, values in ((floats, _NUMBERS), (ints, _INTEGERS)):
+        for flag in flags:
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(values)!r}")
+    return argv + [flag for flag in switches if draw(st.booleans())]
+
+
+class TestNeverTracebacks:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argv=_argv())
+    @example(argv=["figure", "--figure=A4", "--t-max=400.0", "--dt=100.0"])
+    @example(argv=["figure", "--figure=2a", "--t-max=1e+154", "--dt=1e+154"])
+    def test_exit_code_and_no_file_on_failure(self, tmp_path_factory, argv):
+        out = tmp_path_factory.mktemp("argv")
+        target = out / ("figs" if argv[0] == "figure" else "out.file")
+        # small grids only: no example allocates or fits a large one
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "MAX_SAMPLES", 64)
+            patch.setattr(cli, "MAX_SAMPLES", 64)
+            code = cli.main(argv + [f"--out={target}"])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert not [p for p in out.rglob("*") if p.is_file()]

@@ -232,7 +232,7 @@ class TestRunProperties:
         spec = EvolutionSpec(p1=p1, p2=p2, t_max=t_max,
                              dt=max(t_max / 4.0, 1e-3), initial=rho0)
         traj = run(spec, keep_states=True)
-        conc_tol = 1e-10 if rank == 1 else 1e-5
+        conc_tol = 1e-10 if rank == 1 else 1e-6
         for t, c, n, rho in zip(traj.times, traj.concurrence,
                                 traj.unnormalized_norm, traj.states):
             ref_c, ref_n = _reference_sample(rho0, p1, p2, float(t))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aptsim.dynamics import (EvolutionSpec, InvalidStateError, bell_state,
                              evolve_state, maximally_mixed, run)
@@ -8,6 +10,7 @@ from aptsim.entanglement import (analytic_concurrence_identical, concurrence,
                                  concurrence_period, ep_concurrence)
 from aptsim.model import AptParams, Family
 
+from oracles import wootters_mp
 from trajkit import brute_concurrence, refine_minimum
 
 RNG = np.random.default_rng(99)
@@ -90,6 +93,38 @@ class TestConcurrence:
             rho = p_mix * bell_state() + (1.0 - p_mix) * maximally_mixed()
             expected = max(0.0, (3.0 * p_mix - 1.0) / 2.0)
             assert concurrence(rho).value == pytest.approx(expected, abs=1e-10)
+
+
+def _ket(rng):
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return v / np.linalg.norm(v)
+
+
+class TestConcurrenceAccuracy:
+    """concurrence() against a 50-digit evaluation of Wootters' eigenvalues
+    on rank-deficient states, where square roots of the near-zero eigenvalues
+    of rho rho~ in double precision used to cost up to 2e-8."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(log_eps=st.floats(-14.0, -4.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_near_pure_states(self, log_eps, seed):
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        psi, phi = _ket(rng), _ket(rng)
+        eps = 10.0 ** log_eps
+        rho = (1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.outer(phi, phi.conj())
+        rho = (rho + rho.conj().T) / 2.0
+        assert abs(concurrence(rho).value - wootters_mp(rho)) < 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_rank_states(self, rank, seed):
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = f @ f.conj().T
+        rho = (rho + rho.conj().T) / (2.0 * np.real(np.trace(rho)))
+        assert abs(concurrence(rho).value - wootters_mp(rho)) < 1e-12
 
 
 class TestAnalyticIdentical:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aptsim.linalg import ID2, SIGMA_X, SIGMA_Z, kron
+from aptsim.linalg import SIGMA_X, SIGMA_Z
 
 from oracles import eig2, expm_series
 
@@ -11,32 +11,6 @@ RNG = np.random.default_rng(20250810)
 def random_2x2(scale=1.0):
     m = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
     return scale * m / np.linalg.norm(m, 2)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(ID2, ID2), np.eye(4, dtype=complex))
-
-    def test_bell_state_symmetry(self):
-        bell = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-        assert np.allclose(kron(SIGMA_X, SIGMA_X) @ bell, bell, atol=1e-15)
-
-    def test_diagonal_block_structure(self):
-        got = kron(np.diag([2.0, 3.0]), ID2)
-        assert np.array_equal(got, np.diag([2.0, 2.0, 3.0, 3.0]).astype(complex))
-
-    def test_mixed_product_rule(self):
-        for _ in range(25):
-            a, b, c, d = (random_2x2() for _ in range(4))
-            lhs = kron(a, b) @ kron(c, d)
-            rhs = kron(a @ c, b @ d)
-            assert np.max(np.abs(lhs - rhs)) < 1e-13
-
-    def test_bilinearity(self):
-        a, b, c = random_2x2(), random_2x2(), random_2x2()
-        lhs = kron(2.0 * a + b, c)
-        rhs = 2.0 * kron(a, c) + kron(b, c)
-        assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
 class TestExpmSeries:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from aptsim.linalg import kron
-from aptsim.model import AptParams, Family, Regime, hamiltonian
-from aptsim.propagator import closed_form, coefficient_arrays, coefficients
+from aptsim.model import AptParams, Family, hamiltonian
+from aptsim.propagator import closed_form, propagators
 
 from oracles import expm_series, two_qubit
 
@@ -17,42 +16,46 @@ def eig_expm(h, t):
 
 
 class TestCoefficients:
+    """An APT propagator has the real form [[A - iB, C], [C, A + iB]]; each
+    test reads (A, B, C) off the stack that propagators() returns."""
+
     def test_exceptional_point(self):
-        co = coefficients(AptParams(a=1.0), 2.0)
-        assert (co.A, co.B, co.C) == (1.0, 2.0, 2.0)
-        assert co.regime is Regime.EXCEPTIONAL_POINT
+        u = propagators(AptParams(a=1.0), [2.0])[0]
+        assert np.array_equal(u, [[1.0 - 2.0j, 2.0], [2.0, 1.0 + 2.0j]])
 
     def test_time_zero(self):
         for a in (0.5, 1.0, 1.7):
-            co = coefficients(AptParams(a=a), 0.0)
-            assert (co.A, co.B, co.C) == (1.0, 0.0, 0.0)
+            assert np.array_equal(propagators(AptParams(a=a), [0.0])[0], np.eye(2))
 
     def test_unbroken_at_half_turn(self):
-        co = coefficients(AptParams(a=np.sqrt(2.0)), np.pi)
-        assert co.A == pytest.approx(-1.0, abs=1e-12)
-        assert co.B == pytest.approx(0.0, abs=1e-12)
-        assert co.C == pytest.approx(0.0, abs=1e-12)
+        u = propagators(AptParams(a=np.sqrt(2.0)), [np.pi])[0]
+        assert np.max(np.abs(u + np.eye(2))) < 1e-12
 
     def test_quadratic_invariant(self):
+        # det U = A^2 + B^2 - C^2 = 1 in every regime, since H is traceless
+        times = np.arange(0.0, 6.0, 0.37)
         for a in (0.5, 0.8, 1.0, 1.01, 1.2, 2.0, 3.0):
-            for t in np.arange(0.0, 6.0, 0.37):
-                co = coefficients(AptParams(a=a), float(t))
-                assert co.A ** 2 + co.B ** 2 - co.C ** 2 == pytest.approx(1.0, abs=1e-9)
+            u = propagators(AptParams(a=a), times)
+            assert np.all(u[:, 0, 1] == u[:, 1, 0])
+            assert np.all(u[:, 0, 1].imag == 0.0)
+            assert np.all(u[:, 0, 0] == u[:, 1, 1].conj())
+            det = u[:, 0, 0].real ** 2 + u[:, 0, 0].imag ** 2 - u[:, 0, 1].real ** 2
+            assert np.max(np.abs(det - 1.0)) < 1e-9
 
     def test_arrays_match_scalars(self):
         times = np.arange(0.0, 5.0, 0.31)
         for a in (0.7, 1.0, 1.4):
             p = AptParams(a=a)
-            arr_a, arr_b, arr_c = coefficient_arrays(p, times)
+            stack = propagators(p, times)
             for i, t in enumerate(times):
-                co = coefficients(p, float(t))
-                assert arr_a[i] == pytest.approx(co.A, abs=1e-15)
-                assert arr_b[i] == pytest.approx(co.B, abs=1e-15)
-                assert arr_c[i] == pytest.approx(co.C, abs=1e-15)
+                assert np.array_equal(stack[i], closed_form(p, float(t)))
 
     def test_pt_rejected(self):
-        with pytest.raises(ValueError):
-            coefficients(AptParams(a=1.2, family=Family.PT), 1.0)
+        # the real (A, B, C) form is APT-only: a PT propagator has a real
+        # diagonal and an imaginary off-diagonal instead
+        u = propagators(AptParams(a=1.2, family=Family.PT), [1.0])[0]
+        assert u[0, 1].real == 0.0 and u[0, 1].imag != 0.0
+        assert u[0, 0].imag == 0.0 and u[0, 0] != u[1, 1]
 
 
 class TestClosedForm:
@@ -86,9 +89,8 @@ class TestClosedForm:
         assert coarse / fine == pytest.approx(10.0, rel=0.1)
 
     def test_broken_regime_growth_scale(self):
-        co = coefficients(AptParams(a=0.8), 10.0)
-        assert co.A == pytest.approx(np.cosh(6.0), rel=1e-12)
         u = closed_form(AptParams(a=0.8), 10.0)
+        assert u[0, 0].real == pytest.approx(np.cosh(6.0), rel=1e-12)
         assert abs(u[0, 0]) > np.cosh(6.0)
 
     def test_gamma_rescales_time(self):
@@ -145,7 +147,7 @@ class TestTwoQubit:
     def test_tensor_structure(self):
         p1, p2 = AptParams(a=1.2), AptParams(a=0.8)
         u = two_qubit(p1, p2, 1.4)
-        expected = kron(closed_form(p1, 1.4), closed_form(p2, 1.4))
+        expected = np.kron(closed_form(p1, 1.4), closed_form(p2, 1.4))
         assert np.array_equal(u, expected)
 
     def test_unit_modulus_determinant(self):

@@ -140,6 +140,9 @@ def run_sweep(args):
                          f"more than {MAX_SAMPLES}")
     n = int(np.floor(span + 1e-9))
     a2_values = [round(args.a2_min + i * args.a2_step, 12) for i in range(n + 1)]
+    if not a2_values[0] > 0:
+        raise ValueError(f"--a2-min {args.a2_min} gives a2 = {a2_values[0]} after rounding to "
+                         f"12 decimals; a2 must be > 0")
 
     blocks = ["a1,a2,t,concurrence\n"]
     t_text = None  # every a2 value shares one time grid

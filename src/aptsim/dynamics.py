@@ -146,9 +146,9 @@ def _terms(p, times):
 
 def _evolve(rho0, p1, p2, times, keep_states=False, norm_floor=NORM_FLOOR):
     """The Trajectory of rho0 over `times`. U1 F U2^T expands over
-    {I, H1} x {I, H2}: one (T, 4) x (4, 4r) product of scalar terms with
-    four constant blocks. A norm that is not finite or below norm_floor
-    raises OverflowError or DegenerateNormError naming the first such t."""
+    {I, H1} x {I, H2}: one real (T, 4) x (4, 8r) product of scalar terms with
+    four constant complex blocks seen as floats. A norm that is not finite or
+    below norm_floor raises OverflowError or DegenerateNormError at its t."""
     factor = rank_factor(rho0)
     times = np.asarray(times, dtype=float).reshape(-1)
     f = factor.T.reshape(-1, 2, 2)  # rho0 = sum_k vec(F_k) vec(F_k)^H
@@ -158,8 +158,7 @@ def _evolve(rho0, p1, p2, times, keep_states=False, norm_floor=NORM_FLOOR):
         fh2 = f @ h2.T
         basis = np.stack([f, -1j * fh2, -1j * (h1 @ f), -(h1 @ fh2)]).reshape(4, -1)
         terms = np.stack([c1 * c2, c1 * s2, s1 * c2, s1 * s2], axis=1)
-        blocks = terms @ basis
-        flat = blocks.view(float)
+        flat = terms @ basis.view(float)  # (re, im) pairs of the (T, 4r) blocks
         norms = np.einsum("ti,ti->t", flat, flat)
     healthy = np.isfinite(norms) & (norms >= norm_floor)
     if not healthy.all():
@@ -172,7 +171,7 @@ def _evolve(rho0, p1, p2, times, keep_states=False, norm_floor=NORM_FLOOR):
 
     states = None
     if keep_states:
-        kets = blocks.reshape(times.size, -1, 4)
+        kets = flat.view(complex).reshape(times.size, -1, 4)
         m = kets.transpose(0, 2, 1) @ kets.conj()
         states = list((m + m.conj().transpose(0, 2, 1)) / (2.0 * norms[:, None, None]))
     return Trajectory(times=times, concurrence=conc,

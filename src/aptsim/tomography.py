@@ -308,9 +308,9 @@ def mle_reconstruct_batch(count_sets, truths=None, max_iter=DEFAULT_MAX_ITER):
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
     mus = totals * np.maximum(_probabilities(rho), _P_FLOOR)
     log_likelihood = np.sum(observed * np.log(mus) - mus, axis=1)
-    truths = [None] * len(rho) if truths is None else truths
-    return [MleResult(r, float(ll), int(k), None if truth is None else fidelity(truth, r))
-            for r, ll, k, truth in zip(rho, log_likelihood, steps, truths)]
+    fids = [None] * len(rho) if truths is None else _fidelities(truths, rho).tolist()
+    return [MleResult(r, float(ll), int(k), fid)
+            for r, ll, k, fid in zip(rho, log_likelihood, steps, fids)]
 
 
 def mle_reconstruct(counts, truth=None, max_iter=DEFAULT_MAX_ITER):
@@ -320,15 +320,17 @@ def mle_reconstruct(counts, truth=None, max_iter=DEFAULT_MAX_ITER):
                                  max_iter)[0]
 
 
-def _psd_sqrt(m):
-    evals, evecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+def _fidelities(a, b):
+    """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2 of each pair of (n, 4, 4)
+    stacks, clamped to [0, 1]: one eigh over a, one eigvalsh over the products."""
+    a = np.asarray(a, dtype=complex)
+    w, v = np.linalg.eigh((a + a.conj().transpose(0, 2, 1)) / 2.0)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    inner = root @ np.asarray(b, dtype=complex) @ root
+    w = np.clip(np.linalg.eigvalsh((inner + inner.conj().transpose(0, 2, 1)) / 2.0), 0.0, None)
+    return np.clip(np.sum(np.sqrt(w), axis=1) ** 2, 0.0, 1.0)
 
 
 def fidelity(a, b):
-    """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2, clamped to [0, 1]."""
-    root = _psd_sqrt(np.asarray(a, dtype=complex))
-    inner = root @ np.asarray(b, dtype=complex) @ root
-    evals = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0), 0.0, None)
-    value = float(np.sum(np.sqrt(evals)) ** 2)
-    return min(max(value, 0.0), 1.0)
+    """Uhlmann fidelity of two states: the one-pair case of _fidelities."""
+    return float(_fidelities([a], [b])[0])

@@ -174,6 +174,17 @@ class TestSweepCommand:
         assert err.startswith("error: ") and "must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("a2_min", ["1e-13", "0", "-0.5"])
+    def test_a2_min_rounding_to_zero_exits_2(self, tmp_path, capsys, a2_min):
+        # a2 values are rounded to 12 decimals, so 1e-13 becomes a2 = 0
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", f"--a2-min={a2_min}", "--a2-max=1e-13",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --a2-min {float(a2_min)} gives a2 = ")
+        assert "rounding to 12 decimals" in err
+        assert not out.exists()
+
 
 class TestBadInput:
     """Bad input exits 2 with a message that names it, and writes nothing."""

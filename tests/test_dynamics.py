@@ -145,6 +145,15 @@ class TestRun:
         w = 1.2 ** 2 - 1.0
         assert abs(traj.concurrence.min() - w / (w + 2.0)) < 1e-6
 
+    def test_huge_k_unbroken_stays_finite(self):
+        # k = 1e300 overflows k t^2 for t > 1.4e4, but U is nearly unitary
+        # (its sigma_x part is 1e-150), so N(t) = 1 and C(t) = 1 to rounding
+        p = AptParams(a=1e150)
+        traj = run(EvolutionSpec(p1=p, p2=p, t_max=1e5, dt=2.5e4))
+        assert traj.times[-1] == 1e5
+        assert np.max(np.abs(traj.unnormalized_norm - 1.0)) < 1e-12
+        assert np.max(np.abs(traj.concurrence - 1.0)) < 1e-12
+
     def test_mixed_initial_state_supported(self):
         spec = EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2),
                              t_max=1.0, dt=0.5, initial=maximally_mixed())

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aptsim.model import AptParams, Family, hamiltonian
-from aptsim.propagator import closed_form, propagators
+from aptsim.propagator import closed_form, propagator_terms, propagators
 
 from oracles import expm_series, two_qubit
 
@@ -137,6 +139,60 @@ class TestClosedForm:
         for a in (0.8, 1.0, 1.2):
             u = closed_form(AptParams(a=a), 1.3)
             assert u[0, 1] == u[1, 0]
+
+
+def _terms_mp(p, t, dps=40):
+    """(c, ts) at one time from a 40-digit cos/sin or cosh/sinh of the exact
+    k of the float inputs."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        a, g, t = mp.mpf(p.a), mp.mpf(p.gamma), mp.mpf(t)
+        k = g * g * (a - 1) * (a + 1) * (1 if p.family is Family.APT else -1)
+        if k == 0:
+            return 1.0, float(t)
+        w = mp.sqrt(abs(k))
+        if k > 0:
+            return float(mp.cos(w * t)), float(mp.sin(w * t) / w)
+        return float(mp.cosh(w * t)), float(mp.sinh(w * t) / w)
+
+
+# broken, unbroken (mirrored for PT), the EP band |a - 1| <= 1e-9, and a = 1
+_TERM_A = st.one_of(st.floats(0.3, 1.0 - 1e-9), st.floats(1.0 + 1e-9, 2.5),
+                    st.floats(-1e-9, 1e-9).map(lambda d: 1.0 + d), st.just(1.0))
+
+
+class TestPropagatorTerms:
+    def test_real_arithmetic(self):
+        for family in Family:
+            for a in (0.8, 1.0, 1.2):
+                c, ts = propagator_terms(AptParams(a=a, family=family), [0.0, 0.5, 3.0])
+                assert c.dtype == ts.dtype == np.float64
+                assert c[0] == 1.0 and ts[0] == 0.0
+
+    def test_exceptional_point_is_exact(self):
+        times = np.array([-3.0, 0.0, 0.25, 70.0])
+        for family in Family:
+            c, ts = propagator_terms(AptParams(a=1.0, family=family), times)
+            assert np.array_equal(c, np.ones(4)) and np.array_equal(ts, times)
+
+    def test_no_overflow_of_k_t_squared(self):
+        # k = 1e300: k t^2 overflows at t = 1e5, while |c| <= 1 and |ts| <= 1/w
+        c, ts = propagator_terms(AptParams(a=1e150), [0.0, 2.0, 1e5])
+        assert np.all(np.isfinite(c)) and np.all(np.isfinite(ts))
+        assert c[0] == 1.0 and ts[0] == 0.0
+        assert np.all(np.abs(c) <= 1.0) and np.all(np.abs(ts) <= 1e-150)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(a=_TERM_A, gamma=st.floats(0.5, 2.5), family=st.sampled_from(Family),
+           t=st.floats(-70.0, 70.0))
+    def test_matches_exact_functions(self, a, gamma, family, t):
+        # negative t checks that c is even and ts odd in t
+        p = AptParams(a=a, gamma=gamma, family=family)
+        c, ts = propagator_terms(p, [t])
+        ref_c, ref_ts = _terms_mp(p, t)
+        scale = max(1.0, abs(ref_c), abs(ref_ts))
+        assert abs(c[0] - ref_c) <= 1e-13 * scale
+        assert abs(ts[0] - ref_ts) <= 1e-13 * scale
 
 
 class TestTwoQubit:

@@ -188,6 +188,17 @@ class TestMleOptimality:
                 assert fidelity(alone.rho_hat, other.rho_hat) >= 1.0 - 1e-9
                 assert other.iterations == alone.iterations
 
+    def test_batched_fidelities_match_one_at_a_time(self):
+        p = AptParams(a=0.8)
+        truths = [evolve_state(bell_state(), p, p, 0.5 * i) for i in range(10)]
+        count_sets = [simulate_counts(rho, total=2000, seed=60 + i, noiseless=i == 4)
+                      for i, rho in enumerate(truths)]
+        batch = mle_reconstruct_batch(count_sets, truths)
+        for counts, truth, together in zip(count_sets, truths, batch):
+            alone = mle_reconstruct(counts, truth=truth)
+            assert together.fidelity_vs_truth == alone.fidelity_vs_truth
+            assert together.fidelity_vs_truth == fidelity(truth, together.rho_hat)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(log_eps=st.floats(-6.0, -3.0), rank=st.integers(1, 4),
            state_seed=st.integers(0, 2 ** 32 - 1), noise_seed=st.integers(0, 2 ** 32 - 1),

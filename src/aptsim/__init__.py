@@ -18,7 +18,7 @@ from .optics import (BeamPaths, DecompositionError, DecompositionParams,
                      waveplate_matrix)
 from .propagator import closed_form
 from .tomography import (CountRecord, MleConvergenceError, MleResult,
-                         ProjectionBasis, basis_set, fidelity, mle_reconstruct,
-                         mle_reconstruct_batch, simulate_counts)
+                         ProjectionBasis, basis_set, draw_counts, fidelity, mle_fit,
+                         mle_reconstruct, mle_reconstruct_batch, simulate_counts)
 
 __version__ = "0.1.0"

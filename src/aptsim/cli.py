@@ -19,12 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (IDENTITY, MAX_SAMPLES, DegenerateNormError,
-                       EvolutionSpec, IdentityEvolution, run)
-from .entanglement import concurrence
+                       EvolutionSpec, IdentityEvolution, rank_factor, run)
+from .linalg import wootters
 from .model import AptParams, Family
 from .optics import DecompositionError, decompose_grid
-from .tomography import (MAX_TOTAL, MleConvergenceError, mle_reconstruct_batch,
-                         simulate_counts)
+from .tomography import MAX_TOTAL, MleConvergenceError, draw_counts, mle_fit
 
 FIGURE_IDS = ("2a", "2b", "3a", "3b", "4a", "4b", "4c", "4d", "A4", "A5")
 
@@ -181,22 +180,20 @@ def run_tomography(args):
     p2 = IDENTITY if args.identity_qubit2 else _apt(args.a2)
     traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=args.t_max, dt=args.dt),
                keep_states=True)
-    count_sets = [simulate_counts(truth, total=args.total, seed=args.seed + i,
-                                  noiseless=args.noiseless)
-                  for i, truth in enumerate(traj.states)]
+    # one array pipeline over the grid: counts, fits and concurrences
+    truths = np.array(traj.states)
+    observed = draw_counts(truths, total=args.total, seed=args.seed,
+                           noiseless=args.noiseless)[1]
     try:
-        results = mle_reconstruct_batch(count_sets, truths=traj.states)
+        rho_hat, log_likelihood, iterations, fids = mle_fit(
+            observed, np.full(observed.shape, args.total), truths=truths)
     except MleConvergenceError as exc:
         raise MleConvergenceError(f"t={float(traj.times[exc.points[0]]):g}: {exc}",
                                   exc.points) from exc
-    points = [{
-        "t": float(t),
-        "fidelity": result.fidelity_vs_truth,
-        "concurrence_theory": float(c),
-        "concurrence_mle": concurrence(result.rho_hat).value,
-        "log_likelihood": result.log_likelihood,
-        "iterations": result.iterations,
-    } for t, c, result in zip(traj.times, traj.concurrence, results)]
+    columns = {"t": traj.times, "fidelity": fids, "concurrence_theory": traj.concurrence,
+               "concurrence_mle": wootters(rank_factor(rho_hat))[0],
+               "log_likelihood": log_likelihood, "iterations": iterations}
+    points = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
     report = {
         "a1": args.a1,

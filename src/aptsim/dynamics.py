@@ -23,7 +23,7 @@ NORM_FLOOR = 1e-300
 # Largest time grid a spec accepts; the figure presets use at most 7,001 samples.
 MAX_SAMPLES = 1_000_000
 # eigh resolves eigenvalues to a few eps of the largest; below this they are noise
-_RANK_RTOL = 1e-14
+_RANK_RTOL = 1e-15
 
 
 class InvalidStateError(ValueError):
@@ -66,34 +66,48 @@ def maximally_mixed():
     return np.eye(4, dtype=complex) / 4.0
 
 
+def _check(ok, message):
+    """Raise InvalidStateError(message(i)) at the first False i of ok; a stack's names i."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise InvalidStateError(message(i) if ok.ndim == 0 else f"state {i}: {message(i)}")
+
+
 def validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-10):
-    """Raise InvalidStateError unless rho is a valid two-qubit state; return
-    the eigh (ascending eigenvalues, eigenvectors) of its Hermitian part."""
+    """Raise InvalidStateError unless rho, a 4x4 matrix or a (..., 4, 4) stack,
+    holds valid two-qubit states; return the eigh (ascending eigenvalues,
+    eigenvectors) of its Hermitian part, one call for the whole stack. A bad
+    state of a stack is named by its index in the flattened stack."""
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise InvalidStateError("density matrix has non-finite entries")
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > herm_tol:
-        raise InvalidStateError(f"not Hermitian: max deviation {herm:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise InvalidStateError(f"trace is {tr}, expected 1")
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    if w[0] < eig_floor:
-        raise InvalidStateError(f"negative eigenvalue {w[0]:.3e}")
+    herm = np.abs(rho - rho.conj().swapaxes(-2, -1))
+    tr = rho.trace(axis1=-2, axis2=-1)
+    # one test for the whole stack, which any nan or inf entry fails
+    if not (herm.max() <= herm_tol and np.abs(tr - 1.0).max() <= trace_tol):
+        _check(np.isfinite(rho).all(axis=(-2, -1)),
+               lambda i: "density matrix has non-finite entries")
+        herm = herm.max(axis=(-2, -1))
+        _check(herm <= herm_tol, lambda i: f"not Hermitian: max deviation {herm.flat[i]:.3e}")
+        _check(np.abs(tr - 1.0) <= trace_tol, lambda i: f"trace is {complex(tr.flat[i])}, expected 1")
+    w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-2, -1)) / 2.0)
+    if w[..., 0].min() < eig_floor:
+        _check(w[..., 0] >= eig_floor, lambda i: f"negative eigenvalue {w[..., 0].flat[i]:.3e}")
     return w, v
 
 
 def rank_factor(rho, validate=True):
-    """(4, r) F with rho = F F^H, from the one eigh that validation makes;
-    eigenvalues below _RANK_RTOL of the largest are dropped."""
+    """F with rho = F F^H, from the one eigh that validation makes; eigenvalues
+    below _RANK_RTOL of the largest are cut. One state gives (4, r); a stack
+    gives (..., 4, 4) with its cut columns zero, so that no state's factor
+    depends on the others."""
     rho = np.asarray(rho, dtype=complex)
     w, v = (validate_density_matrix(rho) if validate
-            else np.linalg.eigh((rho + rho.conj().T) / 2.0))
-    keep = w > _RANK_RTOL * w[-1]
-    return v[:, keep] * np.sqrt(w[keep])
+            else np.linalg.eigh((rho + rho.conj().swapaxes(-2, -1)) / 2.0))
+    keep = w > _RANK_RTOL * w[..., -1:]
+    if rho.ndim == 2:
+        return v[:, keep] * np.sqrt(w[keep])
+    return v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
 
 
 @dataclass(frozen=True)

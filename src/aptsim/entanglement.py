@@ -31,7 +31,7 @@ def concurrence(rho, validate=True):
     value, s = wootters(rank_factor(rho, validate))
     lams = np.zeros(4)
     lams[:s.size] = s * s
-    return ConcurrenceReport(value, tuple(lams.tolist()))
+    return ConcurrenceReport(float(value), tuple(lams.tolist()))
 
 
 def analytic_concurrence_identical(a, t):

@@ -11,7 +11,11 @@ I/4. A point stops once its Newton decrement is tiny and the Frank-Wolfe
 gap <G, rho> - lambda_min(G), G = grad f, certifies the optimum; if the gap
 fails there, the point is a saddle and restarts toward lambda_min(G)'s
 eigenvector. Each point of a batch keeps its own factor, damping, stopping
-test and step count, so its estimate does not depend on the batch.
+test and step count, so its estimate does not depend on the batch: its
+products are stacked matmuls with the batch leading, one BLAS call per
+point, and never a 2-D GEMM whose rows are the batch. The array cores
+draw_counts and mle_fit serve the CLI; simulate_counts and
+mle_reconstruct_batch are their one-state and count-record cases.
 """
 
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import validate_density_matrix
+from .dynamics import rank_factor, validate_density_matrix
 
 BASIS_LABELS = ("HH", "HV", "VV", "VH", "RH", "RV", "DV", "DH",
                 "DR", "DD", "RD", "HD", "VD", "VL", "HL", "RL")
@@ -49,9 +53,10 @@ DEFAULT_MAX_ITER = 100000
 _KETS = np.array([np.kron(_SINGLE_KETS[label[0]], _SINGLE_KETS[label[1]])
                   for label in BASIS_LABELS])
 # row b: |b><b| row-major, as interleaved (re, im) floats. Sums over the
-# basis are broadcast sums or BLAS-free einsums over C-contiguous arrays,
-# never BLAS products with the batch as a dimension, whose summation order
-# may change with the number of rows: each point's arithmetic is its own.
+# basis are broadcast sums or stacked matmuls with the batch leading (one
+# BLAS call per point), never a 2-D GEMM with the batch as a dimension,
+# whose summation order may change with the number of rows: each point's
+# arithmetic is its own.
 _OUTER = np.einsum("bi,bj->bij", _KETS, _KETS.conj()).reshape(16, 16)
 _PROJECTORS = _OUTER.view(float)
 _INVERSION = np.linalg.inv(_OUTER.conj())  # probabilities -> vec(rho)
@@ -127,22 +132,27 @@ def _probabilities(rho):
     return (flat * _PROJECTORS).sum(axis=2)
 
 
-def simulate_counts(rho, total=DEFAULT_TOTAL, seed=0, noiseless=False):
-    """Per-basis expected and observed counts for the state rho.
-
-    observed ~ Poisson(expected), drawn in basis order from a generator
-    seeded with `seed` (deterministic), or round(expected) in noiseless mode.
-    """
+def draw_counts(states, total=DEFAULT_TOTAL, seed=0, noiseless=False):
+    """(P,16) expected and observed counts, in basis order, of a (P,4,4) stack
+    of states (P = 1 for one 4x4 state), validated together. State i draws
+    observed ~ Poisson(expected) from a generator seeded with seed + i
+    (deterministic), or takes round(expected) in noiseless mode."""
     if not 0 < total <= MAX_TOTAL:
         raise ValueError(f"total must be in (0, {MAX_TOTAL:.0e}], got {total}")
-    validate_density_matrix(rho)
-    expected = np.clip(_probabilities(rho)[0] * total, 0.0, total)
+    validate_density_matrix(states)
+    expected = np.clip(_probabilities(states) * total, 0.0, total)
     if noiseless:
-        observed = np.rint(expected)
-    else:
-        observed = np.random.default_rng(seed).poisson(expected)
-    return [CountRecord(label, float(e), int(o), int(total))
-            for label, e, o in zip(BASIS_LABELS, expected, observed)]
+        return expected, np.rint(expected)
+    return expected, np.array([np.random.default_rng(seed + i).poisson(e)
+                               for i, e in enumerate(expected)])
+
+
+def simulate_counts(rho, total=DEFAULT_TOTAL, seed=0, noiseless=False):
+    """Per-basis expected and observed counts for the state rho: the
+    one-state case of draw_counts, as CountRecords."""
+    expected, observed = draw_counts(rho, total, seed, noiseless)
+    return [CountRecord(label, e, int(o), int(total))
+            for label, e, o in zip(BASIS_LABELS, expected[0].tolist(), observed[0].tolist())]
 
 
 def _project(m):
@@ -206,16 +216,16 @@ def _newton(n, big_n, rho, max_iter):
         p = (y_float * y_float).sum(axis=2)
         pf = np.maximum(p, _P_FLOOR)
         w = big_n - n / pf
-        g_matrix = (w[:, :, None] * projectors).sum(axis=1)  # G.view(float)
+        g_matrix = (w[:, None, :] @ projectors)[:, 0]  # G.view(float)
         lam_min = np.linalg.eigvalsh(g_matrix.view(complex).reshape(-1, 4, 4))[:, 0]
         gap = (w * p).sum(axis=1) - lam_min
         # dp[k, b] = dp_b/dx_k: 2 K_bi Y_bj at the coordinates of T
         dp = np.take((twice_kets * y[:, :, None, :]).view(float).reshape(-1, 16, 32),
                      _X_INDEX, axis=2).transpose(0, 2, 1).copy()
-        grad = (w[:, None, :] * dp).sum(axis=2)
+        grad = (dp @ w[:, :, None])[:, :, 0]
         jac = (np.sqrt(n) / pf)[:, None, :] * dp
-        # sum_b (n_b / p_b^2) dp_b dp_b^T, an einsum without BLAS
-        hess = np.einsum("pkb,plb->pkl", jac, jac) + np.take(g_matrix, _G_SOURCE, axis=1) * _G_SIGN
+        # sum_b (n_b / p_b^2) dp_b dp_b^T
+        hess = jac @ jac.transpose(0, 2, 1) + np.take(g_matrix, _G_SOURCE, axis=1) * _G_SIGN
         # Newton step on the sphere |x| = 1, bordered by x. Its Hessian's
         # multiplier <G, rho> is replaced by lambda_min(G) <= <G, rho>, which
         # makes it positive definite on the tangent space and equal at the optimum.
@@ -271,30 +281,19 @@ def _newton(n, big_n, rho, max_iter):
     return estimates, iterations, converged
 
 
-def mle_reconstruct_batch(count_sets, truths=None, max_iter=DEFAULT_MAX_ITER):
-    """Maximum-likelihood state estimates for a sequence of count sets,
-    fitted together; result i depends on count_sets[i] alone.
+def mle_fit(observed, totals, truths=None, max_iter=DEFAULT_MAX_ITER):
+    """Maximum-likelihood fits of (P,16) observed counts and per-basis totals
+    in basis order; row i depends on row i alone. Returns the (P,4,4)
+    estimates, their log-likelihoods, each point's accepted Newton steps,
+    and the fidelities against the (P,4,4) `truths` (None without them).
 
     A point converges when its Newton decrement is below 1e-13 * sum_b N_b
-    and its Frank-Wolfe gap below 1e-6 * sum_b N_b; `iterations` counts its
-    accepted Newton steps. Raises MleConvergenceError, naming the points, if
-    any has not converged within max_iter Newton passes. When `truths` is
-    given, each result carries the fidelity against its truth.
+    and its Frank-Wolfe gap below 1e-6 * sum_b N_b; MleConvergenceError
+    names the points that have not within max_iter Newton passes.
     """
-    observed, totals = np.zeros((2, len(count_sets), 16))
-    index = {label: b for b, label in enumerate(BASIS_LABELS)}
-    for i, counts in enumerate(count_sets):
-        missing = set(BASIS_LABELS) - {record.basis for record in counts}
-        if missing:
-            raise ValueError(
-                f"count set is not informationally complete, missing {sorted(missing)}")
-        for record in counts:
-            # repeated bases add up: the likelihood only sees the sums
-            observed[i, index[record.basis]] += record.observed
-            totals[i, index[record.basis]] += record.total_per_basis
+    observed, totals = np.asarray(observed, dtype=float), np.asarray(totals, dtype=float)
     if np.any(totals <= 0):
         raise ValueError("total_per_basis must be > 0 for every record")
-
     scale = totals.sum(axis=1, keepdims=True)
     linear = ((observed / totals)[:, None, :] * _INVERSION).sum(axis=2).reshape(-1, 4, 4)
     start = _project((linear + linear.conj().transpose(0, 2, 1)) / 2.0)
@@ -308,9 +307,27 @@ def mle_reconstruct_batch(count_sets, truths=None, max_iter=DEFAULT_MAX_ITER):
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
     mus = totals * np.maximum(_probabilities(rho), _P_FLOOR)
     log_likelihood = np.sum(observed * np.log(mus) - mus, axis=1)
-    fids = [None] * len(rho) if truths is None else _fidelities(truths, rho).tolist()
-    return [MleResult(r, float(ll), int(k), fid)
-            for r, ll, k, fid in zip(rho, log_likelihood, steps, fids)]
+    return rho, log_likelihood, steps, None if truths is None else _fidelities(truths, rho)
+
+
+def mle_reconstruct_batch(count_sets, truths=None, max_iter=DEFAULT_MAX_ITER):
+    """mle_fit of a sequence of count sets, as MleResults; `iterations`
+    counts a point's accepted Newton steps, and repeated bases add up."""
+    observed, totals = np.zeros((2, len(count_sets), 16))
+    index = {label: b for b, label in enumerate(BASIS_LABELS)}
+    for i, counts in enumerate(count_sets):
+        missing = set(BASIS_LABELS) - {record.basis for record in counts}
+        if missing:
+            raise ValueError(
+                f"count set is not informationally complete, missing {sorted(missing)}")
+        for record in counts:
+            # the likelihood only sees the sums
+            observed[i, index[record.basis]] += record.observed
+            totals[i, index[record.basis]] += record.total_per_basis
+    rho, log_likelihood, steps, fids = mle_fit(observed, totals, truths, max_iter)
+    fids = [None] * len(rho) if fids is None else fids.tolist()
+    return [MleResult(r, ll, k, fid)
+            for r, ll, k, fid in zip(rho, log_likelihood.tolist(), steps.tolist(), fids)]
 
 
 def mle_reconstruct(counts, truth=None, max_iter=DEFAULT_MAX_ITER):
@@ -321,14 +338,14 @@ def mle_reconstruct(counts, truth=None, max_iter=DEFAULT_MAX_ITER):
 
 
 def _fidelities(a, b):
-    """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2 of each pair of (n, 4, 4)
-    stacks, clamped to [0, 1]: one eigh over a, one eigvalsh over the products."""
-    a = np.asarray(a, dtype=complex)
-    w, v = np.linalg.eigh((a + a.conj().transpose(0, 2, 1)) / 2.0)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    inner = root @ np.asarray(b, dtype=complex) @ root
-    w = np.clip(np.linalg.eigvalsh((inner + inner.conj().transpose(0, 2, 1)) / 2.0), 0.0, None)
-    return np.clip(np.sum(np.sqrt(w), axis=1) ** 2, 0.0, 1.0)
+    """Uhlmann fidelity of each pair of (P,4,4) stacks, clamped to [0, 1]:
+    (sum of the singular values of A^H B)^2 for the rank_factor factors
+    a = A A^H and b = B B^H. No matrix square root is taken, so a rank-1
+    a = |psi><psi| gives <psi|b|psi> to rounding."""
+    factor_a, factor_b = (rank_factor(np.asarray(m, dtype=complex), validate=False)
+                          for m in (a, b))
+    s = np.linalg.svd(factor_a.conj().transpose(0, 2, 1) @ factor_b, compute_uv=False)
+    return np.clip(s.sum(axis=1) ** 2, 0.0, 1.0)
 
 
 def fidelity(a, b):

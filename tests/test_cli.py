@@ -6,9 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aptsim import cli, dynamics, optics
-from aptsim.dynamics import DegenerateNormError, EvolutionSpec, Trajectory
+from aptsim.dynamics import IDENTITY, DegenerateNormError, EvolutionSpec, Trajectory
 from aptsim.entanglement import concurrence_minimum_identical
-from aptsim.tomography import MleConvergenceError
+from aptsim.model import AptParams
+from aptsim.tomography import BASIS_LABELS, MleConvergenceError, simulate_counts
+
+from oracles import wootters_mp
 
 # nan, +-inf, +-0.0, subnormals, and both sides of the %g switch points
 _EDGE_FLOATS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -204,7 +207,7 @@ class TestBadInput:
         def draw(*args, **kwargs):
             raise AssertionError("counts were drawn")
 
-        monkeypatch.setattr(cli, "simulate_counts", draw)
+        monkeypatch.setattr(cli, "draw_counts", draw)
         assert cli.main(["tomography", "--total", "100000000000000000000",
                          "--out", str(tmp_path / "t.json")]) == 2
 
@@ -283,6 +286,42 @@ class TestTomographyCommand:
         assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--identity-qubit2"], ["--noiseless"]])
+    def test_counts_match_simulate_counts(self, tmp_path, monkeypatch, flags):
+        # the grid's counts, drawn as one array, equal simulate_counts one
+        # state at a time, bit for bit
+        seen, fit = [], cli.mle_fit
+        monkeypatch.setattr(cli, "mle_fit", lambda observed, totals, truths=None: (
+            seen.append((observed, totals)) or fit(observed, totals, truths)))
+        assert cli.main(["tomography", "--seed", "11", *flags,
+                         "--out", str(tmp_path / "t.json")]) == 0
+        (observed, totals), = seen
+        p = AptParams(a=1.2)
+        spec = EvolutionSpec(p1=p, p2=IDENTITY if flags == ["--identity-qubit2"] else p,
+                             t_max=4.5, dt=0.5)
+        states = dynamics.run(spec, keep_states=True).states
+        assert len(observed) == len(states) == 10
+        for i, rho in enumerate(states):
+            records = simulate_counts(rho, total=10000, seed=11 + i,
+                                      noiseless=flags == ["--noiseless"])
+            assert [r.basis for r in records] == list(BASIS_LABELS)
+            assert np.array_equal(observed[i], [r.observed for r in records])
+            assert np.array_equal(totals[i], [r.total_per_basis for r in records])
+
+    def test_noiseless_concurrence_keeps_small_eigenvalues(self, tmp_path, monkeypatch):
+        # at the noiseless t = 3.5 point of the defaults rho_hat has
+        # eigenvalues 4.7e-15 and 2.7e-11; cutting the first moves
+        # concurrence_mle 5.1e-13 from the 50-digit value
+        pytest.importorskip("mpmath")
+        estimates, fit = [], cli.mle_fit
+        monkeypatch.setattr(cli, "mle_fit", lambda observed, totals, truths=None: (
+            estimates.append(fit(observed, totals, truths)) or estimates[-1]))
+        out = tmp_path / "t.json"
+        assert cli.main(["tomography", "--noiseless", "--out", str(out)]) == 0
+        point = json.loads(out.read_text())["points"][7]
+        assert point["t"] == 3.5
+        assert abs(point["concurrence_mle"] - wootters_mp(estimates[0][0][7])) < 1e-14
+
     def test_seeded_determinism(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for out in (out1, out2):
@@ -301,10 +340,10 @@ class TestErrorMapping:
         assert cli.main(["figure", "--figure", "2a", "--out", str(tmp_path)]) == 3
 
     def test_mle_convergence_error_names_time(self, tmp_path, capsys, monkeypatch):
-        def stall(count_sets, truths=None):
+        def stall(observed, totals, truths=None):
             raise MleConvergenceError("no convergence", [1])
 
-        monkeypatch.setattr(cli, "mle_reconstruct_batch", stall)
+        monkeypatch.setattr(cli, "mle_fit", stall)
         out = tmp_path / "t.json"
         assert cli.main(["tomography", "--t-max", "1", "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("numerical error: t=0.5:")

@@ -50,6 +50,37 @@ class TestStatesAndValidation:
         with pytest.raises(InvalidStateError):
             validate_density_matrix(rho)
 
+    # one bad state per check, in the order the checks run, with its message
+    BAD_STATES = [
+        (np.diag([0.25, 0.25, np.nan, 0.25]).astype(complex),
+         "density matrix has non-finite entries"),
+        (maximally_mixed() + 0.1 * np.eye(4, k=1), "not Hermitian: max deviation 1.000e-01"),
+        (np.eye(4, dtype=complex) / 2, "trace is (2+0j), expected 1"),
+        (np.diag([0.75, 0.5, 0.0, -0.25]).astype(complex), "negative eigenvalue -2.500e-01"),
+    ]
+
+    @pytest.mark.parametrize("rho,message", BAD_STATES)
+    def test_one_state_messages(self, rho, message):
+        with pytest.raises(InvalidStateError) as err:
+            validate_density_matrix(rho)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("rho,message", BAD_STATES)
+    def test_stack_names_the_bad_state(self, rho, message):
+        stack = np.array([bell_state(), maximally_mixed(), rho, bell_state()])
+        with pytest.raises(InvalidStateError) as err:
+            validate_density_matrix(stack)
+        assert str(err.value) == f"state 2: {message}"
+
+    def test_stack_eigh_matches_one_at_a_time(self):
+        p1, p2 = AptParams(a=1.2), AptParams(a=0.8)
+        stack = np.array([maximally_mixed()] + [evolve_state(bell_state(), p1, p2, t)
+                                                for t in (0.0, 0.7, 3.1)])
+        w, v = validate_density_matrix(stack)
+        for i, rho in enumerate(stack):
+            w_i, v_i = validate_density_matrix(rho)
+            assert np.array_equal(w[i], w_i) and np.array_equal(v[i], v_i)
+
 
 class TestEvolveState:
     def test_time_zero_returns_initial(self):

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aptsim.dynamics import (EvolutionSpec, InvalidStateError, bell_state,
-                             evolve_state, maximally_mixed, run)
+                             evolve_state, maximally_mixed, rank_factor, run)
 from aptsim.entanglement import (analytic_concurrence_identical, concurrence,
                                  concurrence_minimum_identical,
                                  concurrence_period, ep_concurrence)
+from aptsim.linalg import wootters
 from aptsim.model import AptParams, Family
 
 from oracles import wootters_mp
@@ -125,6 +126,26 @@ class TestConcurrenceAccuracy:
         rho = f @ f.conj().T
         rho = (rho + rho.conj().T) / (2.0 * np.real(np.trace(rho)))
         assert abs(concurrence(rho).value - wootters_mp(rho)) < 1e-12
+
+
+class TestBatchedConcurrence:
+    def test_matches_concurrence_per_state(self):
+        # one eigh and one SVD over a stack of ranks 0-4, near-pure states
+        # among them, against concurrence() one state at a time
+        rng = np.random.default_rng(5)
+        states = [bell_state(), maximally_mixed(), np.zeros((4, 4), dtype=complex)]
+        for rank in (1, 2, 3, 4, 1, 2):
+            f = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            states.append(f @ f.conj().T / np.sum(np.abs(f) ** 2))
+        for log_eps in (-14.0, -11.0, -6.0):
+            psi, phi = _ket(rng), _ket(rng)
+            eps = 10.0 ** log_eps
+            states.append((1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.outer(phi, phi.conj()))
+        states = np.array([(rho + rho.conj().T) / 2.0 for rho in states])
+        values = wootters(rank_factor(states, validate=False))[0]
+        assert values.shape == (len(states),)
+        for rho, value in zip(states, values):
+            assert abs(value - concurrence(rho, validate=False).value) <= 1e-15
 
 
 class TestAnalyticIdentical:

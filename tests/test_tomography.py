@@ -15,7 +15,7 @@ from aptsim.dynamics import (EvolutionSpec, bell_state, evolve_state, maximally_
 from aptsim.entanglement import concurrence
 from aptsim.model import AptParams
 from aptsim.tomography import (BASIS_LABELS, MleConvergenceError,
-                               basis_set, fidelity, mle_reconstruct,
+                               basis_set, draw_counts, fidelity, mle_fit, mle_reconstruct,
                                mle_reconstruct_batch, simulate_counts)
 
 
@@ -251,6 +251,26 @@ class TestMleOptimality:
                 assert result.log_likelihood == alone.log_likelihood
                 assert result.iterations == alone.iterations
 
+    def test_batch_size_sweep(self):
+        # 20 CLI-default points, noisy and noiseless, fitted in consecutive
+        # batches of each size against each point fitted alone
+        p = AptParams(a=1.2)
+        states = np.array(run(EvolutionSpec(p1=p, p2=p, t_max=4.5, dt=0.5),
+                              keep_states=True).states)
+        observed = np.concatenate([draw_counts(states, 10000, 30, noiseless)[1]
+                                   for noiseless in (False, True)])
+        totals = np.full(observed.shape, 10000)
+        alone = [mle_fit(observed[i:i + 1], totals[i:i + 1]) for i in range(20)]
+        for size in (1, 2, 7, 10, 20):
+            for start in range(0, 20, size):
+                rho, log_likelihood, iterations, _ = mle_fit(
+                    observed[start:start + size], totals[start:start + size])
+                for j in range(len(rho)):
+                    rho_1, ll_1, iterations_1, _ = alone[start + j]
+                    assert np.array_equal(rho[j], rho_1[0])
+                    assert log_likelihood[j] == ll_1[0]
+                    assert iterations[j] == iterations_1[0]
+
     def test_failed_certificate_restarts(self, monkeypatch):
         # with no Frank-Wolfe gap accepted, every stationary point counts as
         # a saddle and restarts, until the pass cap
@@ -284,10 +304,11 @@ def test_import_leaves_scipy_out():
 
 class TestFidelity:
     def test_self_fidelity(self):
-        # rank-deficient inputs leave sqrt(eps)-scale noise in the zero
-        # eigenvalues of the inner product, so 1e-7 is the honest floor
+        # both factors come from eigh, cut at rank_factor's threshold, and no
+        # square root of a noise eigenvalue is taken: a rank-1 state is 1 to
+        # a few eps
         rho = evolve_state(bell_state(), AptParams(a=1.2), AptParams(a=1.3), 1.0)
-        assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-7)
+        assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_orthogonal_pure_states(self):
         hh = np.zeros((4, 4), dtype=complex)
@@ -297,9 +318,28 @@ class TestFidelity:
         assert fidelity(hh, vv) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_vs_maximally_mixed(self):
-        assert fidelity(bell_state(), maximally_mixed()) == pytest.approx(0.25, abs=1e-8)
+        assert fidelity(bell_state(), maximally_mixed()) == pytest.approx(0.25, abs=1e-14)
 
     def test_symmetry(self):
         a = evolve_state(bell_state(), AptParams(a=1.2), AptParams(a=1.3), 0.7)
         b = maximally_mixed()
-        assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-7)
+        assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-14)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank=st.integers(1, 4), log_eps=st.floats(-16.0, 0.0),
+           ket_seed=st.integers(0, 2 ** 32 - 1), state_seed=st.integers(0, 2 ** 32 - 1))
+    def test_rank_one_truth_is_overlap(self, rank, log_eps, ket_seed, state_seed):
+        # F(|psi><psi|, rho) = <psi|rho|psi>, here against 50 digits, for rho
+        # near psi (eps -> 0) and far from it
+        mp = pytest.importorskip("mpmath")
+        psi = np.random.default_rng(ket_seed).normal(size=(4, 2)).view(complex)[:, 0]
+        psi = psi / np.linalg.norm(psi)
+        truth = np.outer(psi, psi.conj())
+        eps = 10.0 ** log_eps
+        rho = (1.0 - eps) * truth + eps * _random_state(rank, state_seed)
+        rho = (rho + rho.conj().T) / 2.0
+        with mp.workdps(50):
+            ket = mp.matrix([mp.mpc(complex(x)) for x in psi])
+            r = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in rho])
+            exact = float(mp.re((ket.H * r * ket)[0]))
+        assert abs(fidelity(truth, rho) - exact) < 1e-13

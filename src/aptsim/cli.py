@@ -2,10 +2,18 @@
 propagator decompositions, and tomography reports as deterministic
 CSV/JSON files.
 
-CSV files are written column-wise: each float column leaves numpy once as
-Python floats, each row is one `%`-format ("%.6g" % x is the text of
-f"{x:.6g}" for every float, nan, inf and -0.0 included), and the time
-column that every curve of a command shares is formatted once.
+`figure` and `sweep` CSV files are encoded column-wise (`_cells`, `_text`):
+numpy turns each float column into the exact bytes of "%.6g" % x, and each
+file is one bytes buffer. For 1e-300 <= |x| < inf, r = |x| / 10^(e-5) with
+e = floor(log10|x|) and the correctly rounded power of ten is within 3e-10
+of the exact quotient, so rint(r) is the correctly rounded mantissa; one
+step of e fixes a log10 that misses by one or a mantissa that rounds to
+10^6. Mantissas within 1e-6 of a rounding tie, and nan, +-inf, +-0.0 and
+|x| < 1e-300 (subnormals among them), are formatted by Python's "%.6g" %.
+The time column that every curve of a command shares is encoded once.
+`decompose` keeps one `%` format per row: on its 51-row default table that
+takes about 60 us, and the encoder, whose cost is mostly fixed per call,
+about 90 us.
 
 Exit codes: 0 success, 1 i/o error, 2 validation error, 3 numerical error.
 """
@@ -79,21 +87,141 @@ def _param_token(p):
     return f"{p.a:g}"
 
 
-def _column(values):
-    """A float array's values as "%.6g" text, for a column that is shared."""
-    return list(map("%.6g".__mod__, values.tolist()))
+# CSV cells: "%.6g" % x for whole float arrays, byte for byte. A cell is the
+# text of one value and the byte that ends it (comma or newline), held as two
+# uint64 words whose unused high bytes are NUL; read as little-endian bytes,
+# the first word is the sign and the leading text, the second the exponent
+# or the digits after "0.000". Dropping the NULs of a row-major block of
+# cells leaves the CSV lines.
+_E_LO, _E_HI = -310, 310  # decimal exponents the tables cover
+_GUARD = 1e-6             # mantissas this close to a rounding tie go to Python
+_TINY = 1e-300            # smaller magnitudes go to Python (10^(e-5) stays normal)
+_CHUNK_ROWS = 1 << 16     # rows encoded per call, in whole curves
+_BLOCK = 1 << 12          # values encoded, and rows compacted, per step
+_BYTE = np.uint64(8)
+_COMMA, _NEWLINE = ord(","), ord("\n")
+_ENDS = np.array([_COMMA, _NEWLINE])  # ends of a figure row's concurrence and norm
 
 
-def _rows(fmt, t_text, *columns):
-    """One `fmt % (t, *values)` line per sample, from the formatted time
-    column and float arrays that leave numpy once."""
-    return "".join(map(fmt.__mod__, zip(t_text, *(c.tolist() for c in columns))))
+def _encoder_tables():
+    e = np.arange(_E_LO, _E_HI + 1)
+    # 10^(e-5), correctly rounded: float() of a decimal string rounds exactly
+    pow10 = np.array([float(f"1e{k}") for k in range(_E_LO - 5, _E_HI - 4)])
+    # [p, v]: the digits of v as the high (head) or low (tail) three of six
+    # digits that have a point after the first p, each at its byte of the text
+    v = np.arange(1000, dtype=np.uint64)
+    digit = [48 + v // 100, 48 + v // 10 % 10, 48 + v % 10]
+    head, tail = np.zeros((2, 7, 1000), dtype=np.uint64)
+    for p in range(1, 7):
+        for j in range(3):
+            head[p] |= digit[j] << np.uint64(8 * (j + (j >= p)))
+            tail[p] |= digit[j] << np.uint64(8 * (3 + j + (3 + j >= p)))
+        (head if p < 3 else tail)[p] |= np.uint64(ord(".") << 8 * p)
+    # digits of a three-digit group left after dropping its trailing zeros
+    sig = 3 - (v % 10 == 0).astype(np.intp) - (v % 100 == 0) - (v % 1000 == 0)
+    fixed = (e >= -4) & (e <= 5)
+    # digits before the point: e + 1 in fixed notation, 1 in scientific, and
+    # six, that is no point, for the digits after "0.000"
+    point = np.where(fixed & (e >= 0), e + 1, np.where(fixed, 6, 1))
+    exponent = [b"" if f else b"e%+03d" % k for k, f in zip(e.tolist(), fixed.tolist())]
+    exp_word = np.frombuffer(b"".join(x.ljust(8, b"\0") for x in exponent), dtype="<u8")
+    low_bytes = np.uint64(2 ** 64 - 1) >> (_BYTE * (8 - np.arange(9, dtype=np.uint64)))
+    low_bytes[0] = 0
+    return (pow10, head.ravel(), tail.ravel(), sig, np.where(v > 0, 3 + sig, 0), point,
+            exp_word.astype(np.uint64), np.array([len(x) for x in exponent]), low_bytes)
 
 
-def _curve_csv(t_text, traj):
-    """A figure curve's CSV, with the time column already formatted."""
-    return "t,concurrence,norm\n" + _rows("%s,%.6g,%.6g\n", t_text, traj.concurrence,
-                                           traj.unnormalized_norm)
+(_POW10, _HEAD, _TAIL, _SIG_HI, _SIG_LO, _POINT, _EXP_WORD, _EXP_LEN,
+ _LOW_BYTES) = _encoder_tables()
+
+
+def _cells(x, end):
+    """The cells "%.6g" % v, followed by the byte `end` (broadcast against x),
+    of every float v of x, as uint64 words of shape x.shape + (2,)."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    ends = np.broadcast_to(np.asarray(end, dtype=np.uint64), x.shape).ravel()
+    cells = np.empty((x.size, 2), dtype=np.uint64)
+    for i in range(0, x.size, _BLOCK):  # blocks keep the temporaries in cache
+        cells[i:i + _BLOCK] = _encode(flat[i:i + _BLOCK], ends[i:i + _BLOCK])
+    return cells.reshape(x.shape + (2,))
+
+
+def _encode(x, end):
+    """_cells of a 1-D block.
+
+    e = floor(log10|x|) and r = |x| / 10^(e-5) in [1e5, 1e6). The power is
+    the correctly rounded double, so r is off by less than 3e-10 and
+    m = rint(r) is the correctly rounded six-digit mantissa unless the exact
+    quotient is within 3e-10 of a half-integer. Values with r in the band
+    |r - m| > 0.5 - _GUARD (exact ties among them) go to Python's own
+    "%.6g" %, as do nan, +-inf, +-0.0 and |x| < 1e-300 (subnormals)."""
+    ax = np.abs(x)
+    fast = (ax >= _TINY) & (ax < np.inf)
+    if not fast.all():
+        ax[~fast] = 1.0
+    e = np.floor(np.log10(ax)).astype(np.intp)
+    r = ax / _POW10.take(e - _E_LO)
+    m = np.rint(r)
+    near_tie = np.abs(r - m) > 0.5 - _GUARD
+    # log10 can miss by one next to a power of ten, and rounding can carry
+    # into a seventh digit: one step of e fixes either; a tie at the old e
+    # (r next to 99999.5 or 999999.5) stays flagged
+    moved = np.flatnonzero((m >= 1e6) | (m < 1e5))
+    if moved.size:
+        e[moved] += np.where(m[moved] >= 1e6, 1, -1)
+        r = ax[moved] / _POW10.take(e[moved] - _E_LO)
+        m[moved] = np.rint(r)
+        near_tie[moved] |= ((np.abs(r - m[moved]) > 0.5 - _GUARD)
+                            | (m[moved] < 1e5) | (m[moved] >= 1e6))
+    slow = np.flatnonzero(~fast | near_tie)
+    m[slow] = 1e5  # any valid mantissa; Python writes these cells below
+    hi = np.floor(m / 1000)
+    lo = (m - 1000 * hi).astype(np.intp)
+    hi = hi.astype(np.intp)
+    n_sig = np.maximum(_SIG_HI.take(hi), _SIG_LO.take(lo))
+    ei = e - _E_LO
+    point = _POINT.take(ei)
+    digits = _HEAD.take(1000 * point + hi) | _TAIL.take(1000 * point + lo)
+    # the integer digits stay; the point only where a significant digit follows
+    n_lead = np.maximum(point, n_sig) + (n_sig > point)
+    small = (e < 0) & (e >= -4)
+    lead = np.where(small, np.uint64(0x3030302E30), digits)  # "0.000"
+    n_lead = np.where(small, 1 - e, n_lead)
+    rest = np.where(small, digits, _EXP_WORD.take(ei))
+    n_rest = np.where(small, n_sig, _EXP_LEN.take(ei))
+    neg = x < 0
+    lead = np.where(neg, lead << _BYTE | np.uint64(ord("-")), lead)
+    lead &= _LOW_BYTES.take(n_lead + neg)
+    rest &= _LOW_BYTES.take(n_rest)
+    for i in slow.tolist():
+        text = b"%.6g" % x[i]
+        lead[i], rest[i] = np.frombuffer(text.ljust(16, b"\0"), dtype="<u8")
+        n_rest[i] = max(len(text) - 8, 0)
+    rest |= end << (n_rest.astype(np.uint64) * _BYTE)
+    return np.stack([lead, rest], axis=-1)
+
+
+def _text(rows, *columns):
+    """The CSV lines whose cells are the rows of columns (each (rows, 2), or
+    (2,) for a cell repeated on every row), as bytes without the NULs."""
+    columns = [np.broadcast_to(c, (rows, 2)) for c in columns]
+    lines = np.empty((min(rows, _BLOCK), len(columns), 2), dtype="<u8")
+    raw = lines.view(np.uint8).reshape(len(lines), -1)
+    parts = []
+    for i in range(0, rows, _BLOCK):
+        n = min(rows - i, _BLOCK)
+        for j, c in enumerate(columns):
+            lines[:n, j] = c[i:i + n]
+        block = raw[:n].ravel()
+        parts.append(block.take(np.flatnonzero(block != 0)).tobytes())
+    return b"".join(parts)
+
+
+def _chunks(n_items, n_rows):
+    """Slices of whole items of n_rows rows, about _CHUNK_ROWS rows each."""
+    step = max(1, _CHUNK_ROWS // max(n_rows, 1))
+    return [slice(i, i + step) for i in range(0, n_items, step)]
 
 
 def run_figure(args):
@@ -115,12 +243,18 @@ def run_figure(args):
         path.write_text(json.dumps({"figure": args.figure, "curves": payload},
                                    indent=2, sort_keys=True) + "\n")
         return [path]
-    t_text = _column(trajs[0][2].times)  # every curve of a figure shares one time grid
+    t_cells = _cells(trajs[0][2].times, _COMMA)  # every curve of a figure shares one time grid
     written = []
-    for tok1, tok2, traj in trajs:
-        path = out_dir / f"fig{args.figure}_{tok1}_{tok2}.csv"
-        path.write_text(_curve_csv(t_text, traj))
-        written.append(path)
+    for chunk in _chunks(len(trajs), len(t_cells)):
+        group = trajs[chunk]
+        values = np.stack([np.stack([traj.concurrence, traj.unnormalized_norm], axis=-1)
+                           for _, _, traj in group])
+        cells = _cells(values, _ENDS)
+        for (tok1, tok2, _), curve in zip(group, cells):
+            path = out_dir / f"fig{args.figure}_{tok1}_{tok2}.csv"
+            path.write_bytes(b"t,concurrence,norm\n"
+                             + _text(len(t_cells), t_cells, curve[:, 0], curve[:, 1]))
+            written.append(path)
     return written
 
 
@@ -143,20 +277,22 @@ def run_sweep(args):
         raise ValueError(f"--a2-min {args.a2_min} gives a2 = {a2_values[0]} after rounding to "
                          f"12 decimals; a2 must be > 0")
 
-    blocks = ["a1,a2,t,concurrence\n"]
-    t_text = None  # every a2 value shares one time grid
+    concurrence = []
     for a2 in a2_values:
-        traj = run(EvolutionSpec(p1=_apt(args.a1), p2=_apt(a2),
-                                 t_max=args.t_max, dt=args.dt))
-        if t_text is None:
-            t_text = _column(traj.times)
-        # the constant a1 and a2 fields are formatted once per block
-        blocks.append(_rows("%.6g,%.6g," % (args.a1, a2) + "%s,%.6g\n",
-                            t_text, traj.concurrence))
+        traj = run(EvolutionSpec(p1=_apt(args.a1), p2=_apt(a2), t_max=args.t_max, dt=args.dt))
+        concurrence.append(traj.concurrence)
+    # a1, a2 and the time grid, which every a2 value shares, are encoded once
+    a1_cells = _cells(args.a1, _COMMA)
+    a2_cells = _cells(a2_values, _COMMA)
+    t_cells = _cells(traj.times, _COMMA)
+    blocks = [b"a1,a2,t,concurrence\n"]
+    for chunk in _chunks(len(a2_values), len(t_cells)):
+        for a2_cell, c in zip(a2_cells[chunk], _cells(concurrence[chunk], _NEWLINE)):
+            blocks.append(_text(len(t_cells), a1_cells, a2_cell, t_cells, c))
     path = Path(args.out)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(blocks))
+    path.write_bytes(b"".join(blocks))
     return [path]
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aptsim import cli, dynamics, optics
-from aptsim.dynamics import IDENTITY, DegenerateNormError, EvolutionSpec, Trajectory
+from aptsim.dynamics import IDENTITY, DegenerateNormError, EvolutionSpec, run
 from aptsim.entanglement import concurrence_minimum_identical
 from aptsim.model import AptParams
 from aptsim.tomography import BASIS_LABELS, MleConvergenceError, simulate_counts
@@ -28,6 +28,25 @@ def read_csv_columns(path):
     return header, rows
 
 
+def _fstring_lines(*columns):
+    """The per-value f-string rendering that the CSV writers must match."""
+    return "".join(",".join(f"{v:.6g}" for v in row) + "\n" for row in zip(*columns))
+
+
+def _edge_sweep():
+    """Deterministic floats at every %g switch, exponent width and rounding tie."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+    ties = np.array([float(f"{d}.5e{k - 5}") for d in (100000, 123456, 999998, 999999)
+                     for k in [*range(-4, 7), *range(-308, -296), *range(-300, 301, 13)]])
+    special = [1e-100, 1.5e200, -2.5e-150, 9.999995e99, 9.9999949e-100, 1.79769313486231e308,
+               np.finfo(float).max, np.finfo(float).tiny, np.nextafter(np.finfo(float).tiny, 0.0),
+               5e-324, 2.5e-310, 1e-315, 0.0, -0.0, np.nan, np.inf, -np.inf]
+    values = np.concatenate([powers, below, np.nextafter(below, 0.0), above,
+                             np.nextafter(above, np.inf), ties, special])
+    return np.concatenate([values, -values])
+
+
 class TestCsvRows:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(size=st.integers(1, 30), data=st.data())
@@ -35,12 +54,50 @@ class TestCsvRows:
         t, c, n = (np.array(data.draw(st.lists(_FLOATS, min_size=size, max_size=size)))
                    for _ in range(3))
         a1, a2 = data.draw(_FLOATS), data.draw(_FLOATS)
-        t_text = cli._column(t)
-        # the per-value f-string joins that the writers replaced
-        assert cli._curve_csv(t_text, Trajectory(t, c, n)) == "t,concurrence,norm\n" + "".join(
-            f"{x:.6g},{y:.6g},{z:.6g}\n" for x, y, z in zip(t, c, n))
-        assert cli._rows("%.6g,%.6g," % (a1, a2) + "%s,%.6g\n", t_text, c) == "".join(
-            f"{a1:.6g},{a2:.6g},{x:.6g},{y:.6g}\n" for x, y in zip(t, c))
+        t_cells = cli._cells(t, ord(","))
+        # the figure writer's cells: concurrence and norm in one call
+        cn = cli._cells(np.stack([c, n], axis=-1), cli._ENDS)
+        assert cli._text(size, t_cells, cn[:, 0], cn[:, 1]).decode() == _fstring_lines(t, c, n)
+        # the sweep writer's: constant a1 and a2 cells repeated on every row
+        sweep = cli._text(size, cli._cells(a1, ord(",")), cli._cells([a2], ord(","))[0], t_cells,
+                          cli._cells(c, ord("\n")))
+        assert sweep.decode() == _fstring_lines([a1] * size, [a2] * size, t, c)
+
+    def test_edge_sweep_matches_percent_format(self):
+        x = _edge_sweep()
+        text = cli._text(x.size, cli._cells(x, ord("\n")))
+        assert text.decode().splitlines() == ["%.6g" % v for v in x.tolist()]
+
+
+class TestCsvFilesExact:
+    """Every figure preset and the default sweep, byte for byte against a
+    per-value f-string rendering of run() on the same specs."""
+
+    def test_figures(self, tmp_path):
+        for figure in cli.FIGURE_IDS:
+            assert cli.main(["figure", "--figure", figure, "--out", str(tmp_path)]) == 0
+            curves, t_max = cli.figure_curves(figure)
+            for p1, p2 in curves:
+                traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=t_max, dt=0.01))
+                name = f"fig{figure}_{cli._param_token(p1)}_{cli._param_token(p2)}.csv"
+                expected = "t,concurrence,norm\n" + _fstring_lines(
+                    traj.times.tolist(), traj.concurrence.tolist(),
+                    traj.unnormalized_norm.tolist())
+                assert (tmp_path / name).read_bytes() == expected.encode(), name
+        assert len(list(tmp_path.iterdir())) == sum(
+            len(cli.figure_curves(f)[0]) for f in cli.FIGURE_IDS)
+
+    def test_default_sweep(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--out", str(out)]) == 0
+        expected = ["a1,a2,t,concurrence\n"]
+        for i in range(21):
+            a2 = round(0.5 + i * 0.1, 12)
+            traj = run(EvolutionSpec(p1=AptParams(a=0.8), p2=AptParams(a=a2), t_max=10.0, dt=0.01))
+            rows = traj.times.size
+            expected.append(_fstring_lines([0.8] * rows, [a2] * rows, traj.times.tolist(),
+                                           traj.concurrence.tolist()))
+        assert out.read_bytes() == "".join(expected).encode()
 
 
 class TestOversizedGrids:

@@ -216,6 +216,32 @@ class TestPeriodAndMinimum:
         assert concurrence_minimum_identical(a) < 4e-4
 
 
+class TestClosedFormDomains:
+    @pytest.mark.parametrize("func,args", [
+        (analytic_concurrence_identical, (np.nan, 1.0)),
+        (analytic_concurrence_identical, (np.inf, 1.0)),
+        (analytic_concurrence_identical, (1.2, np.nan)),
+        (analytic_concurrence_identical, (1.2, np.inf)),
+        (analytic_concurrence_identical, (1e10, 1e300)),  # sqrt(w) t overflows
+        (concurrence_minimum_identical, (np.nan,)),
+        (concurrence_minimum_identical, (1e200,)),  # a^2 - 1 overflows
+        (concurrence_period, (np.nan,)),
+        (concurrence_period, (np.inf,)),
+        (ep_concurrence, (np.nan,)),
+        (ep_concurrence, (np.inf,)),
+    ], ids=lambda v: v.__name__ if callable(v) else ",".join(map(str, v)))
+    def test_non_finite_input_raises(self, func, args):
+        with np.errstate(all="raise"), pytest.raises(ValueError):
+            func(*args)
+
+    @pytest.mark.parametrize("a", [1e100, 1e150])
+    def test_huge_a_has_no_overflow(self, a):
+        # w^2 overflows for these a; the value is within 1e-200 of 1
+        with np.errstate(all="raise"):
+            assert concurrence_minimum_identical(a) == 1.0
+            assert analytic_concurrence_identical(a, 1e-100) == 1.0
+
+
 class TestEpConcurrence:
     def test_time_zero(self):
         assert ep_concurrence(0.0) == 1.0

@@ -11,11 +11,19 @@ step of e fixes a log10 that misses by one or a mantissa that rounds to
 10^6. Mantissas within 1e-6 of a rounding tie, and nan, +-inf, +-0.0 and
 |x| < 1e-300 (subnormals among them), are formatted by Python's "%.6g" %.
 The time column that every curve of a command shares is encoded once.
+A cell is two uint64 words whose unused high bytes are NUL; `_text` copies
+each curve's cells, row by row, into one buffer of at most _BLOCK rows that
+every curve of a command reuses, and drops the NULs of the buffer's bytes
+with bytes.translate(None, b"\0"), which leaves the curve's CSV lines. `figure` and
+`sweep` evolve all their curves in one dynamics.evolve_pairs call per chunk
+of whole curves of about _CHUNK_ROWS rows, which is one call for every
+preset and the default sweep, and write nothing until every chunk is done.
 `decompose` keeps one `%` format per row: on its 51-row default table that
 takes about 60 us, and the encoder, whose cost is mostly fixed per call,
 about 90 us.
 
-Exit codes: 0 success, 1 i/o error, 2 validation error, 3 numerical error.
+Exit codes: 0 success, 1 i/o error, 2 validation error, 3 numerical error
+(out of memory included, with a one-line message and no output file).
 """
 
 import argparse
@@ -27,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (IDENTITY, MAX_SAMPLES, DegenerateNormError,
-                       EvolutionSpec, IdentityEvolution, rank_factor, run)
+                       EvolutionSpec, IdentityEvolution, evolve_pairs,
+                       rank_factor, run)
 from .linalg import wootters
 from .model import AptParams, Family
 from .optics import DecompositionError, decompose_grid
@@ -97,7 +106,7 @@ _E_LO, _E_HI = -310, 310  # decimal exponents the tables cover
 _GUARD = 1e-6             # mantissas this close to a rounding tie go to Python
 _TINY = 1e-300            # smaller magnitudes go to Python (10^(e-5) stays normal)
 _CHUNK_ROWS = 1 << 16     # rows encoded per call, in whole curves
-_BLOCK = 1 << 12          # values encoded, and rows compacted, per step
+_BLOCK = 1 << 12          # values encoded, and rows filled into text, per step
 _BYTE = np.uint64(8)
 _COMMA, _NEWLINE = ord(","), ord("\n")
 _ENDS = np.array([_COMMA, _NEWLINE])  # ends of a figure row's concurrence and norm
@@ -203,19 +212,26 @@ def _encode(x, end):
 
 
 def _text(rows, *columns):
-    """The CSV lines whose cells are the rows of columns (each (rows, 2), or
-    (2,) for a cell repeated on every row), as bytes without the NULs."""
-    columns = [np.broadcast_to(c, (rows, 2)) for c in columns]
-    lines = np.empty((min(rows, _BLOCK), len(columns), 2), dtype="<u8")
-    raw = lines.view(np.uint8).reshape(len(lines), -1)
-    parts = []
-    for i in range(0, rows, _BLOCK):
-        n = min(rows - i, _BLOCK)
-        for j, c in enumerate(columns):
-            lines[:n, j] = c[i:i + n]
-        block = raw[:n].ravel()
-        parts.append(block.take(np.flatnonzero(block != 0)).tobytes())
-    return b"".join(parts)
+    """The CSV lines whose cells are the rows of columns, as bytes without the
+    NULs. A column is (rows, 2), or (2,) for a cell repeated on every row;
+    with a leading curve axis, (curves, rows, 2) or (curves, 1, 2), the
+    result is a list of bytes, one per curve. Each curve is filled into one
+    uint64 buffer of at most _BLOCK rows that every curve reuses, a curve
+    longer than that _BLOCK rows at a time, and the buffer's bytes drop
+    their NULs by bytes.translate."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    columns = [np.broadcast_to(c, np.broadcast_shapes((1, rows, 2), shape)) for c in columns]
+    buf = np.empty((min(rows, _BLOCK), len(columns), 2), dtype="<u8")
+    texts = []
+    for curve in zip(*columns):
+        parts = []
+        for i in range(0, rows, _BLOCK):
+            n = min(rows - i, _BLOCK)
+            for j, c in enumerate(curve):
+                buf[:n, j] = c[i:i + n]
+            parts.append(buf[:n].tobytes().translate(None, b"\0"))
+        texts.append(b"".join(parts))
+    return texts if len(shape) == 3 else texts[0]
 
 
 def _chunks(n_items, n_rows):
@@ -227,33 +243,31 @@ def _chunks(n_items, n_rows):
 def run_figure(args):
     curves, default_t_max = figure_curves(args.figure)
     t_max = default_t_max if args.t_max is None else args.t_max
+    times = EvolutionSpec(p1=curves[0][0], p2=curves[0][1], t_max=t_max,
+                          dt=args.dt).time_grid()  # every curve shares one grid
     # every curve is computed before the first file is written, so a curve
     # that fails leaves no partial output
-    trajs = [(_param_token(p1), _param_token(p2),
-              run(EvolutionSpec(p1=p1, p2=p2, t_max=t_max, dt=args.dt)))
-             for p1, p2 in curves]
+    chunks = _chunks(len(curves), times.size)
+    values = [np.stack(evolve_pairs(curves[chunk], times)[:2], axis=-1) for chunk in chunks]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
-        payload = [{"a1": tok1, "a2": tok2, "t": traj.times.tolist(),
-                    "concurrence": traj.concurrence.tolist(),
-                    "norm": traj.unnormalized_norm.tolist()}
-                   for tok1, tok2, traj in trajs]
+        t = times.tolist()
+        payload = [{"a1": _param_token(p1), "a2": _param_token(p2), "t": t,
+                    "concurrence": v[:, 0].tolist(), "norm": v[:, 1].tolist()}
+                   for (p1, p2), v in zip(curves, np.concatenate(values))]
         path = out_dir / f"fig{args.figure}.json"
         path.write_text(json.dumps({"figure": args.figure, "curves": payload},
                                    indent=2, sort_keys=True) + "\n")
         return [path]
-    t_cells = _cells(trajs[0][2].times, _COMMA)  # every curve of a figure shares one time grid
+    t_cells = _cells(times, _COMMA)
     written = []
-    for chunk in _chunks(len(trajs), len(t_cells)):
-        group = trajs[chunk]
-        values = np.stack([np.stack([traj.concurrence, traj.unnormalized_norm], axis=-1)
-                           for _, _, traj in group])
-        cells = _cells(values, _ENDS)
-        for (tok1, tok2, _), curve in zip(group, cells):
-            path = out_dir / f"fig{args.figure}_{tok1}_{tok2}.csv"
-            path.write_bytes(b"t,concurrence,norm\n"
-                             + _text(len(t_cells), t_cells, curve[:, 0], curve[:, 1]))
+    for chunk, group in zip(chunks, values):
+        cells = _cells(group, _ENDS)
+        texts = _text(times.size, t_cells, cells[:, :, 0], cells[:, :, 1])
+        for (p1, p2), text in zip(curves[chunk], texts):
+            path = out_dir / f"fig{args.figure}_{_param_token(p1)}_{_param_token(p2)}.csv"
+            path.write_bytes(b"t,concurrence,norm\n" + text)
             written.append(path)
     return written
 
@@ -277,18 +291,20 @@ def run_sweep(args):
         raise ValueError(f"--a2-min {args.a2_min} gives a2 = {a2_values[0]} after rounding to "
                          f"12 decimals; a2 must be > 0")
 
-    concurrence = []
-    for a2 in a2_values:
-        traj = run(EvolutionSpec(p1=_apt(args.a1), p2=_apt(a2), t_max=args.t_max, dt=args.dt))
-        concurrence.append(traj.concurrence)
+    p1 = _apt(args.a1)
+    times = EvolutionSpec(p1=p1, p2=_apt(a2_values[0]), t_max=args.t_max,
+                          dt=args.dt).time_grid()
+    pairs = [(p1, _apt(a2)) for a2 in a2_values]
+    chunks = _chunks(len(pairs), times.size)
+    concurrence = [evolve_pairs(pairs[chunk], times)[0] for chunk in chunks]
     # a1, a2 and the time grid, which every a2 value shares, are encoded once
     a1_cells = _cells(args.a1, _COMMA)
     a2_cells = _cells(a2_values, _COMMA)
-    t_cells = _cells(traj.times, _COMMA)
+    t_cells = _cells(times, _COMMA)
     blocks = [b"a1,a2,t,concurrence\n"]
-    for chunk in _chunks(len(a2_values), len(t_cells)):
-        for a2_cell, c in zip(a2_cells[chunk], _cells(concurrence[chunk], _NEWLINE)):
-            blocks.append(_text(len(t_cells), a1_cells, a2_cell, t_cells, c))
+    for chunk, c in zip(chunks, concurrence):
+        blocks += _text(times.size, a1_cells, a2_cells[chunk, None], t_cells,
+                        _cells(c, _NEWLINE))
     path = Path(args.out)
     if path.parent != Path(""):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -317,7 +333,7 @@ def run_tomography(args):
     traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=args.t_max, dt=args.dt),
                keep_states=True)
     # one array pipeline over the grid: counts, fits and concurrences
-    truths = np.array(traj.states)
+    truths = traj.states
     observed = draw_counts(truths, total=args.total, seed=args.seed,
                            noiseless=args.noiseless)[1]
     try:
@@ -415,6 +431,10 @@ def main(argv=None):
     except (DegenerateNormError, MleConvergenceError, DecompositionError,
             OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numerical error: out of memory{detail}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error on {getattr(exc, 'filename', None)!r}: {exc}",

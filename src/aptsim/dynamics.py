@@ -1,14 +1,19 @@
 """Two-qubit state evolution under the nonunitary propagator with trace
 renormalization, and trajectory sampling.
 
-One batched kernel serves run(), evolve_state() and bell_concurrence_curve().
-rho0 = F F^H is factored once by eigh, which also checks that rho0 is a state;
-each column of F, as a 2x2 block F_k, evolves as U1(t) F_k U2(t)^T over the
-whole grid at once, from t = 0 at absolute time. The norm is
-N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes from the same F (linalg.wootters),
-and local filtering (Verstraete, Dehaene & De Moor, PRA 64, 010101, 2001) with
-|det U| = 1 for traceless H gives C(t) = C(rho0) / N(t): no eigensolver per
-sample, and no cancellation where the state's entries grow large."""
+One stacked kernel, evolve_pairs(), evolves one initial state under P qubit
+pairs (p1, p2) over one time grid; run(), evolve_state() and
+bell_concurrence_curve() are its P = 1 case, and the figure and sweep commands
+call it once per chunk of whole curves. rho0 = F F^H is factored once by eigh,
+which also checks that rho0 is a state; the default Bell state's factor is a
+module constant, so it is neither validated nor factored again. Each column of
+F, as a 2x2 block F_k, evolves as U1(t) F_k U2(t)^T over the whole grid at
+once, from t = 0 at absolute time, with the propagator terms of each distinct
+qubit taken once. The norm is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes from
+the same F (linalg.wootters), and local filtering (Verstraete, Dehaene & De
+Moor, PRA 64, 010101, 2001) with |det U| = 1 for traceless H gives C(t) =
+C(rho0) / N(t): no eigensolver per sample, and no cancellation where the
+state's entries grow large."""
 
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -110,6 +115,11 @@ def rank_factor(rho, validate=True):
     return v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
 
 
+# eigh is deterministic, so this is the factor rank_factor(bell_state()) gives
+_BELL_FACTOR = rank_factor(bell_state())
+_BELL_FACTOR.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class EvolutionSpec:
     """One trajectory request: qubit parameters, grid, and initial state
@@ -148,7 +158,7 @@ class Trajectory:
     times: np.ndarray
     concurrence: np.ndarray
     unnormalized_norm: np.ndarray
-    states: Optional[list] = None
+    states: Optional[np.ndarray] = None  # (T, 4, 4), with keep_states
 
 
 def _terms(p, times):
@@ -158,26 +168,38 @@ def _terms(p, times):
     return (*propagator.propagator_terms(p, times), hamiltonian(p))
 
 
-def _evolve(rho0, p1, p2, times, keep_states=False, norm_floor=NORM_FLOOR):
-    """The Trajectory of rho0 over `times`. U1 F U2^T expands over
-    {I, H1} x {I, H2}: one real (T, 4) x (4, 8r) product of scalar terms with
-    four constant complex blocks seen as floats. A norm that is not finite or
-    below norm_floor raises OverflowError or DegenerateNormError at its t."""
-    factor = rank_factor(rho0)
+def evolve_pairs(pairs, times, initial=None, keep_states=False, norm_floor=NORM_FLOOR):
+    """Concurrence and unnormalized norm, each (P, T), and with keep_states
+    the (P, T, 4, 4) states, of `initial` (default: the Bell state) under
+    each (p1, p2) of `pairs` over `times`; p2 may be an IdentityEvolution
+    marker. U1 F U2^T expands over {I, H1} x {I, H2}: one real
+    (P, T, 4) x (P, 4, 8r) product of scalar terms with four constant
+    complex blocks per pair seen as floats. A norm that is not finite or
+    below norm_floor raises OverflowError or DegenerateNormError naming the
+    first bad t of the first pair that has one."""
+    factor = _BELL_FACTOR if initial is None else rank_factor(initial)
     times = np.asarray(times, dtype=float).reshape(-1)
     f = factor.T.reshape(-1, 2, 2)  # rho0 = sum_k vec(F_k) vec(F_k)^H
+    terms = np.empty((len(pairs), times.size, 4))
+    basis = np.empty((len(pairs), 4) + f.shape, dtype=complex)
+    qubits = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        c1, s1, h1 = _terms(p1, times)
-        c2, s2, h2 = _terms(p2, times)
-        fh2 = f @ h2.T
-        basis = np.stack([f, -1j * fh2, -1j * (h1 @ f), -(h1 @ fh2)]).reshape(4, -1)
-        terms = np.stack([c1 * c2, c1 * s2, s1 * c2, s1 * s2], axis=1)
-        flat = terms @ basis.view(float)  # (re, im) pairs of the (T, 4r) blocks
-        norms = np.einsum("ti,ti->t", flat, flat)
+        for i, pair in enumerate(pairs):
+            for p in pair:
+                if p not in qubits:
+                    qubits[p] = _terms(p, times)
+            (c1, s1, h1), (c2, s2, h2) = qubits[pair[0]], qubits[pair[1]]
+            for k, (x, y) in enumerate(((c1, c2), (c1, s2), (s1, c2), (s1, s2))):
+                np.multiply(x, y, out=terms[i, :, k])
+            fh2 = f @ h2.T
+            basis[i] = f, -1j * fh2, -1j * (h1 @ f), -(h1 @ fh2)
+        # (re, im) pairs of the (P, T, 4r) blocks
+        flat = terms @ basis.reshape(len(pairs), 4, -1).view(float)
+        norms = np.einsum("pti,pti->pt", flat, flat)
     healthy = np.isfinite(norms) & (norms >= norm_floor)
     if not healthy.all():
-        i = int(np.argmin(healthy))
-        t, norm = float(times[i]), float(norms[i])
+        i = int(np.argmin(healthy))  # row-major: the first bad pair, then its first t
+        t, norm = float(times[i % times.size]), float(norms.flat[i])
         if np.isfinite(norm):
             raise DegenerateNormError(t, norm)
         raise OverflowError(f"evolution norm is not finite at t={t}: {norm!r}")
@@ -185,11 +207,10 @@ def _evolve(rho0, p1, p2, times, keep_states=False, norm_floor=NORM_FLOOR):
 
     states = None
     if keep_states:
-        kets = flat.view(complex).reshape(times.size, -1, 4)
-        m = kets.transpose(0, 2, 1) @ kets.conj()
-        states = list((m + m.conj().transpose(0, 2, 1)) / (2.0 * norms[:, None, None]))
-    return Trajectory(times=times, concurrence=conc,
-                      unnormalized_norm=norms, states=states)
+        kets = flat.view(complex).reshape(len(pairs), times.size, -1, 4)
+        m = kets.swapaxes(-1, -2) @ kets.conj()
+        states = (m + m.conj().swapaxes(-1, -2)) / (2.0 * norms[..., None, None])
+    return conc, norms, states
 
 
 def evolve_state(initial, p1, p2, t, norm_floor=NORM_FLOOR):
@@ -199,7 +220,7 @@ def evolve_state(initial, p1, p2, t, norm_floor=NORM_FLOOR):
     the trace denominator falls below norm_floor, OverflowError when it is
     not finite.
     """
-    return _evolve(initial, p1, p2, [t], True, norm_floor).states[0]
+    return evolve_pairs([(p1, p2)], [t], initial, True, norm_floor)[2][0, 0]
 
 
 def run(spec, keep_states=False):
@@ -207,11 +228,14 @@ def run(spec, keep_states=False):
 
     DegenerateNormError or OverflowError names the first bad sample.
     """
-    return _evolve(spec.initial_state(), spec.p1, spec.p2, spec.time_grid(),
-                   keep_states)
+    times = spec.time_grid()
+    conc, norms, states = evolve_pairs([(spec.p1, spec.p2)], times, spec.initial,
+                                       keep_states)
+    return Trajectory(times=times, concurrence=conc[0], unnormalized_norm=norms[0],
+                      states=None if states is None else states[0])
 
 
 def bell_concurrence_curve(p1, p2, times):
     """Concurrence of the Bell-initial trajectory over any array of times;
     p2 may be an IdentityEvolution marker, and either family is allowed."""
-    return _evolve(bell_state(), p1, p2, times).concurrence
+    return evolve_pairs([(p1, p2)], times)[0][0]

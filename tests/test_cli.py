@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aptsim import cli, dynamics, optics
+from aptsim import cli, dynamics, optics, propagator
 from aptsim.dynamics import IDENTITY, DegenerateNormError, EvolutionSpec, run
 from aptsim.entanglement import concurrence_minimum_identical
 from aptsim.model import AptParams
@@ -68,6 +68,26 @@ class TestCsvRows:
         text = cli._text(x.size, cli._cells(x, ord("\n")))
         assert text.decode().splitlines() == ["%.6g" % v for v in x.tolist()]
 
+    @pytest.mark.parametrize("block", [1, 3, 5, 1 << 12])
+    def test_stacked_curves_match_one_at_a_time(self, monkeypatch, block):
+        # curves reuse one buffer, and a curve longer than the buffer is
+        # filled in pieces; each curve's text is what it gets alone
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for curves, rows in ((1, 1), (7, 1), (4, 2), (3, 5), (5, 6), (2, 11)):
+            t = rng.normal(size=rows) * 10.0 ** rng.integers(-8, 8, size=rows)
+            v = rng.normal(size=(curves, rows, 2))
+            a2 = rng.uniform(0.5, 2.5, size=curves)
+            t_cells, v_cells = cli._cells(t, ord(",")), cli._cells(v, cli._ENDS)
+            a2_cells = cli._cells(a2, ord(","))
+            texts = cli._text(rows, t_cells, v_cells[:, :, 0], v_cells[:, :, 1])
+            assert texts == [cli._text(rows, t_cells, c[:, 0], c[:, 1]) for c in v_cells]
+            assert [x.decode() for x in texts] == [_fstring_lines(t, c[:, 0], c[:, 1]) for c in v]
+            sweep = cli._text(rows, cli._cells(0.8, ord(",")), a2_cells[:, None], t_cells,
+                              cli._cells(v[:, :, 0], ord("\n")))
+            assert [x.decode() for x in sweep] == [
+                _fstring_lines([0.8] * rows, [a] * rows, t, c[:, 0]) for a, c in zip(a2, v)]
+
 
 class TestCsvFilesExact:
     """Every figure preset and the default sweep, byte for byte against a
@@ -98,6 +118,34 @@ class TestCsvFilesExact:
             expected.append(_fstring_lines([0.8] * rows, [a2] * rows, traj.times.tolist(),
                                            traj.concurrence.tolist()))
         assert out.read_bytes() == "".join(expected).encode()
+
+
+class TestOneKernelCall:
+    @pytest.mark.parametrize("argv,out", [(["figure", "--figure", "4a"], "figs"),
+                                          (["figure", "--figure", "2b"], "figs"),
+                                          (["sweep"], "s.csv")])
+    def test_no_refactoring_of_the_bell_state(self, tmp_path, monkeypatch, argv, out):
+        calls = {"rank_factor": 0, "evolve_pairs": 0, "propagator_terms": []}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(dynamics, "rank_factor")
+        counted(cli, "rank_factor")
+        counted(cli, "evolve_pairs")
+        terms = propagator.propagator_terms
+        monkeypatch.setattr(propagator, "propagator_terms", lambda p, times: (
+            calls["propagator_terms"].append(p) or terms(p, times)))
+        assert cli.main(argv + ["--out", str(tmp_path / out)]) == 0
+        assert calls["rank_factor"] == 0 and calls["evolve_pairs"] == 1
+        # one propagator per distinct qubit: a1 = 0.8 is also on the a2 grid
+        qubits = calls["propagator_terms"]
+        assert len(qubits) == len(set(qubits)) == (1 if argv[-1] == "2b" else 21)
 
 
 class TestOversizedGrids:
@@ -390,11 +438,28 @@ class TestTomographyCommand:
 
 class TestErrorMapping:
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch):
-        def explode(spec, keep_states=False):
+        def explode(pairs, times, initial=None, keep_states=False):
             raise DegenerateNormError(1.0, 0.0)
 
-        monkeypatch.setattr(cli, "run", explode)
+        monkeypatch.setattr(cli, "evolve_pairs", explode)
         assert cli.main(["figure", "--figure", "2a", "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("argv,out,kernel", [
+        (["figure", "--figure", "4a"], "figs", "evolve_pairs"),
+        (["figure", "--figure", "2a", "--format", "json"], "figs", "evolve_pairs"),
+        (["sweep"], "s.csv", "evolve_pairs"),
+        (["tomography"], "t.json", "run")])
+    @pytest.mark.parametrize("detail", ["Unable to allocate 6.40 GiB for an array", ""])
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, argv, out, kernel,
+                                   detail):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr(cli, kernel, exhausted)
+        assert cli.main(argv + ["--out", str(tmp_path / out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical error: out of memory{': ' + detail if detail else ''}\n"
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
     def test_mle_convergence_error_names_time(self, tmp_path, capsys, monkeypatch):
         def stall(observed, totals, truths=None):

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aptsim import dynamics
 from aptsim.dynamics import (IDENTITY, MAX_SAMPLES, DegenerateNormError,
                              EvolutionSpec, InvalidStateError, bell_concurrence_curve,
-                             bell_ket, bell_state, evolve_state,
-                             maximally_mixed, run, validate_density_matrix)
+                             bell_ket, bell_state, evolve_pairs, evolve_state,
+                             maximally_mixed, rank_factor, run,
+                             validate_density_matrix)
 from aptsim.entanglement import concurrence
 from aptsim.model import AptParams, Family, hamiltonian
 from aptsim.propagator import closed_form
@@ -279,3 +281,67 @@ class TestRunProperties:
             assert n == pytest.approx(ref_n, rel=1e-9)
             assert abs(c - ref_c) < conc_tol
             validate_density_matrix(rho)
+
+
+# a in the broken regime, at the exceptional point, one EP-band width either
+# side of it, and in the unbroken regime
+_STACK_A = st.one_of(st.floats(0.3, 0.99), st.just(1.0), st.sampled_from((1.0 - 1e-9, 1.0 + 1e-9)),
+                     st.floats(1.01, 3.0))
+_STACK_QUBITS = st.builds(AptParams, a=_STACK_A, gamma=st.floats(0.5, 2.5),
+                          family=st.sampled_from(Family))
+
+
+class TestStackedEvolution:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(qubits=st.lists(_STACK_QUBITS, min_size=1, max_size=3), data=st.data(),
+           t_max=st.floats(0.0, 20.0), rank=st.one_of(st.none(), st.integers(1, 4)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_equals_runs_bit_for_bit(self, qubits, data, t_max, rank, seed):
+        # pairs drawn from a small pool, so that qubits repeat within and
+        # across pairs; rank None is the default Bell state
+        index = st.integers(0, len(qubits) - 1)
+        pairs = data.draw(st.lists(
+            st.tuples(index.map(qubits.__getitem__),
+                      st.one_of(index.map(qubits.__getitem__), st.just(IDENTITY))),
+            min_size=1, max_size=5))
+        t_max = min(t_max, 40.0 / max(1e-3, *(_growth_rate(p) for pair in pairs for p in pair)))
+        initial = None
+        if rank is not None:
+            rng = np.random.default_rng(seed)
+            f = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            initial = f @ f.conj().T
+            initial = (initial + initial.conj().T) / (2.0 * np.real(np.trace(initial)))
+        specs = [EvolutionSpec(p1=p1, p2=p2, t_max=t_max, dt=max(t_max / 50.0, 1e-3),
+                               initial=initial) for p1, p2 in pairs]
+        times = specs[0].time_grid()
+        conc, norms, states = evolve_pairs(pairs, times, initial, keep_states=True)
+        assert conc.shape == norms.shape == (len(pairs), times.size)
+        assert states.shape == (len(pairs), times.size, 4, 4)
+        for i, spec in enumerate(specs):
+            traj = run(spec, keep_states=True)
+            assert isinstance(traj.states, np.ndarray)
+            assert traj.states.shape == (times.size, 4, 4)
+            assert np.array_equal(conc[i], traj.concurrence)
+            assert np.array_equal(norms[i], traj.unnormalized_norm)
+            assert np.array_equal(states[i], traj.states)
+
+    def test_failure_names_first_failing_pair(self):
+        # a = 0.3 overflows at a smaller t than a = 0.5, but the a = 0.5 pair
+        # comes first, so its first bad t is the one named
+        pairs = [(AptParams(a=1.2), AptParams(a=1.2)), (AptParams(a=0.5), AptParams(a=0.5)),
+                 (AptParams(a=0.3), AptParams(a=0.3))]
+        times = EvolutionSpec(p1=pairs[0][0], p2=pairs[0][1], t_max=400.0).time_grid()
+        messages = []
+        for p1, p2 in pairs[1:]:
+            with pytest.raises(OverflowError) as err:
+                run(EvolutionSpec(p1=p1, p2=p2, t_max=400.0))
+            messages.append(str(err.value))
+        assert messages[0] != messages[1]
+        with pytest.raises(OverflowError) as err:
+            evolve_pairs(pairs, times)
+        assert str(err.value) == messages[0]
+
+    def test_bell_factor_constant(self):
+        expected = rank_factor(bell_state())
+        assert dynamics._BELL_FACTOR.dtype == expected.dtype
+        assert np.array_equal(dynamics._BELL_FACTOR, expected)

@@ -13,12 +13,10 @@ from .entanglement import (ConcurrenceReport, analytic_concurrence_identical,
 from .linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .model import AptParams, Family, Regime, classify, hamiltonian
 from .optics import (BeamPaths, DecompositionError, DecompositionParams,
-                     PlateKind, WavePlate, bd_circuit, decompose,
-                     decompose_grid, hwp, loss_matrix, qwp, reconstruct,
-                     waveplate_matrix)
+                     bd_circuit, decompose, decompose_grid, hwp, loss_matrix,
+                     qwp, reconstruct)
 from .propagator import closed_form
-from .tomography import (CountRecord, MleConvergenceError, MleResult,
-                         ProjectionBasis, basis_set, draw_counts, fidelity, mle_fit,
-                         mle_reconstruct, mle_reconstruct_batch, simulate_counts)
+from .tomography import (MleConvergenceError, ProjectionBasis, basis_set,
+                         draw_counts, fidelity, mle_fit)
 
 __version__ = "0.1.0"

@@ -328,6 +328,8 @@ def run_decompose(args):
 def run_tomography(args):
     if not 0 < args.total <= MAX_TOTAL:
         raise ValueError(f"--total must be in [1, {MAX_TOTAL:.0e}], got {args.total}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     p1 = _apt(args.a1)
     p2 = IDENTITY if args.identity_qubit2 else _apt(args.a2)
     traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=args.t_max, dt=args.dt),

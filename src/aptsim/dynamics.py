@@ -147,11 +147,6 @@ class EvolutionSpec:
         n = int(np.floor(self.t_max / self.dt + 1e-9))
         return np.arange(n + 1) * self.dt
 
-    def initial_state(self):
-        if self.initial is None:
-            return bell_state()
-        return np.asarray(self.initial, dtype=complex)
-
 
 @dataclass
 class Trajectory:

@@ -13,7 +13,6 @@ point as one stack of 2x2 plate products.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -24,48 +23,25 @@ _ROUNDTRIP_TOL = 1e-10
 _BRANCH_CANDIDATES = (0, 1, -1, 2)
 
 
-class PlateKind(Enum):
-    HWP = "hwp"
-    QWP = "qwp"
-
-
-@dataclass(frozen=True)
-class WavePlate:
-    """A wave plate and its setting angle, normalized to [0, 180)."""
-    kind: PlateKind
-    angle_deg: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle_deg", float(self.angle_deg) % 180.0)
-
-
-def _jones(kind, angle_deg):
-    """Jones matrices of one plate kind over an array of setting angles, as
-    a (..., 2, 2) stack."""
-    ang = np.deg2rad(angle_deg)
+def hwp(angle_deg):
+    """Half-wave-plate Jones matrix at a setting angle in degrees, taken
+    modulo 180; over an array of angles, a (..., 2, 2) stack."""
+    ang = np.deg2rad(np.remainder(angle_deg, 180.0))
+    c2, s2 = np.cos(2.0 * ang), np.sin(2.0 * ang)
     m = np.empty(np.shape(ang) + (2, 2), dtype=complex)
-    if kind is PlateKind.HWP:
-        c2, s2 = np.cos(2.0 * ang), np.sin(2.0 * ang)
-        m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = c2, s2, s2, -c2
-        return m
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = c2, s2, s2, -c2
+    return m
+
+
+def qwp(angle_deg):
+    """Quarter-wave-plate Jones matrix, with the angles of hwp()."""
+    ang = np.deg2rad(np.remainder(angle_deg, 180.0))
     c, s = np.cos(ang), np.sin(ang)
+    m = np.empty(np.shape(ang) + (2, 2), dtype=complex)
     m[..., 0, 0] = c * c + 1j * s * s
     m[..., 0, 1] = m[..., 1, 0] = s * c * (1.0 - 1j)
     m[..., 1, 1] = s * s + 1j * c * c
     return m
-
-
-def waveplate_matrix(plate):
-    """Jones matrix of the plate at its setting angle."""
-    return _jones(plate.kind, plate.angle_deg)
-
-
-def hwp(angle_deg):
-    return waveplate_matrix(WavePlate(PlateKind.HWP, angle_deg))
-
-
-def qwp(angle_deg):
-    return waveplate_matrix(WavePlate(PlateKind.QWP, angle_deg))
 
 
 def loss_matrix(xi1_deg, xi2_deg):
@@ -106,10 +82,9 @@ _HWP67_5 = hwp(67.5)
 
 def _plate_strings(theta1_deg, theta2_deg, xi1_deg, xi2_deg):
     """second(theta2) @ loss(xi1, xi2) @ first(theta1), elementwise over
-    broadcast arrays of angles; the theta angles are taken modulo 180."""
-    first = _FIRST_HEAD @ _jones(PlateKind.HWP, np.remainder(theta1_deg, 180.0)) @ _QWP45
-    second = _QWP45 @ _jones(PlateKind.HWP, np.remainder(theta2_deg, 180.0)) @ _QWP45 \
-        @ _HWP67_5
+    broadcast arrays of angles."""
+    first = _FIRST_HEAD @ hwp(theta1_deg) @ _QWP45
+    second = _QWP45 @ hwp(theta2_deg) @ _QWP45 @ _HWP67_5
     return second @ loss_matrix(xi1_deg, xi2_deg) @ first
 
 

@@ -13,13 +13,10 @@ fails there, the point is a saddle and restarts toward lambda_min(G)'s
 eigenvector. Each point of a batch keeps its own factor, damping, stopping
 test and step count, so its estimate does not depend on the batch: its
 products are stacked matmuls with the batch leading, one BLAS call per
-point, and never a 2-D GEMM whose rows are the batch. The array cores
-draw_counts and mle_fit serve the CLI; simulate_counts and
-mle_reconstruct_batch are their one-state and count-record cases.
+point, and never a 2-D GEMM whose rows are the batch.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -93,28 +90,12 @@ class ProjectionBasis:
     settings: tuple  # ((qwp1, hwp1), (qwp2, hwp2)) in degrees
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    basis: str
-    expected: float
-    observed: int
-    total_per_basis: int
-
-
 class MleConvergenceError(ArithmeticError):
     """The fit hit its pass cap at the batch indices held in `points`."""
 
     def __init__(self, message, points=()):
         super().__init__(message)
         self.points = tuple(points)
-
-
-@dataclass
-class MleResult:
-    rho_hat: np.ndarray
-    log_likelihood: float
-    iterations: int
-    fidelity_vs_truth: Optional[float] = None
 
 
 _BASES = tuple(ProjectionBasis(label, ket, (_SETTINGS[label[0]], _SETTINGS[label[1]]))
@@ -145,14 +126,6 @@ def draw_counts(states, total=DEFAULT_TOTAL, seed=0, noiseless=False):
         return expected, np.rint(expected)
     return expected, np.array([np.random.default_rng(seed + i).poisson(e)
                                for i, e in enumerate(expected)])
-
-
-def simulate_counts(rho, total=DEFAULT_TOTAL, seed=0, noiseless=False):
-    """Per-basis expected and observed counts for the state rho: the
-    one-state case of draw_counts, as CountRecords."""
-    expected, observed = draw_counts(rho, total, seed, noiseless)
-    return [CountRecord(label, e, int(o), int(total))
-            for label, e, o in zip(BASIS_LABELS, expected[0].tolist(), observed[0].tolist())]
 
 
 def _project(m):
@@ -289,11 +262,21 @@ def mle_fit(observed, totals, truths=None, max_iter=DEFAULT_MAX_ITER):
 
     A point converges when its Newton decrement is below 1e-13 * sum_b N_b
     and its Frank-Wolfe gap below 1e-6 * sum_b N_b; MleConvergenceError
-    names the points that have not within max_iter Newton passes.
+    names the points that have not within max_iter Newton passes. ValueError
+    names shapes other than (P,16), or the first point with a count that is
+    not finite and >= 0 or a total that is not finite and > 0.
     """
     observed, totals = np.asarray(observed, dtype=float), np.asarray(totals, dtype=float)
-    if np.any(totals <= 0):
-        raise ValueError("total_per_basis must be > 0 for every record")
+    if observed.ndim != 2 or observed.shape[1] != 16 or totals.shape != observed.shape:
+        raise ValueError(f"observed and totals must both be (P, 16), got "
+                         f"{observed.shape} and {totals.shape}")
+    for name, values, good, rule in (("observed counts", observed, observed >= 0, ">= 0"),
+                                     ("totals", totals, totals > 0, "> 0")):
+        bad = ~(good & np.isfinite(values))
+        if bad.any():
+            i, b = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"{name} must be finite and {rule}, got {values[i, b]} "
+                             f"at point {i}, basis {BASIS_LABELS[b]}")
     scale = totals.sum(axis=1, keepdims=True)
     linear = ((observed / totals)[:, None, :] * _INVERSION).sum(axis=2).reshape(-1, 4, 4)
     start = _project((linear + linear.conj().transpose(0, 2, 1)) / 2.0)
@@ -308,33 +291,6 @@ def mle_fit(observed, totals, truths=None, max_iter=DEFAULT_MAX_ITER):
     mus = totals * np.maximum(_probabilities(rho), _P_FLOOR)
     log_likelihood = np.sum(observed * np.log(mus) - mus, axis=1)
     return rho, log_likelihood, steps, None if truths is None else _fidelities(truths, rho)
-
-
-def mle_reconstruct_batch(count_sets, truths=None, max_iter=DEFAULT_MAX_ITER):
-    """mle_fit of a sequence of count sets, as MleResults; `iterations`
-    counts a point's accepted Newton steps, and repeated bases add up."""
-    observed, totals = np.zeros((2, len(count_sets), 16))
-    index = {label: b for b, label in enumerate(BASIS_LABELS)}
-    for i, counts in enumerate(count_sets):
-        missing = set(BASIS_LABELS) - {record.basis for record in counts}
-        if missing:
-            raise ValueError(
-                f"count set is not informationally complete, missing {sorted(missing)}")
-        for record in counts:
-            # the likelihood only sees the sums
-            observed[i, index[record.basis]] += record.observed
-            totals[i, index[record.basis]] += record.total_per_basis
-    rho, log_likelihood, steps, fids = mle_fit(observed, totals, truths, max_iter)
-    fids = [None] * len(rho) if fids is None else fids.tolist()
-    return [MleResult(r, ll, k, fid)
-            for r, ll, k, fid in zip(rho, log_likelihood.tolist(), steps.tolist(), fids)]
-
-
-def mle_reconstruct(counts, truth=None, max_iter=DEFAULT_MAX_ITER):
-    """Maximum-likelihood state estimate from one count set: the one-point
-    case of mle_reconstruct_batch."""
-    return mle_reconstruct_batch([counts], None if truth is None else [truth],
-                                 max_iter)[0]
 
 
 def _fidelities(a, b):

@@ -7,13 +7,13 @@ import pytest
 from aptsim import cli
 from aptsim.dynamics import (IDENTITY, EvolutionSpec, bell_concurrence_curve,
                              bell_state, evolve_state, run)
-from aptsim.entanglement import (analytic_concurrence_identical,
+from aptsim.entanglement import (analytic_concurrence_identical, concurrence,
                                  concurrence_minimum_identical,
                                  concurrence_period, ep_concurrence)
 from aptsim.model import AptParams, Family, hamiltonian
 from aptsim.optics import bd_circuit, decompose, loss_matrix, reconstruct
 from aptsim.propagator import closed_form
-from aptsim.tomography import mle_reconstruct, simulate_counts
+from aptsim.tomography import draw_counts, mle_fit
 
 from oracles import expm_series
 from trajkit import (brute_concurrence, measured_period, refine_maximum,
@@ -201,25 +201,20 @@ def test_criterion_11_single_qubit_evolution():
 
 def test_criterion_12_tomography_loop():
     p = AptParams(a=1.2)
-    worst_fid, worst_gap = 1.0, 0.0
-    for i in range(10):
-        t = 0.5 * i
-        truth = evolve_state(bell_state(), p, p, t)
-        counts = simulate_counts(truth, total=10000, seed=100 + i, noiseless=True)
-        result = mle_reconstruct(counts, truth=truth)
-        from aptsim.entanglement import concurrence
-        gap = abs(concurrence(result.rho_hat).value - concurrence(truth).value)
-        worst_fid = min(worst_fid, result.fidelity_vs_truth)
-        worst_gap = max(worst_gap, gap)
+    truths = np.array([evolve_state(bell_state(), p, p, 0.5 * i) for i in range(10)])
+    observed = draw_counts(truths, total=10000, seed=100, noiseless=True)[1]
+    rho_hat, _, _, fids = mle_fit(observed, np.full(observed.shape, 10000), truths=truths)
+    worst_fid = float(fids.min())
+    worst_gap = max(abs(concurrence(r).value - concurrence(truth).value)
+                    for r, truth in zip(rho_hat, truths))
     assert worst_fid > 0.999
     assert worst_gap < 5e-3
 
-    truth = evolve_state(bell_state(), p, p, 1.0)
-    passing = 0
-    for seed in range(100):
-        counts = simulate_counts(truth, total=10000, seed=3000 + seed)
-        result = mle_reconstruct(counts, truth=truth)
-        passing += result.fidelity_vs_truth > 0.98
+    # 100 draws of one state, from seeds 3000-3099
+    truths = np.repeat(evolve_state(bell_state(), p, p, 1.0)[None], 100, axis=0)
+    observed = draw_counts(truths, total=10000, seed=3000)[1]
+    fids = mle_fit(observed, np.full(observed.shape, 10000), truths=truths)[3]
+    passing = int(np.sum(fids > 0.98))
     assert passing >= 95
     print(f"[acceptance] criterion 12: PASS (noiseless min fid {worst_fid:.6f}, "
           f"max concurrence gap {worst_gap:.2e}; noisy {passing}/100 above 0.98)")

@@ -9,7 +9,7 @@ from aptsim import cli, dynamics, optics, propagator
 from aptsim.dynamics import IDENTITY, DegenerateNormError, EvolutionSpec, run
 from aptsim.entanglement import concurrence_minimum_identical
 from aptsim.model import AptParams
-from aptsim.tomography import BASIS_LABELS, MleConvergenceError, simulate_counts
+from aptsim.tomography import MleConvergenceError, draw_counts
 
 from oracles import wootters_mp
 
@@ -301,7 +301,8 @@ class TestBadInput:
         (["decompose", "--a1", "inf"], "error: a must be finite"),
         (["tomography", "--a1", "inf"], "error: a must be finite"),
         (["tomography", "--a2", "1e300"], "error: a = 1e+300, gamma = 1.0 overflow k"),
-        (["tomography", "--total", "100000000000000000000"], "error: --total must be in")])
+        (["tomography", "--total", "100000000000000000000"], "error: --total must be in"),
+        (["tomography", "--seed", "-3"], "error: --seed must be >= 0, got -3\n")])
     def test_exits_2_naming_the_input(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out.file"
         assert cli.main(argv + ["--out", str(out)]) == 2
@@ -392,9 +393,9 @@ class TestTomographyCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [[], ["--identity-qubit2"], ["--noiseless"]])
-    def test_counts_match_simulate_counts(self, tmp_path, monkeypatch, flags):
-        # the grid's counts, drawn as one array, equal simulate_counts one
-        # state at a time, bit for bit
+    def test_counts_match_one_state_draws(self, tmp_path, monkeypatch, flags):
+        # the grid's counts, drawn as one array, equal draw_counts one state
+        # at a time, bit for bit
         seen, fit = [], cli.mle_fit
         monkeypatch.setattr(cli, "mle_fit", lambda observed, totals, truths=None: (
             seen.append((observed, totals)) or fit(observed, totals, truths)))
@@ -407,11 +408,10 @@ class TestTomographyCommand:
         states = dynamics.run(spec, keep_states=True).states
         assert len(observed) == len(states) == 10
         for i, rho in enumerate(states):
-            records = simulate_counts(rho, total=10000, seed=11 + i,
-                                      noiseless=flags == ["--noiseless"])
-            assert [r.basis for r in records] == list(BASIS_LABELS)
-            assert np.array_equal(observed[i], [r.observed for r in records])
-            assert np.array_equal(totals[i], [r.total_per_basis for r in records])
+            one = draw_counts(rho[None], total=10000, seed=11 + i,
+                              noiseless=flags == ["--noiseless"])[1]
+            assert np.array_equal(observed[i], one[0])
+            assert np.array_equal(totals[i], np.full(16, 10000))
 
     def test_noiseless_concurrence_keeps_small_eigenvalues(self, tmp_path, monkeypatch):
         # at the noiseless t = 3.5 point of the defaults rho_hat has

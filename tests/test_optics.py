@@ -4,9 +4,8 @@ import pytest
 from aptsim import optics
 from aptsim.model import AptParams, Family
 from aptsim.optics import (BeamPaths, DecompositionError, DecompositionParams,
-                           PlateKind, WavePlate, bd_circuit, decompose,
-                           decompose_grid, hwp, loss_matrix, qwp, reconstruct,
-                           waveplate_matrix)
+                           bd_circuit, decompose, decompose_grid, hwp, loss_matrix,
+                           qwp, reconstruct)
 from aptsim.propagator import closed_form
 
 RNG = np.random.default_rng(11)
@@ -47,13 +46,17 @@ class TestWavePlates:
             m = qwp(float(RNG.uniform(0.0, 180.0)))
             assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-14)
 
-    def test_angle_normalization(self):
-        assert WavePlate(PlateKind.HWP, 190.0).angle_deg == pytest.approx(10.0)
-        assert WavePlate(PlateKind.QWP, -45.0).angle_deg == pytest.approx(135.0)
-
-    def test_waveplate_matrix_dispatch(self):
-        assert np.array_equal(waveplate_matrix(WavePlate(PlateKind.HWP, 30.0)), hwp(30.0))
-        assert np.array_equal(waveplate_matrix(WavePlate(PlateKind.QWP, 30.0)), qwp(30.0))
+    def test_angles_taken_modulo_180(self):
+        # the angle is reduced before any trigonometry, so equal settings
+        # give equal bits, and an array of angles is a stack of the scalar calls
+        assert np.array_equal(hwp(190.0), hwp(10.0))
+        assert np.array_equal(qwp(-45.0), qwp(135.0))
+        angles = np.array([[-45.0, 0.0, 22.5], [135.0, 190.0, 359.0]])
+        for plate in (hwp, qwp):
+            stack = plate(angles)
+            assert stack.shape == (2, 3, 2, 2)
+            for index in np.ndindex(angles.shape):
+                assert np.array_equal(stack[index], plate(float(angles[index])))
 
 
 class TestDecompose:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,7 @@ from aptsim.dynamics import (EvolutionSpec, bell_state, evolve_state, maximally_
 from aptsim.entanglement import concurrence
 from aptsim.model import AptParams
 from aptsim.tomography import (BASIS_LABELS, MleConvergenceError,
-                               basis_set, draw_counts, fidelity, mle_fit, mle_reconstruct,
-                               mle_reconstruct_batch, simulate_counts)
+                               basis_set, draw_counts, fidelity, mle_fit)
 
 
 class TestBasisSet:
@@ -50,71 +50,74 @@ class TestBasisSet:
         assert np.allclose(rl.ket, expected, atol=1e-15)
 
 
-class TestSimulateCounts:
+class TestDrawCounts:
     def test_eigenstate_projection(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0  # |HH><HH|
-        records = {r.basis: r for r in simulate_counts(rho, total=5000, seed=3)}
-        assert records["HH"].expected == pytest.approx(5000.0, abs=1e-9)
-        assert records["VV"].expected == pytest.approx(0.0, abs=1e-9)
+        expected = dict(zip(BASIS_LABELS, draw_counts(rho[None], total=5000, seed=3)[0][0]))
+        assert expected["HH"] == pytest.approx(5000.0, abs=1e-9)
+        assert expected["VV"] == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_expected_counts(self):
-        records = {r.basis: r for r in simulate_counts(bell_state(), total=10000, seed=3)}
-        assert records["HH"].expected == pytest.approx(0.0, abs=1e-9)
-        assert records["HV"].expected == pytest.approx(5000.0, abs=1e-9)
-        assert records["VH"].expected == pytest.approx(5000.0, abs=1e-9)
-        assert records["DD"].expected == pytest.approx(5000.0, abs=1e-9)
+        expected = dict(zip(BASIS_LABELS,
+                            draw_counts(bell_state()[None], total=10000, seed=3)[0][0]))
+        assert expected["HH"] == pytest.approx(0.0, abs=1e-9)
+        assert expected["HV"] == pytest.approx(5000.0, abs=1e-9)
+        assert expected["VH"] == pytest.approx(5000.0, abs=1e-9)
+        assert expected["DD"] == pytest.approx(5000.0, abs=1e-9)
 
     def test_expected_within_range(self):
         rho = evolve_state(bell_state(), AptParams(a=1.2), AptParams(a=1.3), 2.0)
-        for r in simulate_counts(rho, total=1234, seed=0):
-            assert 0.0 <= r.expected <= 1234.0
+        for e in draw_counts(rho[None], total=1234, seed=0)[0][0]:
+            assert 0.0 <= e <= 1234.0
 
     def test_seeded_determinism(self):
-        a = simulate_counts(bell_state(), total=10000, seed=77)
-        b = simulate_counts(bell_state(), total=10000, seed=77)
-        c = simulate_counts(bell_state(), total=10000, seed=78)
-        assert [r.observed for r in a] == [r.observed for r in b]
-        assert [r.observed for r in a] != [r.observed for r in c]
+        a = draw_counts(bell_state()[None], total=10000, seed=77)[1]
+        b = draw_counts(bell_state()[None], total=10000, seed=77)[1]
+        c = draw_counts(bell_state()[None], total=10000, seed=78)[1]
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_noiseless_mode(self):
-        for r in simulate_counts(bell_state(), total=999, seed=0, noiseless=True):
-            assert r.observed == round(r.expected)
+        expected, observed = draw_counts(bell_state()[None], total=999, seed=0, noiseless=True)
+        for e, o in zip(expected[0], observed[0]):
+            assert o == round(e)
 
     def test_rejects_nonpositive_total(self):
         with pytest.raises(ValueError):
-            simulate_counts(bell_state(), total=0)
+            draw_counts(bell_state()[None], total=0)
 
 
-class TestMleReconstruct:
+class TestMleFit:
     def test_noiseless_bell(self):
-        counts = simulate_counts(bell_state(), total=10000, seed=0, noiseless=True)
-        result = mle_reconstruct(counts, truth=bell_state())
-        assert result.fidelity_vs_truth > 0.999
-        assert concurrence(result.rho_hat).value > 0.998
+        observed = draw_counts(bell_state()[None], total=10000, seed=0, noiseless=True)[1]
+        rho_hat, _, _, fids = mle_fit(observed, np.full(observed.shape, 10000),
+                                      truths=bell_state()[None])
+        assert fids[0] > 0.999
+        assert concurrence(rho_hat[0]).value > 0.998
 
     def test_noiseless_maximally_mixed(self):
-        counts = simulate_counts(maximally_mixed(), total=10000, seed=0, noiseless=True)
-        result = mle_reconstruct(counts, truth=maximally_mixed())
-        assert result.fidelity_vs_truth > 0.999
+        observed = draw_counts(maximally_mixed()[None], total=10000, seed=0, noiseless=True)[1]
+        fids = mle_fit(observed, np.full(observed.shape, 10000),
+                       truths=maximally_mixed()[None])[3]
+        assert fids[0] > 0.999
 
     def test_output_always_physical(self):
         rho = evolve_state(bell_state(), AptParams(a=1.2), AptParams(a=1.3), 1.0)
-        counts = simulate_counts(rho, total=500, seed=5)
-        result = mle_reconstruct(counts)
-        validate_density_matrix(result.rho_hat)
-        assert result.fidelity_vs_truth is None
-        assert result.iterations > 0
+        observed = draw_counts(rho[None], total=500, seed=5)[1]
+        rho_hat, _, iterations, fids = mle_fit(observed, np.full(observed.shape, 500))
+        validate_density_matrix(rho_hat[0])
+        assert fids is None
+        assert iterations[0] > 0
 
     def test_log_likelihood_is_poisson(self):
-        counts = simulate_counts(bell_state(), total=1000, seed=9)
-        result = mle_reconstruct(counts)
-        mus = np.array([r.total_per_basis *
-                        max(float(np.real(np.vdot(b.ket, result.rho_hat @ b.ket))), 1e-14)
-                        for r, b in zip(counts, basis_set())])
-        obs = np.array([r.observed for r in counts], dtype=float)
-        expected_ll = float(np.sum(obs * np.log(mus) - mus))
-        assert result.log_likelihood == pytest.approx(expected_ll, abs=1e-6)
+        observed = draw_counts(bell_state()[None], total=1000, seed=9)[1]
+        totals = np.full(observed.shape, 1000)
+        rho_hat, log_likelihood, _, _ = mle_fit(observed, totals)
+        mus = np.array([n_b * max(float(np.real(np.vdot(b.ket, rho_hat[0] @ b.ket))), 1e-14)
+                        for n_b, b in zip(totals[0], basis_set())])
+        expected_ll = float(np.sum(observed[0] * np.log(mus) - mus))
+        assert log_likelihood[0] == pytest.approx(expected_ll, abs=1e-6)
 
     def test_fidelity_improves_with_counts(self):
         rho = evolve_state(bell_state(), AptParams(a=1.2), AptParams(a=1.2), 1.0)
@@ -122,31 +125,55 @@ class TestMleReconstruct:
         for total in (1000, 10000, 1000000):
             fids = []
             for seed in range(15):
-                counts = simulate_counts(rho, total=total, seed=500 + seed)
-                fids.append(mle_reconstruct(counts, truth=rho).fidelity_vs_truth)
+                observed = draw_counts(rho[None], total=total, seed=500 + seed)[1]
+                fids.append(mle_fit(observed, np.full(observed.shape, total),
+                                    truths=rho[None])[3][0])
             medians.append(float(np.median(fids)))
         assert medians[0] <= medians[1] <= medians[2]
 
-    def test_missing_basis_rejected(self):
-        counts = simulate_counts(bell_state(), total=100, seed=0)[:-1]
-        with pytest.raises(ValueError, match="informationally complete"):
-            mle_reconstruct(counts)
-
     def test_iteration_cap_raises(self):
-        counts = simulate_counts(bell_state(), total=10000, seed=1)
+        observed = draw_counts(bell_state()[None], total=10000, seed=1)[1]
         with pytest.raises(MleConvergenceError):
-            mle_reconstruct(counts, max_iter=2)
+            mle_fit(observed, np.full(observed.shape, 10000), max_iter=2)
 
 
-def _frank_wolfe_gap(rho, counts):
+class TestMleFitInput:
+    """Malformed counts raise ValueError naming the first bad point."""
+
+    @pytest.mark.parametrize("observed_shape,totals_shape", [
+        ((1, 15), (1, 15)), ((16,), (16,)), ((1, 1, 16), (1, 1, 16)), ((1, 16), (2, 16))])
+    def test_shape(self, observed_shape, totals_shape):
+        message = (f"observed and totals must both be (P, 16), "
+                   f"got {observed_shape} and {totals_shape}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mle_fit(np.ones(observed_shape), np.ones(totals_shape))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_observed_not_finite_or_negative(self, value):
+        observed, totals = np.full((3, 16), 10.0), np.full((3, 16), 100.0)
+        observed[1, 4] = observed[2, 0] = value
+        message = f"observed counts must be finite and >= 0, got {value} at point 1, basis RH"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mle_fit(observed, totals)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -5.0])
+    def test_totals_not_finite_or_positive(self, value):
+        observed, totals = np.full((3, 16), 10.0), np.full((3, 16), 100.0)
+        totals[2, 15] = totals[1, 7] = value
+        message = f"totals must be finite and > 0, got {value} at point 1, basis DH"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mle_fit(observed, totals)
+
+
+def _frank_wolfe_gap(rho, observed, totals):
     """<G, rho> - lambda_min(G) for G the gradient of
-    f = sum_b [N_b p_b - n_b log p_b] at rho. f is convex, so the gap
-    bounds f(rho) - min f over density matrices, and it is 0 only at the
+    f = sum_b [N_b p_b - n_b log p_b] at rho, for one point's 16 observed
+    counts n_b and totals N_b. f is convex, so the gap bounds
+    f(rho) - min f over density matrices, and it is 0 only at the
     maximum-likelihood state."""
     kets = np.array([b.ket for b in basis_set()])
     p = np.real(np.einsum("bi,ij,bj->b", kets.conj(), rho, kets))
-    w = np.array([r.total_per_basis - (r.observed / p_b if r.observed else 0.0)
-                  for r, p_b in zip(counts, p)])
+    w = totals - np.divide(observed, p, out=np.zeros(16), where=observed != 0)
     g = np.einsum("b,bi,bj->ij", w, kets, kets.conj())
     return float(np.real(np.vdot(g, rho))) - float(np.linalg.eigvalsh(g)[0])
 
@@ -169,35 +196,41 @@ class TestMleOptimality:
     @given(rank=st.integers(1, 4), state_seed=st.integers(0, 2 ** 32 - 1),
            count_seed=st.integers(0, 2 ** 31 - 1), log_total=st.floats(2.0, 6.0))
     def test_frank_wolfe_gap_at_estimate(self, rank, state_seed, count_seed, log_total):
-        counts = simulate_counts(_random_state(rank, state_seed),
-                                 total=int(10 ** log_total), seed=count_seed)
-        result = mle_reconstruct(counts)
-        scale = sum(r.total_per_basis for r in counts)
-        assert _frank_wolfe_gap(result.rho_hat, counts) < self.GAP_PER_COUNT * scale
+        total = int(10 ** log_total)
+        observed = draw_counts(_random_state(rank, state_seed)[None], total=total,
+                               seed=count_seed)[1]
+        totals = np.full(observed.shape, total)
+        rho_hat = mle_fit(observed, totals)[0]
+        gap = _frank_wolfe_gap(rho_hat[0], observed[0], totals[0])
+        assert gap < self.GAP_PER_COUNT * totals.sum()
 
     def test_batch_matches_one_at_a_time(self):
         p = AptParams(a=1.2)
-        count_sets = [simulate_counts(evolve_state(bell_state(), p, p, 0.5 * i),
-                                      total=10000, seed=40 + i, noiseless=i % 3 == 2)
-                      for i in range(10)]
-        batch = mle_reconstruct_batch(count_sets)
-        shuffled = mle_reconstruct_batch(count_sets[::-1])[::-1]
-        for counts, together, reversed_ in zip(count_sets, batch, shuffled):
-            alone = mle_reconstruct(counts)
-            for other in (together, reversed_):
-                assert fidelity(alone.rho_hat, other.rho_hat) >= 1.0 - 1e-9
-                assert other.iterations == alone.iterations
+        observed = np.concatenate([
+            draw_counts(evolve_state(bell_state(), p, p, 0.5 * i)[None], total=10000,
+                        seed=40 + i, noiseless=i % 3 == 2)[1] for i in range(10)])
+        totals = np.full(observed.shape, 10000)
+        rho, _, iterations, _ = mle_fit(observed, totals)
+        rho_reversed, _, iterations_reversed, _ = mle_fit(observed[::-1], totals)
+        for i in range(10):
+            rho_alone, _, iterations_alone, _ = mle_fit(observed[i:i + 1], totals[i:i + 1])
+            for rho_other, iterations_other in ((rho[i], iterations[i]),
+                                                (rho_reversed[9 - i], iterations_reversed[9 - i])):
+                assert fidelity(rho_alone[0], rho_other) >= 1.0 - 1e-9
+                assert iterations_other == iterations_alone[0]
 
     def test_batched_fidelities_match_one_at_a_time(self):
         p = AptParams(a=0.8)
-        truths = [evolve_state(bell_state(), p, p, 0.5 * i) for i in range(10)]
-        count_sets = [simulate_counts(rho, total=2000, seed=60 + i, noiseless=i == 4)
-                      for i, rho in enumerate(truths)]
-        batch = mle_reconstruct_batch(count_sets, truths)
-        for counts, truth, together in zip(count_sets, truths, batch):
-            alone = mle_reconstruct(counts, truth=truth)
-            assert together.fidelity_vs_truth == alone.fidelity_vs_truth
-            assert together.fidelity_vs_truth == fidelity(truth, together.rho_hat)
+        truths = np.array([evolve_state(bell_state(), p, p, 0.5 * i) for i in range(10)])
+        observed = np.concatenate([draw_counts(rho[None], total=2000, seed=60 + i,
+                                               noiseless=i == 4)[1]
+                                   for i, rho in enumerate(truths)])
+        totals = np.full(observed.shape, 2000)
+        rho_hat, _, _, fids = mle_fit(observed, totals, truths)
+        for i in range(10):
+            alone = mle_fit(observed[i:i + 1], totals[i:i + 1], truths[i:i + 1])[3]
+            assert fids[i] == alone[0]
+            assert fids[i] == fidelity(truths[i], rho_hat[i])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(log_eps=st.floats(-6.0, -3.0), rank=st.integers(1, 4),
@@ -209,10 +242,12 @@ class TestMleOptimality:
         # and bases of a few counts, where the problem is worst conditioned
         eps = 10.0 ** log_eps
         rho = (1.0 - eps) * _random_state(1, state_seed) + eps * _random_state(rank, noise_seed)
-        counts = simulate_counts(rho, total=int(10 ** log_total), seed=count_seed)
-        result = mle_reconstruct(counts)
-        scale = sum(r.total_per_basis for r in counts)
-        assert _frank_wolfe_gap(result.rho_hat, counts) < self.GAP_PER_COUNT * scale
+        total = int(10 ** log_total)
+        observed = draw_counts(rho[None], total=total, seed=count_seed)[1]
+        totals = np.full(observed.shape, total)
+        rho_hat = mle_fit(observed, totals)[0]
+        gap = _frank_wolfe_gap(rho_hat[0], observed[0], totals[0])
+        assert gap < self.GAP_PER_COUNT * totals.sum()
 
     def test_tail_point_converges(self):
         # t = 2.5 of `tomography --seed 10` at its defaults: bases of 1-6
@@ -220,36 +255,39 @@ class TestMleOptimality:
         p = AptParams(a=1.2)
         traj = run(EvolutionSpec(p1=p, p2=p, t_max=4.5, dt=0.5), keep_states=True)
         assert traj.times[5] == 2.5
-        counts = simulate_counts(traj.states[5], total=10000, seed=15)
-        result = mle_reconstruct(counts)
-        assert result.iterations <= 40
-        scale = sum(r.total_per_basis for r in counts)
-        assert _frank_wolfe_gap(result.rho_hat, counts) < self.GAP_PER_COUNT * scale
+        observed = draw_counts(traj.states[5][None], total=10000, seed=15)[1]
+        totals = np.full(observed.shape, 10000)
+        rho_hat, _, iterations, _ = mle_fit(observed, totals)
+        assert iterations[0] <= 40
+        gap = _frank_wolfe_gap(rho_hat[0], observed[0], totals[0])
+        assert gap < self.GAP_PER_COUNT * totals.sum()
 
     def test_slowest_point_of_default_runs(self):
         # `tomography --seed s` at its defaults for s = 0-29; a run's slowest
         # point sets its cost. The mean of the largest `iterations` is 11.8.
         p = AptParams(a=1.2)
         states = run(EvolutionSpec(p1=p, p2=p, t_max=4.5, dt=0.5), keep_states=True).states
-        worst = [max(r.iterations for r in mle_reconstruct_batch(
-            [simulate_counts(rho, total=10000, seed=s + i) for i, rho in enumerate(states)]))
-            for s in range(30)]
+        totals = np.full((len(states), 16), 10000)
+        worst = [mle_fit(draw_counts(states, total=10000, seed=s)[1], totals)[2].max()
+                 for s in range(30)]
         assert np.mean(worst) <= 30
 
     def test_batch_is_bit_for_bit_independent(self):
         p = AptParams(a=1.2)
         traj = run(EvolutionSpec(p1=p, p2=p, t_max=4.5, dt=0.5), keep_states=True)
-        count_sets = [simulate_counts(rho, total=10000, seed=10 + i, noiseless=noiseless)
-                      for noiseless in (False, True) for i, rho in enumerate(traj.states)]
-        batch = mle_reconstruct_batch(count_sets)
-        odd_first = mle_reconstruct_batch(count_sets[1::2] + count_sets[::2])
-        for i, counts in enumerate(count_sets):
-            alone = mle_reconstruct(counts)
-            other = odd_first[i // 2 + (0 if i % 2 else len(count_sets) // 2)]
-            for result in (batch[i], other):
-                assert np.array_equal(result.rho_hat, alone.rho_hat)
-                assert result.log_likelihood == alone.log_likelihood
-                assert result.iterations == alone.iterations
+        observed = np.concatenate([draw_counts(traj.states, total=10000, seed=10,
+                                               noiseless=noiseless)[1]
+                                   for noiseless in (False, True)])
+        totals = np.full(observed.shape, 10000)
+        batch = mle_fit(observed, totals)
+        odd_first = mle_fit(np.concatenate([observed[1::2], observed[::2]]), totals)
+        for i in range(len(observed)):
+            alone = mle_fit(observed[i:i + 1], totals[i:i + 1])
+            j = i // 2 + (0 if i % 2 else len(observed) // 2)
+            for result, k in ((batch, i), (odd_first, j)):
+                assert np.array_equal(result[0][k], alone[0][0])
+                assert result[1][k] == alone[1][0]
+                assert result[2][k] == alone[2][0]
 
     def test_batch_size_sweep(self):
         # 20 CLI-default points, noisy and noiseless, fitted in consecutive
@@ -279,16 +317,16 @@ class TestMleOptimality:
         monkeypatch.setattr(tomography, "_TOL_GAP", -1.0)
         monkeypatch.setattr(tomography, "_start",
                             lambda rho: starts.append(len(rho)) or real_start(rho))
-        counts = simulate_counts(bell_state(), total=10000, seed=1)
+        observed = draw_counts(bell_state()[None], total=10000, seed=1)[1]
         with pytest.raises(MleConvergenceError):
-            mle_reconstruct(counts, max_iter=60)
+            mle_fit(observed, np.full(observed.shape, 10000), max_iter=60)
         assert len(starts) > 2
 
     def test_batch_error_names_stalled_points(self):
-        count_sets = [simulate_counts(bell_state(), total=10000, seed=1),
-                      simulate_counts(bell_state(), total=10000, seed=2)]
+        # two Bell states drawn with seeds 1 and 2
+        observed = draw_counts(np.array([bell_state()] * 2), total=10000, seed=1)[1]
         with pytest.raises(MleConvergenceError) as err:
-            mle_reconstruct_batch(count_sets, max_iter=2)
+            mle_fit(observed, np.full(observed.shape, 10000), max_iter=2)
         assert err.value.points == (0, 1)
 
 

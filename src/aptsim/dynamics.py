@@ -25,6 +25,10 @@ from .linalg import wootters
 from .model import AptParams, hamiltonian
 
 NORM_FLOOR = 1e-300
+# validate_density_matrix(): largest Hermiticity and trace deviation, least eigenvalue
+HERM_TOL = 1e-12
+TRACE_TOL = 1e-12
+EIG_FLOOR = -1e-10
 # Largest time grid a spec accepts; the figure presets use at most 7,001 samples.
 MAX_SAMPLES = 1_000_000
 # eigh resolves eigenvalues to a few eps of the largest; below this they are noise
@@ -78,7 +82,7 @@ def _check(ok, message):
         raise InvalidStateError(message(i) if ok.ndim == 0 else f"state {i}: {message(i)}")
 
 
-def validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-10):
+def validate_density_matrix(rho):
     """Raise InvalidStateError unless rho, a 4x4 matrix or a (..., 4, 4) stack,
     holds valid two-qubit states; return the eigh (ascending eigenvalues,
     eigenvectors) of its Hermitian part, one call for the whole stack. A bad
@@ -89,15 +93,15 @@ def validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-
     herm = np.abs(rho - rho.conj().swapaxes(-2, -1))
     tr = rho.trace(axis1=-2, axis2=-1)
     # one test for the whole stack, which any nan or inf entry fails
-    if not (herm.max() <= herm_tol and np.abs(tr - 1.0).max() <= trace_tol):
+    if not (herm.max() <= HERM_TOL and np.abs(tr - 1.0).max() <= TRACE_TOL):
         _check(np.isfinite(rho).all(axis=(-2, -1)),
                lambda i: "density matrix has non-finite entries")
         herm = herm.max(axis=(-2, -1))
-        _check(herm <= herm_tol, lambda i: f"not Hermitian: max deviation {herm.flat[i]:.3e}")
-        _check(np.abs(tr - 1.0) <= trace_tol, lambda i: f"trace is {complex(tr.flat[i])}, expected 1")
+        _check(herm <= HERM_TOL, lambda i: f"not Hermitian: max deviation {herm.flat[i]:.3e}")
+        _check(np.abs(tr - 1.0) <= TRACE_TOL, lambda i: f"trace is {complex(tr.flat[i])}, expected 1")
     w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-2, -1)) / 2.0)
-    if w[..., 0].min() < eig_floor:
-        _check(w[..., 0] >= eig_floor, lambda i: f"negative eigenvalue {w[..., 0].flat[i]:.3e}")
+    if w[..., 0].min() < EIG_FLOOR:
+        _check(w[..., 0] >= EIG_FLOOR, lambda i: f"negative eigenvalue {w[..., 0].flat[i]:.3e}")
     return w, v
 
 
@@ -163,14 +167,14 @@ def _terms(p, times):
     return (*propagator.propagator_terms(p, times), hamiltonian(p))
 
 
-def evolve_pairs(pairs, times, initial=None, keep_states=False, norm_floor=NORM_FLOOR):
+def evolve_pairs(pairs, times, initial=None, keep_states=False):
     """Concurrence and unnormalized norm, each (P, T), and with keep_states
     the (P, T, 4, 4) states, of `initial` (default: the Bell state) under
     each (p1, p2) of `pairs` over `times`; p2 may be an IdentityEvolution
     marker. U1 F U2^T expands over {I, H1} x {I, H2}: one real
     (P, T, 4) x (P, 4, 8r) product of scalar terms with four constant
     complex blocks per pair seen as floats. A norm that is not finite or
-    below norm_floor raises OverflowError or DegenerateNormError naming the
+    below NORM_FLOOR raises OverflowError or DegenerateNormError naming the
     first bad t of the first pair that has one."""
     factor = _BELL_FACTOR if initial is None else rank_factor(initial)
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -191,7 +195,7 @@ def evolve_pairs(pairs, times, initial=None, keep_states=False, norm_floor=NORM_
         # (re, im) pairs of the (P, T, 4r) blocks
         flat = terms @ basis.reshape(len(pairs), 4, -1).view(float)
         norms = np.einsum("pti,pti->pt", flat, flat)
-    healthy = np.isfinite(norms) & (norms >= norm_floor)
+    healthy = np.isfinite(norms) & (norms >= NORM_FLOOR)
     if not healthy.all():
         i = int(np.argmin(healthy))  # row-major: the first bad pair, then its first t
         t, norm = float(times[i % times.size]), float(norms.flat[i])
@@ -208,14 +212,14 @@ def evolve_pairs(pairs, times, initial=None, keep_states=False, norm_floor=NORM_
     return conc, norms, states
 
 
-def evolve_state(initial, p1, p2, t, norm_floor=NORM_FLOOR):
+def evolve_state(initial, p1, p2, t):
     """rho(t) = U rho(0) U+ / Tr[U rho(0) U+], re-symmetrized.
 
     p2 may be an IdentityEvolution marker. Raises DegenerateNormError when
-    the trace denominator falls below norm_floor, OverflowError when it is
+    the trace denominator falls below NORM_FLOOR, OverflowError when it is
     not finite.
     """
-    return evolve_pairs([(p1, p2)], [t], initial, True, norm_floor)[2][0, 0]
+    return evolve_pairs([(p1, p2)], [t], initial, True)[2][0, 0]
 
 
 def run(spec, keep_states=False):

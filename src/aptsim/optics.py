@@ -6,10 +6,10 @@ Angle conventions: all public setting angles are degrees. With the Jones
 matrices below, QWP(45) HWP(theta) QWP(45) = -i * diag(-e^{-2i theta},
 e^{2i theta}); the two sandwiches in a full string therefore contribute a
 global factor of -1, which decompose() absorbs by adding 45 degrees to
-both theta angles. The branch integer k is not assumed: candidates are
-tried and the reconstruction round-trip decides. decompose_grid() does
-this for a whole time grid at once, with every candidate tried on every
-point as one stack of 2x2 plate products.
+both theta angles. One branch serves: theta1 = theta2 (k = 0), since the
+shift (theta1, theta2) + k (45, -45) leaves the product as it is for k = 2
+and negates its real off-diagonal C for k = +-1, a sign lambda1,2 carry.
+decompose_grid() decomposes a time grid as one stack of 2x2 plate products.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,6 @@ from .model import Family
 from .propagator import propagators
 
 _ROUNDTRIP_TOL = 1e-10
-_BRANCH_CANDIDATES = (0, 1, -1, 2)
 
 
 def hwp(angle_deg):
@@ -97,11 +96,11 @@ def decompose_grid(p, times):
     """decompose() at every t of `times`, as a list of DecompositionParams.
 
     A, B and C come off one propagator stack and every field is computed
-    elementwise. Each branch candidate k is tried on every point at once;
-    a point keeps the first k whose round-trip error is within _ROUNDTRIP_TOL
-    of the point's largest |U| entry, since U grows like cosh in t.
-    Raises DecompositionError naming the first t that is degenerate or
-    that no candidate reproduces.
+    elementwise, theta1 = theta2 = arg(A + iB) / 4 + 45 degrees included.
+    A point holds when its round-trip error is within _ROUNDTRIP_TOL of its
+    largest |U| entry, since U grows like cosh in t. Raises
+    DecompositionError naming the first t that is degenerate or that the
+    plate strings do not reproduce.
     """
     if p.family is not Family.APT:
         raise ValueError("decomposition is defined for the APT family only")
@@ -116,30 +115,22 @@ def decompose_grid(p, times):
         c = np.maximum(lam1, lam2)
         xi1 = np.rad2deg(0.5 * np.arcsin(np.minimum(lam1 / c, 1.0)))
         xi2 = np.rad2deg(0.5 * np.arcsin(np.minimum(lam2 / c, 1.0)))
-        phi = np.arctan2(b, a)
-        k = np.array(_BRANCH_CANDIDATES)[:, None]
-        theta1 = np.rad2deg((phi + k * np.pi) / 4.0 + np.pi / 4.0) % 180.0
-        theta2 = np.rad2deg((phi - k * np.pi) / 4.0 + np.pi / 4.0) % 180.0
-        recon = c[:, None, None] * _plate_strings(theta1, theta2, xi1, xi2)
-        err = (np.max(np.abs(recon - target), axis=(-2, -1))  # (candidate, t)
+        theta = np.rad2deg(np.arctan2(b, a) / 4.0 + np.pi / 4.0) % 180.0
+        recon = c[:, None, None] * _plate_strings(theta, theta, xi1, xi2)
+        err = (np.max(np.abs(recon - target), axis=(-2, -1))
                / np.max(np.abs(target), axis=(-2, -1)))
-    matched = err < _ROUNDTRIP_TOL
-    bad = degenerate | ~matched.any(axis=0)
+    bad = degenerate | ~(err < _ROUNDTRIP_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         where = f"t={float(times[i]):g}"
         if degenerate[i]:
             raise DecompositionError(f"{where}: degenerate propagator: |A + iB| + |C| = 0")
-        errs = np.where(np.isnan(err[:, i]), np.inf, err[:, i])
-        best = int(np.argmin(errs))
+        best = np.inf if np.isnan(err[i]) else err[i]
         raise DecompositionError(
-            f"{where}: no branch reproduced the propagator "
-            f"(best error {errs[best]:.3e} of max |U| at k={_BRANCH_CANDIDATES[best]})")
-    first = np.argmax(matched, axis=0)
-    pick = first, np.arange(times.size)
-    return [DecompositionParams(*row) for row in zip(
-        theta1[pick].tolist(), theta2[pick].tolist(), xi1.tolist(), xi2.tolist(),
-        k[first, 0].tolist(), c.tolist(), lam1.tolist(), lam2.tolist())]
+            f"{where}: no branch reproduced the propagator (best error {best:.3e} of max |U|)")
+    return [DecompositionParams(th, th, x1, x2, 0, cc, l1, l2)
+            for th, x1, x2, cc, l1, l2 in zip(theta.tolist(), xi1.tolist(), xi2.tolist(),
+                                              c.tolist(), lam1.tolist(), lam2.tolist())]
 
 
 def decompose(p, t):
@@ -147,8 +138,8 @@ def decompose(p, t):
 
     lambda1,2 = sqrt(A^2 + B^2) -+ C are both nonnegative because
     A^2 + B^2 = 1 + C^2; c = max(lambda1, lambda2) keeps both loss angles
-    real. The smallest-|k| branch whose reconstruction reproduces the
-    propagator wins. The one-point case of decompose_grid().
+    real. theta1 = theta2 = arg(A + iB) / 4 + 45 degrees: the other branches
+    only repeat that product or negate C. The one-point case of decompose_grid().
     """
     return decompose_grid(p, [t])[0]
 

@@ -115,10 +115,11 @@ class TestEvolveState:
         with pytest.raises(OverflowError, match="t=400"):
             evolve_state(bell_state(), AptParams(a=0.5), AptParams(a=0.5), 400.0)
 
-    def test_degenerate_norm_raises_with_time(self):
+    def test_degenerate_norm_raises_with_time(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "NORM_FLOOR", 10.0)
         p = AptParams(a=1.2)
         with pytest.raises(DegenerateNormError) as err:
-            evolve_state(bell_state(), p, p, 0.5, norm_floor=10.0)
+            evolve_state(bell_state(), p, p, 0.5)
         assert err.value.t == 0.5
 
 

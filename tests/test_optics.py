@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aptsim import optics
 from aptsim.model import AptParams, Family
 from aptsim.optics import (BeamPaths, DecompositionError, DecompositionParams,
                            bd_circuit, decompose, decompose_grid, hwp, loss_matrix,
                            qwp, reconstruct)
-from aptsim.propagator import closed_form
+from aptsim.propagator import closed_form, propagators
 
 RNG = np.random.default_rng(11)
 
@@ -149,6 +151,36 @@ class TestDecompose:
     def test_overflowing_point_names_its_t(self):
         with pytest.raises(DecompositionError, match=r"^t=1000: .*best error inf"):
             decompose_grid(AptParams(a=0.5), [0.0, 1000.0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(theta=st.floats(-360.0, 360.0), xi1=st.floats(0.0, 45.0),
+           xi2=st.floats(0.0, 45.0))
+    def test_other_branches_repeat_or_negate_off_diagonal(self, theta, xi1, xi2):
+        # why decompose_grid() needs only theta1 = theta2: the branch shift
+        # (theta1, theta2) + k (45, -45) gives the k = 0 product for k = 2,
+        # and for k = +-1 that product with its off-diagonal negated, which
+        # the loss angles already fix through the sign of C
+        base = optics._plate_strings(theta, theta, xi1, xi2)
+        flip = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        k2 = optics._plate_strings(theta + 90.0, theta - 90.0, xi1, xi2)
+        assert np.max(np.abs(k2 - base)) < 1e-14
+        for sign in (1.0, -1.0):
+            k1 = optics._plate_strings(theta + sign * 45.0, theta - sign * 45.0, xi1, xi2)
+            assert np.max(np.abs(k1 - flip * base)) < 1e-14
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=st.one_of(st.floats(0.05, 5.0, exclude_min=True),
+                       st.sampled_from((1.0, 1.0 - 1e-9, 1.0 + 1e-9))),
+           gamma=st.floats(0.2, 5.0), reach=st.floats(0.0, 1.0),
+           size=st.integers(1, 60))
+    def test_one_branch_round_trips_at_any_gamma(self, a, gamma, reach, size):
+        p = AptParams(a=a, gamma=gamma)
+        times = np.linspace(0.0, reach * 20.0 / gamma, size)
+        target = propagators(p, times)
+        for d, u in zip(decompose_grid(p, times), target):
+            assert d.k == 0 and d.theta2_deg == d.theta1_deg
+            err = np.max(np.abs(d.c * reconstruct(d) - u))
+            assert err <= optics._ROUNDTRIP_TOL * np.max(np.abs(u))
 
 
 class TestBeamDisplacerCircuit:

@@ -4,9 +4,8 @@ nonunitary propagator and a tomography measurement chain."""
 
 from .dynamics import (IDENTITY, DegenerateNormError, EvolutionSpec,
                        IdentityEvolution, InvalidStateError, Trajectory,
-                       bell_ket, bell_state, bell_concurrence_curve,
-                       evolve_pairs, evolve_state, maximally_mixed, run,
-                       validate_density_matrix)
+                       bell_ket, bell_state, evolve_pairs, evolve_state,
+                       maximally_mixed, run, time_grid, validate_density_matrix)
 from .entanglement import (ConcurrenceReport, analytic_concurrence_identical,
                            concurrence, concurrence_minimum_identical,
                            concurrence_period, ep_concurrence)

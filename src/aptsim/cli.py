@@ -20,7 +20,7 @@ of whole curves of about _CHUNK_ROWS rows, which is one call for every
 preset and the default sweep, and write nothing until every chunk is done.
 `decompose` keeps one `%` format per row: on its 51-row default table that
 takes about 60 us, and the encoder, whose cost is mostly fixed per call,
-about 90 us.
+about 90 us. Every command takes its time grid from dynamics.time_grid.
 
 Exit codes: 0 success, 1 i/o error, 2 validation error, 3 numerical error
 (out of memory included, with a one-line message and no output file).
@@ -35,12 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (IDENTITY, MAX_SAMPLES, DegenerateNormError,
-                       EvolutionSpec, IdentityEvolution, evolve_pairs,
-                       rank_factor, run)
+                       IdentityEvolution, evolve_pairs, rank_factor, time_grid)
 from .linalg import wootters
 from .model import AptParams, Family
 from .optics import DecompositionError, decompose_grid
-from .tomography import MAX_TOTAL, MleConvergenceError, draw_counts, mle_fit
+from .tomography import MAX_TOTAL, MleConvergenceError, draw_counts, fidelity, mle_fit
 
 FIGURE_IDS = ("2a", "2b", "3a", "3b", "4a", "4b", "4c", "4d", "A4", "A5")
 
@@ -212,15 +211,15 @@ def _encode(x, end):
 
 
 def _text(rows, *columns):
-    """The CSV lines whose cells are the rows of columns, as bytes without the
-    NULs. A column is (rows, 2), or (2,) for a cell repeated on every row;
-    with a leading curve axis, (curves, rows, 2) or (curves, 1, 2), the
-    result is a list of bytes, one per curve. Each curve is filled into one
+    """The CSV lines of each curve, as a list of bytes without the NULs,
+    whose cells are the rows of columns. A column is (curves, rows, 2), or
+    broadcasts to it: (rows, 2) for a column every curve shares, (curves, 1, 2)
+    or (2,) for a cell repeated on every row. Each curve is filled into one
     uint64 buffer of at most _BLOCK rows that every curve reuses, a curve
     longer than that _BLOCK rows at a time, and the buffer's bytes drop
     their NULs by bytes.translate."""
-    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
-    columns = [np.broadcast_to(c, np.broadcast_shapes((1, rows, 2), shape)) for c in columns]
+    shape = np.broadcast_shapes((1, rows, 2), *(np.shape(c) for c in columns))
+    columns = [np.broadcast_to(c, shape) for c in columns]
     buf = np.empty((min(rows, _BLOCK), len(columns), 2), dtype="<u8")
     texts = []
     for curve in zip(*columns):
@@ -231,7 +230,7 @@ def _text(rows, *columns):
                 buf[:n, j] = c[i:i + n]
             parts.append(buf[:n].tobytes().translate(None, b"\0"))
         texts.append(b"".join(parts))
-    return texts if len(shape) == 3 else texts[0]
+    return texts
 
 
 def _chunks(n_items, n_rows):
@@ -240,11 +239,18 @@ def _chunks(n_items, n_rows):
     return [slice(i, i + step) for i in range(0, n_items, step)]
 
 
+def _write(out, data):
+    """Write the bytes `data` to the path `out`, making its parent directory."""
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return [path]
+
+
 def run_figure(args):
     curves, default_t_max = figure_curves(args.figure)
     t_max = default_t_max if args.t_max is None else args.t_max
-    times = EvolutionSpec(p1=curves[0][0], p2=curves[0][1], t_max=t_max,
-                          dt=args.dt).time_grid()  # every curve shares one grid
+    times = time_grid(t_max, args.dt)  # every curve shares one grid
     # every curve is computed before the first file is written, so a curve
     # that fails leaves no partial output
     chunks = _chunks(len(curves), times.size)
@@ -292,8 +298,7 @@ def run_sweep(args):
                          f"12 decimals; a2 must be > 0")
 
     p1 = _apt(args.a1)
-    times = EvolutionSpec(p1=p1, p2=_apt(a2_values[0]), t_max=args.t_max,
-                          dt=args.dt).time_grid()
+    times = time_grid(args.t_max, args.dt)
     pairs = [(p1, _apt(a2)) for a2 in a2_values]
     chunks = _chunks(len(pairs), times.size)
     concurrence = [evolve_pairs(pairs[chunk], times)[0] for chunk in chunks]
@@ -305,24 +310,18 @@ def run_sweep(args):
     for chunk, c in zip(chunks, concurrence):
         blocks += _text(times.size, a1_cells, a2_cells[chunk, None], t_cells,
                         _cells(c, _NEWLINE))
-    path = Path(args.out)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"".join(blocks))
-    return [path]
+    return _write(args.out, b"".join(blocks))
 
 
 def run_decompose(args):
     p = _apt(args.a1)
-    times = EvolutionSpec(p1=p, p2=p, t_max=args.t_max, dt=args.dt).time_grid()
+    times = time_grid(args.t_max, args.dt)
+    d = decompose_grid(p, times)
     fmt = "%.6g," % args.a1 + "%.6g,%.6g,%.6g,%.6g,%.6g,%d,%.6g\n"
-    rows = [fmt % (t, d.theta1_deg, d.theta2_deg, d.xi1_deg, d.xi2_deg, d.k, d.c)
-            for t, d in zip(times.tolist(), decompose_grid(p, times))]
-    path = Path(args.out)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("a,t,theta1_deg,theta2_deg,xi1_deg,xi2_deg,k,c\n" + "".join(rows))
-    return [path]
+    rows = [fmt % row for row in zip(*(x.tolist() for x in (
+        times, d.theta1_deg, d.theta2_deg, d.xi1_deg, d.xi2_deg, d.k, d.c)))]
+    return _write(args.out, ("a,t,theta1_deg,theta2_deg,xi1_deg,xi2_deg,k,c\n"
+                             + "".join(rows)).encode())
 
 
 def run_tomography(args):
@@ -330,21 +329,19 @@ def run_tomography(args):
         raise ValueError(f"--total must be in [1, {MAX_TOTAL:.0e}], got {args.total}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    p1 = _apt(args.a1)
-    p2 = IDENTITY if args.identity_qubit2 else _apt(args.a2)
-    traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=args.t_max, dt=args.dt),
-               keep_states=True)
-    # one array pipeline over the grid: counts, fits and concurrences
-    truths = traj.states
+    pair = (_apt(args.a1), IDENTITY if args.identity_qubit2 else _apt(args.a2))
+    times = time_grid(args.t_max, args.dt)
+    # one array pipeline over the grid: states, counts, fits and concurrences
+    (conc,), _, (truths,) = evolve_pairs([pair], times, keep_states=True)
     observed = draw_counts(truths, total=args.total, seed=args.seed,
                            noiseless=args.noiseless)[1]
     try:
-        rho_hat, log_likelihood, iterations, fids = mle_fit(
-            observed, np.full(observed.shape, args.total), truths=truths)
+        rho_hat, log_likelihood, iterations = mle_fit(
+            observed, np.full(observed.shape, args.total))
     except MleConvergenceError as exc:
-        raise MleConvergenceError(f"t={float(traj.times[exc.points[0]]):g}: {exc}",
+        raise MleConvergenceError(f"t={float(times[exc.points[0]]):g}: {exc}",
                                   exc.points) from exc
-    columns = {"t": traj.times, "fidelity": fids, "concurrence_theory": traj.concurrence,
+    columns = {"t": times, "fidelity": fidelity(truths, rho_hat), "concurrence_theory": conc,
                "concurrence_mle": wootters(rank_factor(rho_hat))[0],
                "log_likelihood": log_likelihood, "iterations": iterations}
     points = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
@@ -359,11 +356,7 @@ def run_tomography(args):
         "noiseless": args.noiseless,
         "points": points,
     }
-    path = Path(args.out)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return [path]
+    return _write(args.out, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
 
 
 @functools.cache

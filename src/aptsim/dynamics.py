@@ -2,9 +2,9 @@
 renormalization, and trajectory sampling.
 
 One stacked kernel, evolve_pairs(), evolves one initial state under P qubit
-pairs (p1, p2) over one time grid; run(), evolve_state() and
-bell_concurrence_curve() are its P = 1 case, and the figure and sweep commands
-call it once per chunk of whole curves. rho0 = F F^H is factored once by eigh,
+pairs (p1, p2) over one time grid, such as time_grid() validates and returns;
+run() and evolve_state() are its P = 1 case, and the CLI commands call it
+once per chunk of whole curves. rho0 = F F^H is factored once by eigh,
 which also checks that rho0 is a state; the default Bell state's factor is a
 module constant, so it is neither validated nor factored again. Each column of
 F, as a 2x2 block F_k, evolves as U1(t) F_k U2(t)^T over the whole grid at
@@ -124,6 +124,28 @@ _BELL_FACTOR = rank_factor(bell_state())
 _BELL_FACTOR.flags.writeable = False
 
 
+def _samples(t_max, dt):
+    """The number of samples of the grid 0, dt, ..., t_max; ValueError unless
+    t_max and dt are finite, dt > 0, t_max >= 0 and it is at most MAX_SAMPLES."""
+    for name, value in (("t_max", t_max), ("dt", dt)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    samples = t_max / dt + 1.0  # a float: no huge or infinite int
+    if not samples <= MAX_SAMPLES:
+        raise ValueError(f"dt = {dt} gives {samples:.3g} samples up to "
+                         f"t_max = {t_max}, more than {MAX_SAMPLES}")
+    return int(np.floor(t_max / dt + 1e-9)) + 1
+
+
+def time_grid(t_max, dt):
+    """The validated time grid 0, dt, ..., t_max (see _samples)."""
+    return np.arange(_samples(t_max, dt)) * dt
+
+
 @dataclass(frozen=True)
 class EvolutionSpec:
     """One trajectory request: qubit parameters, grid, and initial state
@@ -135,21 +157,10 @@ class EvolutionSpec:
     initial: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for name in ("t_max", "dt"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_max < 0:
-            raise ValueError(f"t_max must be >= 0, got {self.t_max}")
-        samples = self.t_max / self.dt + 1.0  # a float: no huge or infinite int
-        if not samples <= MAX_SAMPLES:
-            raise ValueError(f"dt = {self.dt} gives {samples:.3g} samples up to "
-                             f"t_max = {self.t_max}, more than {MAX_SAMPLES}")
+        _samples(self.t_max, self.dt)
 
     def time_grid(self):
-        n = int(np.floor(self.t_max / self.dt + 1e-9))
-        return np.arange(n + 1) * self.dt
+        return time_grid(self.t_max, self.dt)
 
 
 @dataclass
@@ -232,9 +243,3 @@ def run(spec, keep_states=False):
                                        keep_states)
     return Trajectory(times=times, concurrence=conc[0], unnormalized_norm=norms[0],
                       states=None if states is None else states[0])
-
-
-def bell_concurrence_curve(p1, p2, times):
-    """Concurrence of the Bell-initial trajectory over any array of times;
-    p2 may be an IdentityEvolution marker, and either family is allowed."""
-    return evolve_pairs([(p1, p2)], times)[0][0]

@@ -58,7 +58,8 @@ class DecompositionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class DecompositionParams:
-    """Plate angles, loss angles, branch, and scale realizing a propagator.
+    """Plate angles, loss angles, branch, and scale realizing a propagator,
+    or, as decompose_grid() returns them, (T,) arrays over a time grid.
 
     c * reconstruct(params) equals the propagator elementwise, with
     sin(2 xi1) = lambda1 / c and sin(2 xi2) = lambda2 / c in [0, 1].
@@ -93,7 +94,8 @@ def reconstruct(d):
 
 
 def decompose_grid(p, times):
-    """decompose() at every t of `times`, as a list of DecompositionParams.
+    """decompose() at every t of `times`, as one DecompositionParams of (T,)
+    arrays: theta2_deg a copy of theta1_deg, k integer zeros.
 
     A, B and C come off one propagator stack and every field is computed
     elementwise, theta1 = theta2 = arg(A + iB) / 4 + 45 degrees included.
@@ -128,9 +130,8 @@ def decompose_grid(p, times):
         best = np.inf if np.isnan(err[i]) else err[i]
         raise DecompositionError(
             f"{where}: no branch reproduced the propagator (best error {best:.3e} of max |U|)")
-    return [DecompositionParams(th, th, x1, x2, 0, cc, l1, l2)
-            for th, x1, x2, cc, l1, l2 in zip(theta.tolist(), xi1.tolist(), xi2.tolist(),
-                                              c.tolist(), lam1.tolist(), lam2.tolist())]
+    return DecompositionParams(theta, theta.copy(), xi1, xi2, np.zeros(times.size, dtype=int),
+                               c, lam1, lam2)
 
 
 def decompose(p, t):
@@ -139,9 +140,10 @@ def decompose(p, t):
     lambda1,2 = sqrt(A^2 + B^2) -+ C are both nonnegative because
     A^2 + B^2 = 1 + C^2; c = max(lambda1, lambda2) keeps both loss angles
     real. theta1 = theta2 = arg(A + iB) / 4 + 45 degrees: the other branches
-    only repeat that product or negate C. The one-point case of decompose_grid().
+    only repeat that product or negate C. The one-point case of decompose_grid(),
+    with Python float and int fields.
     """
-    return decompose_grid(p, [t])[0]
+    return DecompositionParams(*(x.item() for x in vars(decompose_grid(p, [t])).values()))
 
 
 @dataclass(frozen=True)

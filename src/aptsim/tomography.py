@@ -44,7 +44,7 @@ _SETTINGS = {
 
 DEFAULT_TOTAL = 10000
 MAX_TOTAL = 10 ** 18  # numpy draws Poisson counts up to a mean of about 9.2e18
-DEFAULT_MAX_ITER = 100000
+MAX_PASSES = 100000  # Newton passes per point; mle_fit reads it at call time
 
 # row b: the two-photon ket of BASIS_LABELS[b]
 _KETS = np.array([np.kron(_SINGLE_KETS[label[0]], _SINGLE_KETS[label[1]])
@@ -174,10 +174,10 @@ def _start(rho):
             2.0 * kets[:, :, :, None], outer)
 
 
-def _newton(n, big_n, rho, max_iter):
+def _newton(n, big_n, rho):
     """Minimize f from each row of the (P,4,4) start stack `rho`: the
     estimates, each row's accepted steps, and which rows stopped within
-    max_iter passes. Stopped rows leave the working arrays."""
+    MAX_PASSES passes. Stopped rows leave the working arrays."""
     x, order, conj_kets, twice_kets, projectors = _start(rho)
     estimates = np.zeros((len(rho), 4, 4), dtype=complex)
     iterations, steps, passes = np.zeros((3, len(rho)), dtype=int)
@@ -241,7 +241,7 @@ def _newton(n, big_n, rho, max_iter):
             (x[saddle], order[saddle], conj_kets[saddle], twice_kets[saddle],
              projectors[saddle]) = _start(_unpermuted(factor, order[saddle]))
 
-        done = stop | (passes >= max_iter)
+        done = stop | (passes >= MAX_PASSES)
         if done.any():
             estimates[rows[done]] = _unpermuted(_to_matrix(x[done]), order[done])
             iterations[rows[done]] = steps[done]
@@ -254,15 +254,14 @@ def _newton(n, big_n, rho, max_iter):
     return estimates, iterations, converged
 
 
-def mle_fit(observed, totals, truths=None, max_iter=DEFAULT_MAX_ITER):
+def mle_fit(observed, totals):
     """Maximum-likelihood fits of (P,16) observed counts and per-basis totals
     in basis order; row i depends on row i alone. Returns the (P,4,4)
-    estimates, their log-likelihoods, each point's accepted Newton steps,
-    and the fidelities against the (P,4,4) `truths` (None without them).
+    estimates, their log-likelihoods and each point's accepted Newton steps.
 
     A point converges when its Newton decrement is below 1e-13 * sum_b N_b
     and its Frank-Wolfe gap below 1e-6 * sum_b N_b; MleConvergenceError
-    names the points that have not within max_iter Newton passes. ValueError
+    names the points that have not within MAX_PASSES Newton passes. ValueError
     names shapes other than (P,16), or the first point with a count that is
     not finite and >= 0 or a total that is not finite and > 0.
     """
@@ -280,30 +279,27 @@ def mle_fit(observed, totals, truths=None, max_iter=DEFAULT_MAX_ITER):
     scale = totals.sum(axis=1, keepdims=True)
     linear = ((observed / totals)[:, None, :] * _INVERSION).sum(axis=2).reshape(-1, 4, 4)
     start = _project((linear + linear.conj().transpose(0, 2, 1)) / 2.0)
-    rho, steps, converged = _newton(observed / scale, totals / scale, start, max_iter)
+    rho, steps, converged = _newton(observed / scale, totals / scale, start)
     stuck = np.flatnonzero(~converged)
     if stuck.size:
         raise MleConvergenceError(
-            f"no convergence within {max_iter} iterations at points {stuck.tolist()}",
+            f"no convergence within {MAX_PASSES} iterations at points {stuck.tolist()}",
             stuck.tolist())
 
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
     mus = totals * np.maximum(_probabilities(rho), _P_FLOOR)
     log_likelihood = np.sum(observed * np.log(mus) - mus, axis=1)
-    return rho, log_likelihood, steps, None if truths is None else _fidelities(truths, rho)
-
-
-def _fidelities(a, b):
-    """Uhlmann fidelity of each pair of (P,4,4) stacks, clamped to [0, 1]:
-    (sum of the singular values of A^H B)^2 for the rank_factor factors
-    a = A A^H and b = B B^H. No matrix square root is taken, so a rank-1
-    a = |psi><psi| gives <psi|b|psi> to rounding."""
-    factor_a, factor_b = (rank_factor(np.asarray(m, dtype=complex), validate=False)
-                          for m in (a, b))
-    s = np.linalg.svd(factor_a.conj().transpose(0, 2, 1) @ factor_b, compute_uv=False)
-    return np.clip(s.sum(axis=1) ** 2, 0.0, 1.0)
+    return rho, log_likelihood, steps
 
 
 def fidelity(a, b):
-    """Uhlmann fidelity of two states: the one-pair case of _fidelities."""
-    return float(_fidelities([a], [b])[0])
+    """Uhlmann fidelity, clamped to [0, 1], of each pair of two (P,4,4)
+    stacks as a (P,) array, or of two 4x4 states as a float (their (1,4,4)
+    stack): (sum of the singular values of A^H B)^2 for the rank_factor
+    factors a = A A^H and b = B B^H. No matrix square root is taken, so a
+    rank-1 a = |psi><psi| gives <psi|b|psi> to rounding."""
+    a, b = (np.asarray(m, dtype=complex) for m in (a, b))
+    factor_a, factor_b = (rank_factor(m.reshape(-1, 4, 4), validate=False) for m in (a, b))
+    s = np.linalg.svd(factor_a.conj().transpose(0, 2, 1) @ factor_b, compute_uv=False)
+    fids = np.clip(s.sum(axis=1) ** 2, 0.0, 1.0)
+    return float(fids[0]) if a.ndim == 2 else fids

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from aptsim import cli
-from aptsim.dynamics import (IDENTITY, EvolutionSpec, bell_concurrence_curve,
-                             bell_state, evolve_state, run)
+from aptsim.dynamics import (IDENTITY, EvolutionSpec, bell_state, evolve_pairs,
+                             evolve_state, run)
 from aptsim.entanglement import (analytic_concurrence_identical, concurrence,
                                  concurrence_minimum_identical,
                                  concurrence_period, ep_concurrence)
 from aptsim.model import AptParams, Family, hamiltonian
 from aptsim.optics import bd_circuit, decompose, loss_matrix, reconstruct
 from aptsim.propagator import closed_form
-from aptsim.tomography import draw_counts, mle_fit
+from aptsim.tomography import draw_counts, fidelity, mle_fit
 
 from oracles import expm_series
 from trajkit import (brute_concurrence, measured_period, refine_maximum,
@@ -148,14 +148,14 @@ def test_criterion_09_nonperiodicity_witness():
 
     p1, p2 = AptParams(a=1.2), AptParams(a=1.3)
     _, defect = scan_best_period(
-        lambda ts: bell_concurrence_curve(p1, p2, ts), base_times, 0.5, 40.0)
+        lambda ts: evolve_pairs([(p1, p2)], ts)[0][0], base_times, 0.5, 40.0)
     assert defect >= 1e-6
 
     periodic = {}
     for a in (1.2, 1.8):
         p = AptParams(a=a)
         best_t, best_defect = scan_best_period(
-            lambda ts: bell_concurrence_curve(p, p, ts), base_times, 0.5, 40.0)
+            lambda ts: evolve_pairs([(p, p)], ts)[0][0], base_times, 0.5, 40.0)
         assert best_defect < 1e-6
         fundamental = concurrence_period(a)
         cycles = best_t / fundamental
@@ -193,7 +193,7 @@ def test_criterion_11_single_qubit_evolution():
 
     base_times = np.arange(0.0, 14.0 + 1e-9, 0.01)
     best_t, defect = scan_best_period(
-        lambda ts: bell_concurrence_curve(p, IDENTITY, ts), base_times, 0.5, 40.0)
+        lambda ts: evolve_pairs([(p, IDENTITY)], ts)[0][0], base_times, 0.5, 40.0)
     assert defect < 1e-6
     print(f"[acceptance] criterion 11: PASS (min {brute_min:.6f} vs "
           f"{expected_min:.6f}, periodic defect {defect:.1e} at T={best_t:.4f})")
@@ -203,8 +203,8 @@ def test_criterion_12_tomography_loop():
     p = AptParams(a=1.2)
     truths = np.array([evolve_state(bell_state(), p, p, 0.5 * i) for i in range(10)])
     observed = draw_counts(truths, total=10000, seed=100, noiseless=True)[1]
-    rho_hat, _, _, fids = mle_fit(observed, np.full(observed.shape, 10000), truths=truths)
-    worst_fid = float(fids.min())
+    rho_hat = mle_fit(observed, np.full(observed.shape, 10000))[0]
+    worst_fid = float(fidelity(truths, rho_hat).min())
     worst_gap = max(abs(concurrence(r).value - concurrence(truth).value)
                     for r, truth in zip(rho_hat, truths))
     assert worst_fid > 0.999
@@ -213,7 +213,7 @@ def test_criterion_12_tomography_loop():
     # 100 draws of one state, from seeds 3000-3099
     truths = np.repeat(evolve_state(bell_state(), p, p, 1.0)[None], 100, axis=0)
     observed = draw_counts(truths, total=10000, seed=3000)[1]
-    fids = mle_fit(observed, np.full(observed.shape, 10000), truths=truths)[3]
+    fids = fidelity(truths, mle_fit(observed, np.full(observed.shape, 10000))[0])
     passing = int(np.sum(fids > 0.98))
     assert passing >= 95
     print(f"[acceptance] criterion 12: PASS (noiseless min fid {worst_fid:.6f}, "

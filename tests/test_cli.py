@@ -57,15 +57,15 @@ class TestCsvRows:
         t_cells = cli._cells(t, ord(","))
         # the figure writer's cells: concurrence and norm in one call
         cn = cli._cells(np.stack([c, n], axis=-1), cli._ENDS)
-        assert cli._text(size, t_cells, cn[:, 0], cn[:, 1]).decode() == _fstring_lines(t, c, n)
+        assert cli._text(size, t_cells, cn[:, 0], cn[:, 1])[0].decode() == _fstring_lines(t, c, n)
         # the sweep writer's: constant a1 and a2 cells repeated on every row
         sweep = cli._text(size, cli._cells(a1, ord(",")), cli._cells([a2], ord(","))[0], t_cells,
-                          cli._cells(c, ord("\n")))
+                          cli._cells(c, ord("\n")))[0]
         assert sweep.decode() == _fstring_lines([a1] * size, [a2] * size, t, c)
 
     def test_edge_sweep_matches_percent_format(self):
         x = _edge_sweep()
-        text = cli._text(x.size, cli._cells(x, ord("\n")))
+        text = cli._text(x.size, cli._cells(x, ord("\n")))[0]
         assert text.decode().splitlines() == ["%.6g" % v for v in x.tolist()]
 
     @pytest.mark.parametrize("block", [1, 3, 5, 1 << 12])
@@ -81,7 +81,7 @@ class TestCsvRows:
             t_cells, v_cells = cli._cells(t, ord(",")), cli._cells(v, cli._ENDS)
             a2_cells = cli._cells(a2, ord(","))
             texts = cli._text(rows, t_cells, v_cells[:, :, 0], v_cells[:, :, 1])
-            assert texts == [cli._text(rows, t_cells, c[:, 0], c[:, 1]) for c in v_cells]
+            assert texts == [cli._text(rows, t_cells, c[:, 0], c[:, 1])[0] for c in v_cells]
             assert [x.decode() for x in texts] == [_fstring_lines(t, c[:, 0], c[:, 1]) for c in v]
             sweep = cli._text(rows, cli._cells(0.8, ord(",")), a2_cells[:, None], t_cells,
                               cli._cells(v[:, :, 0], ord("\n")))
@@ -147,16 +147,34 @@ class TestOneKernelCall:
         qubits = calls["propagator_terms"]
         assert len(qubits) == len(set(qubits)) == (1 if argv[-1] == "2b" else 21)
 
+    def test_tomography_evolves_once(self, tmp_path, monkeypatch):
+        calls = {"evolve_pairs": [], "time_grid": []}
+        evolve, grid = cli.evolve_pairs, cli.time_grid
+        monkeypatch.setattr(cli, "evolve_pairs", lambda pairs, times, **kwargs: (
+            calls["evolve_pairs"].append(kwargs) or evolve(pairs, times, **kwargs)))
+        monkeypatch.setattr(cli, "time_grid", lambda t_max, dt: (
+            calls["time_grid"].append((t_max, dt)) or grid(t_max, dt)))
+        assert cli.main(["tomography", "--out", str(tmp_path / "t.json")]) == 0
+        assert calls == {"evolve_pairs": [{"keep_states": True}], "time_grid": [(4.5, 0.5)]}
+
+    def test_decompose_decomposes_once(self, tmp_path, monkeypatch):
+        calls, decompose = [], cli.decompose_grid
+        monkeypatch.setattr(cli, "decompose_grid", lambda p, times: (
+            calls.append(times.size) or decompose(p, times)))
+        assert cli.main(["decompose", "--a1", "1.2", "--out", str(tmp_path / "d.csv")]) == 0
+        assert calls == [51]
+
 
 class TestOversizedGrids:
     @pytest.fixture(autouse=True)
     def refuse_grids(self, monkeypatch):
         # the rejection must come before a grid exists; should it regress,
         # this fails the test instead of attempting the allocation
-        def refuse(spec):
-            raise AssertionError(f"time grid built for t_max={spec.t_max}, dt={spec.dt}")
+        def refuse(t_max, dt):
+            dynamics._samples(t_max, dt)  # time_grid's validator must raise
+            raise AssertionError(f"time grid built for t_max={t_max}, dt={dt}")
 
-        monkeypatch.setattr(EvolutionSpec, "time_grid", refuse)
+        monkeypatch.setattr(cli, "time_grid", refuse)
 
     @pytest.mark.parametrize("argv,out,named", [
         (["figure", "--figure", "2a", "--dt", "1e-12"], "figs", "dt = 1e-12"),
@@ -397,8 +415,8 @@ class TestTomographyCommand:
         # the grid's counts, drawn as one array, equal draw_counts one state
         # at a time, bit for bit
         seen, fit = [], cli.mle_fit
-        monkeypatch.setattr(cli, "mle_fit", lambda observed, totals, truths=None: (
-            seen.append((observed, totals)) or fit(observed, totals, truths)))
+        monkeypatch.setattr(cli, "mle_fit", lambda observed, totals: (
+            seen.append((observed, totals)) or fit(observed, totals)))
         assert cli.main(["tomography", "--seed", "11", *flags,
                          "--out", str(tmp_path / "t.json")]) == 0
         (observed, totals), = seen
@@ -419,8 +437,8 @@ class TestTomographyCommand:
         # concurrence_mle 5.1e-13 from the 50-digit value
         pytest.importorskip("mpmath")
         estimates, fit = [], cli.mle_fit
-        monkeypatch.setattr(cli, "mle_fit", lambda observed, totals, truths=None: (
-            estimates.append(fit(observed, totals, truths)) or estimates[-1]))
+        monkeypatch.setattr(cli, "mle_fit", lambda observed, totals: (
+            estimates.append(fit(observed, totals)) or estimates[-1]))
         out = tmp_path / "t.json"
         assert cli.main(["tomography", "--noiseless", "--out", str(out)]) == 0
         point = json.loads(out.read_text())["points"][7]
@@ -448,7 +466,7 @@ class TestErrorMapping:
         (["figure", "--figure", "4a"], "figs", "evolve_pairs"),
         (["figure", "--figure", "2a", "--format", "json"], "figs", "evolve_pairs"),
         (["sweep"], "s.csv", "evolve_pairs"),
-        (["tomography"], "t.json", "run")])
+        (["tomography"], "t.json", "evolve_pairs")])
     @pytest.mark.parametrize("detail", ["Unable to allocate 6.40 GiB for an array", ""])
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, argv, out, kernel,
                                    detail):
@@ -462,7 +480,7 @@ class TestErrorMapping:
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
     def test_mle_convergence_error_names_time(self, tmp_path, capsys, monkeypatch):
-        def stall(observed, totals, truths=None):
+        def stall(observed, totals):
             raise MleConvergenceError("no convergence", [1])
 
         monkeypatch.setattr(cli, "mle_fit", stall)

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from aptsim import dynamics
 from aptsim.dynamics import (IDENTITY, MAX_SAMPLES, DegenerateNormError,
-                             EvolutionSpec, InvalidStateError, bell_concurrence_curve,
-                             bell_ket, bell_state, evolve_pairs, evolve_state,
-                             maximally_mixed, rank_factor, run,
-                             validate_density_matrix)
+                             EvolutionSpec, InvalidStateError, bell_ket, bell_state,
+                             evolve_pairs, evolve_state, maximally_mixed, rank_factor,
+                             run, time_grid, validate_density_matrix)
 from aptsim.entanglement import concurrence
 from aptsim.model import AptParams, Family, hamiltonian
 from aptsim.propagator import closed_form
@@ -215,6 +214,35 @@ class TestRun:
                                 t_max=float(MAX_SAMPLES - 1), dt=1.0)
         assert largest.time_grid().size == MAX_SAMPLES > 7001  # figures 2b, 3b: 7001
 
+    @pytest.mark.parametrize("t_max, dt, message", [
+        (np.nan, 0.01, "t_max must be finite, got nan"),
+        (np.inf, 0.01, "t_max must be finite, got inf"),
+        (1.0, np.nan, "dt must be finite, got nan"),
+        (1.0, -np.inf, "dt must be finite, got -inf"),
+        (1.0, 0.0, "dt must be > 0, got 0.0"),
+        (1.0, -0.5, "dt must be > 0, got -0.5"),
+        (-1.0, 0.01, "t_max must be >= 0, got -1.0"),
+        (14.0, 1e-12, "dt = 1e-12 gives 1.4e+13 samples up to t_max = 14.0, "
+                      f"more than {MAX_SAMPLES}"),
+        (float(MAX_SAMPLES), 1.0, f"dt = 1.0 gives 1e+06 samples up to "
+                                  f"t_max = {float(MAX_SAMPLES)}, more than {MAX_SAMPLES}"),
+    ])
+    def test_time_grid_validation(self, t_max, dt, message):
+        # time_grid and the spec share one validator and its messages
+        for make in (time_grid,
+                     lambda t_max, dt: EvolutionSpec(p1=AptParams(a=1.2), p2=IDENTITY,
+                                                     t_max=t_max, dt=dt)):
+            with pytest.raises(ValueError) as err:
+                make(t_max, dt)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("t_max, dt", [(0.0, 0.01), (1.0, 0.25), (14.0, 0.01),
+                                           (70.0, 0.01), (4.5, 0.5), (0.3, 0.1),
+                                           (float(MAX_SAMPLES - 1), 1.0)])
+    def test_time_grid_equals_spec_grid(self, t_max, dt):
+        spec = EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2), t_max=t_max, dt=dt)
+        assert np.array_equal(time_grid(t_max, dt), spec.time_grid())
+
     def test_invalid_initial_rejected(self):
         spec = EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2),
                              t_max=1.0, initial=np.eye(4, dtype=complex))
@@ -232,7 +260,7 @@ class TestFastBellCurve:
             (AptParams(a=1.2), IDENTITY),
         ]
         for p1, p2 in cases:
-            fast = bell_concurrence_curve(p1, p2, times)
+            fast = evolve_pairs([(p1, p2)], times)[0][0]
             traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=9.95, dt=0.05))
             assert fast.size == traj.concurrence.size
             assert np.max(np.abs(fast - traj.concurrence)) < 1e-10

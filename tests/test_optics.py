@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,8 +92,9 @@ class TestDecompose:
         times = (0.1, 0.5, 1.0, 2.0, 5.0)
         for a in (0.8, 1.0, 1.2, 1.8):
             p = AptParams(a=a)
-            for t, d in zip(times, decompose_grid(p, times)):
-                err = np.max(np.abs(d.c * reconstruct(d) - closed_form(p, t)))
+            d = decompose_grid(p, times)
+            for t, c, plates in zip(times, d.c, reconstruct(d)):
+                err = np.max(np.abs(c * plates - closed_form(p, t)))
                 assert err < 1e-9, f"a={a} t={t}: {err}"
 
     def test_roundtrip_negative_off_diagonal(self):
@@ -138,7 +141,15 @@ class TestDecompose:
                     decompose_grid(p, times)
                 break
         assert len(singles) > 280
-        assert decompose_grid(p, times[:len(singles)]) == singles
+        grid = decompose_grid(p, times[:len(singles)])
+        for field in dataclasses.fields(grid):
+            column = getattr(grid, field.name)
+            values = [getattr(d, field.name) for d in singles]
+            assert column.shape == (len(singles),)
+            assert np.array_equal(column, values), field.name
+            # the one-point case holds Python numbers, the grid arrays
+            assert {type(v) for v in values} == {int if field.name == "k" else float}
+        assert not np.shares_memory(grid.theta1_deg, grid.theta2_deg)
 
     def test_failing_point_names_its_t(self, monkeypatch):
         monkeypatch.setattr(optics, "_ROUNDTRIP_TOL", 0.0)
@@ -177,9 +188,10 @@ class TestDecompose:
         p = AptParams(a=a, gamma=gamma)
         times = np.linspace(0.0, reach * 20.0 / gamma, size)
         target = propagators(p, times)
-        for d, u in zip(decompose_grid(p, times), target):
-            assert d.k == 0 and d.theta2_deg == d.theta1_deg
-            err = np.max(np.abs(d.c * reconstruct(d) - u))
+        d = decompose_grid(p, times)
+        assert np.all(d.k == 0) and np.array_equal(d.theta2_deg, d.theta1_deg)
+        for c, plates, u in zip(d.c, reconstruct(d), target):
+            err = np.max(np.abs(c * plates - u))
             assert err <= optics._ROUNDTRIP_TOL * np.max(np.abs(u))
 
 

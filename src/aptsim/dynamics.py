@@ -3,8 +3,8 @@ renormalization, and trajectory sampling.
 
 One stacked kernel, evolve_pairs(), evolves one initial state under P qubit
 pairs (p1, p2) over one time grid, such as time_grid() validates and returns;
-run() and evolve_state() are its P = 1 case, and the CLI commands call it
-once per chunk of whole curves. rho0 = F F^H is factored once by eigh,
+run() is its P = 1 case, and the CLI commands call it once per chunk of
+whole curves. rho0 = F F^H is factored once by eigh,
 which also checks that rho0 is a state; the default Bell state's factor is a
 module constant, so it is neither validated nor factored again. Each column of
 F, as a 2x2 block F_k, evolves as U1(t) F_k U2(t)^T over the whole grid at
@@ -168,7 +168,6 @@ class Trajectory:
     times: np.ndarray
     concurrence: np.ndarray
     unnormalized_norm: np.ndarray
-    states: Optional[np.ndarray] = None  # (T, 4, 4), with keep_states
 
 
 def _terms(p, times):
@@ -223,23 +222,11 @@ def evolve_pairs(pairs, times, initial=None, keep_states=False):
     return conc, norms, states
 
 
-def evolve_state(initial, p1, p2, t):
-    """rho(t) = U rho(0) U+ / Tr[U rho(0) U+], re-symmetrized.
-
-    p2 may be an IdentityEvolution marker. Raises DegenerateNormError when
-    the trace denominator falls below NORM_FLOOR, OverflowError when it is
-    not finite.
-    """
-    return evolve_pairs([(p1, p2)], [t], initial, True)[2][0, 0]
-
-
-def run(spec, keep_states=False):
+def run(spec):
     """Sample concurrence and unnormalized norm over the grid of spec.
 
     DegenerateNormError or OverflowError names the first bad sample.
     """
     times = spec.time_grid()
-    conc, norms, states = evolve_pairs([(spec.p1, spec.p2)], times, spec.initial,
-                                       keep_states)
-    return Trajectory(times=times, concurrence=conc[0], unnormalized_norm=norms[0],
-                      states=None if states is None else states[0])
+    conc, norms, _ = evolve_pairs([(spec.p1, spec.p2)], times, spec.initial)
+    return Trajectory(times=times, concurrence=conc[0], unnormalized_norm=norms[0])

@@ -5,8 +5,6 @@ concurrence() factors rho = F F^H with the one eigh that validation makes and
 takes Wootters' formula from the singular values of F^T (sy x sy) F
 (linalg.wootters), the same formula the evolution kernel applies to rho0."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import rank_factor
@@ -14,24 +12,11 @@ from .linalg import wootters
 from .model import Family
 
 
-@dataclass(frozen=True)
-class ConcurrenceReport:
-    """Concurrence value and the spin-flip eigenvalues it came from,
-    sorted descending."""
-    value: float
-    r_eigenvalues: tuple
-
-
-def concurrence(rho, validate=True):
+def concurrence(rho):
     """max(0, s1 - s2 - s3 - s4), clamped to 1, over the singular values s of
-    F^T (sy x sy) F for rho = F F^H. r_eigenvalues are the s^2, the
-    eigenvalues of rho (sy x sy) rho* (sy x sy), padded with zeros to four.
-    With validate, an input that is not a state raises InvalidStateError.
-    """
-    value, s = wootters(rank_factor(rho, validate))
-    lams = np.zeros(4)
-    lams[:s.size] = s * s
-    return ConcurrenceReport(float(value), tuple(lams.tolist()))
+    F^T (sy x sy) F for rho = F F^H, of one 4x4 state, as a float. An input
+    that is not a state raises InvalidStateError."""
+    return float(wootters(rank_factor(rho))[0])
 
 
 def _unbroken_w(a):

@@ -5,8 +5,8 @@ the paired-beam-displacer circuit that realizes the loss element.
 Angle conventions: all public setting angles are degrees. With the Jones
 matrices below, QWP(45) HWP(theta) QWP(45) = -i * diag(-e^{-2i theta},
 e^{2i theta}); the two sandwiches in a full string therefore contribute a
-global factor of -1, which decompose() absorbs by adding 45 degrees to
-both theta angles. One branch serves: theta1 = theta2 (k = 0), since the
+global factor of -1, which decompose_grid() absorbs by adding 45 degrees
+to both theta angles. One branch serves: theta1 = theta2 (k = 0), since the
 shift (theta1, theta2) + k (45, -45) leaves the product as it is for k = 2
 and negates its real off-diagonal C for k = +-1, a sign lambda1,2 carry.
 decompose_grid() decomposes a time grid as one stack of 2x2 plate products.
@@ -94,15 +94,16 @@ def reconstruct(d):
 
 
 def decompose_grid(p, times):
-    """decompose() at every t of `times`, as one DecompositionParams of (T,)
-    arrays: theta2_deg a copy of theta1_deg, k integer zeros.
+    """Plate and loss parameters realizing propagators(p, times) / c, as one
+    DecompositionParams of (T,) arrays: theta2_deg a copy of theta1_deg, k
+    integer zeros.
 
     A, B and C come off one propagator stack and every field is computed
-    elementwise, theta1 = theta2 = arg(A + iB) / 4 + 45 degrees included.
-    A point holds when its round-trip error is within _ROUNDTRIP_TOL of its
-    largest |U| entry, since U grows like cosh in t. Raises
-    DecompositionError naming the first t that is degenerate or that the
-    plate strings do not reproduce.
+    elementwise, theta1 = theta2 = arg(A + iB) / 4 + 45 degrees included;
+    lambda1,2 = |A + iB| -+ C >= 0 as A^2 + B^2 = 1 + C^2. A point holds when
+    its round-trip error is within _ROUNDTRIP_TOL of its largest |U| entry,
+    since U grows like cosh in t. Raises DecompositionError naming the first
+    t that is degenerate or that the plate strings do not reproduce.
     """
     if p.family is not Family.APT:
         raise ValueError("decomposition is defined for the APT family only")
@@ -132,18 +133,6 @@ def decompose_grid(p, times):
             f"{where}: no branch reproduced the propagator (best error {best:.3e} of max |U|)")
     return DecompositionParams(theta, theta.copy(), xi1, xi2, np.zeros(times.size, dtype=int),
                                c, lam1, lam2)
-
-
-def decompose(p, t):
-    """Wave-plate and loss parameters realizing closed_form(p, t) / c.
-
-    lambda1,2 = sqrt(A^2 + B^2) -+ C are both nonnegative because
-    A^2 + B^2 = 1 + C^2; c = max(lambda1, lambda2) keeps both loss angles
-    real. theta1 = theta2 = arg(A + iB) / 4 + 45 degrees: the other branches
-    only repeat that product or negate C. The one-point case of decompose_grid(),
-    with Python float and int fields.
-    """
-    return DecompositionParams(*(x.item() for x in vars(decompose_grid(p, [t])).values()))
 
 
 @dataclass(frozen=True)

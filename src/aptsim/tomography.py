@@ -7,13 +7,13 @@ the negative Poisson log-likelihood up to a constant, over rho = T T^H with
 T lower triangular and |T| = 1 (Burer & Monteiro, Math. Program. 95, 329,
 2003), by damped Newton steps on that sphere with the exact Hessian and a
 line search. It starts from projected linear inversion mixed with a little
-I/4. A point stops once its Newton decrement is tiny and the Frank-Wolfe
-gap <G, rho> - lambda_min(G), G = grad f, certifies the optimum; if the gap
-fails there, the point is a saddle and restarts toward lambda_min(G)'s
-eigenvector. Each point of a batch keeps its own factor, damping, stopping
-test and step count, so its estimate does not depend on the batch: its
-products are stacked matmuls with the batch leading, one BLAS call per
-point, and never a 2-D GEMM whose rows are the batch.
+I/4. A point stops once its Newton decrement is tiny and the Frank-Wolfe gap
+<G, rho> - lambda_min(G), G = grad f, certifies the optimum; if the gap
+fails there, a Frank-Wolfe step toward lambda_min(G)'s eigenvector lowers f
+and Newton resumes from it. Each point of a batch keeps its own factor,
+damping, stopping test and step count, so its estimate does not depend on
+the batch: its products are stacked matmuls with the batch leading, one BLAS
+call per point, and never a 2-D GEMM whose rows are the batch.
 """
 
 from dataclasses import dataclass
@@ -174,6 +174,37 @@ def _start(rho):
             2.0 * kets[:, :, :, None], outer)
 
 
+def _frank_wolfe_step(x, g_matrix, gap, p, conj_kets, n, big_n):
+    """Coordinates of (1 - s) rho + s u u^H for rho = T T^H at x and u the
+    eigenvector of lambda_min(G): a Frank-Wolfe step, which lowers f by about
+    s * gap (Journee, Bach, Absil & Sepulchre, SIAM J. Optim. 20, 2327, 2010).
+    s is picked as in a Newton pass, from _STEPS times gap / f''(0), capped
+    at 1; it is 0 if no length passes Armijo's test. The new T is the
+    triangular factor of [sqrt(1 - s) T, sqrt(s) u] by LQ, in the same row
+    order. No I/4 is mixed in, so f only falls and Newton cannot return to
+    the point that failed."""
+    u = np.linalg.eigh(g_matrix.view(complex).reshape(-1, 4, 4))[1][:, :, :1]
+    p = p[:, :, None]
+    dp = np.abs(conj_kets @ u) ** 2 - p
+    pf = np.maximum(p, _P_FLOOR)
+    curvature = (n[:, :, None] * dp * dp / (pf * pf)).sum(axis=1)[:, 0]
+    length = np.divide(gap, curvature, out=np.ones_like(gap), where=curvature > 0.0)
+    lengths = np.clip(length[:, None] * _STEPS, 0.0, 1.0)
+    change = np.maximum(p + lengths[:, None, :] * dp, _P_FLOOR) - pf
+    gain = (big_n[:, :, None] * lengths[:, None, :] * dp
+            - n[:, :, None] * np.log1p(change / pf)).sum(axis=1)
+    accept = gain <= -_ARMIJO * lengths * gap[:, None]
+    best = np.where(accept, gain, np.inf).argmin(axis=1)[:, None]
+    s = np.where(accept.any(axis=1), np.take_along_axis(lengths, best, 1)[:, 0], 0.0)
+    factor = np.concatenate([np.sqrt(1.0 - s)[:, None, None] * _to_matrix(x),
+                             np.sqrt(s)[:, None, None] * u], axis=2)
+    lower = np.linalg.qr(factor.conj().transpose(0, 2, 1), mode="r").conj().transpose(0, 2, 1)
+    # column phases that make the diagonal real, which x requires
+    lower = lower * np.exp(-1j * np.angle(np.diagonal(lower, axis1=1, axis2=2)))[:, None, :]
+    x = np.take(np.ascontiguousarray(lower).view(float).reshape(-1, 32), _X_INDEX, axis=1)
+    return x / np.sqrt((x * x).sum(axis=1, keepdims=True))
+
+
 def _newton(n, big_n, rho):
     """Minimize f from each row of the (P,4,4) start stack `rho`: the
     estimates, each row's accepted steps, and which rows stopped within
@@ -234,12 +265,9 @@ def _newton(n, big_n, rho):
 
         saddle = np.flatnonzero(small & ~stop)
         if saddle.size:
-            # a stationary point that fails the certificate: restart from
-            # rho mixed toward the eigenvector of lambda_min(G)
-            u = np.linalg.eigh(g_matrix[saddle].view(complex).reshape(-1, 4, 4))[1][:, :, :1]
-            factor = np.concatenate([_to_matrix(x[saddle]), _MIX ** 0.5 * u], axis=2)
-            (x[saddle], order[saddle], conj_kets[saddle], twice_kets[saddle],
-             projectors[saddle]) = _start(_unpermuted(factor, order[saddle]))
+            x[saddle] = _frank_wolfe_step(x[saddle], g_matrix[saddle], gap[saddle],
+                                          p[saddle], conj_kets[saddle], n[saddle],
+                                          big_n[saddle])
 
         done = stop | (passes >= MAX_PASSES)
         if done.any():

@@ -5,7 +5,7 @@ propagator in `aptsim.propagator`, which they check."""
 
 import numpy as np
 
-from aptsim.propagator import closed_form
+from aptsim.propagator import propagators
 
 # Taylor order 24 at scaled norm <= 0.5 makes the truncation error
 # negligible; the 10-odd squarings that restore the full time amplify
@@ -69,7 +69,7 @@ def eig2(m):
 
 def two_qubit(p1, p2, t):
     """Two-qubit propagator U1(t) (x) U2(t)."""
-    return np.kron(closed_form(p1, t), closed_form(p2, t))
+    return np.kron(propagators(p1, [t])[0], propagators(p2, [t])[0])
 
 
 def wootters_mp(rho, dps=50):

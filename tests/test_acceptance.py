@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from aptsim import cli
-from aptsim.dynamics import (IDENTITY, EvolutionSpec, bell_state, evolve_pairs,
-                             evolve_state, run)
+from aptsim.dynamics import IDENTITY, EvolutionSpec, evolve_pairs, run
 from aptsim.entanglement import (analytic_concurrence_identical, concurrence,
                                  concurrence_minimum_identical,
                                  concurrence_period, ep_concurrence)
 from aptsim.model import AptParams, Family, hamiltonian
-from aptsim.optics import bd_circuit, decompose, loss_matrix, reconstruct
-from aptsim.propagator import closed_form
+from aptsim.optics import bd_circuit, decompose_grid, loss_matrix, reconstruct
+from aptsim.propagator import propagators
 from aptsim.tomography import draw_counts, fidelity, mle_fit
 
 from oracles import expm_series
@@ -60,9 +59,9 @@ def test_criterion_03_closed_form_vs_series_oracle():
     for a in (0.5, 0.8, 1.0, 1.01, 1.2, 1.8, 2.0):
         p = AptParams(a=a)
         h = hamiltonian(p)
-        for t in np.arange(0.0, 10.0 + 1e-9, 0.1):
-            gap = float(np.max(np.abs(closed_form(p, float(t)) -
-                                      expm_series(h, float(t)))))
+        times = np.arange(0.0, 10.0 + 1e-9, 0.1)
+        for t, u in zip(times, propagators(p, times)):
+            gap = float(np.max(np.abs(u - expm_series(h, float(t)))))
             worst = max(worst, gap)
     assert worst < 1e-10
     print(f"[acceptance] criterion 3: PASS (max elementwise gap {worst:.3e})")
@@ -85,10 +84,10 @@ def test_criterion_05_decomposition_roundtrip_and_bd_circuit():
     worst = 0.0
     for a in (0.8, 1.0, 1.2, 1.8):
         p = AptParams(a=a)
-        for t in (0.1, 0.5, 1.0, 2.0, 5.0):
-            d = decompose(p, t)
-            gap = float(np.max(np.abs(d.c * reconstruct(d) - closed_form(p, t))))
-            worst = max(worst, gap)
+        times = [0.1, 0.5, 1.0, 2.0, 5.0]
+        d = decompose_grid(p, times)
+        recon = d.c[:, None, None] * reconstruct(d)
+        worst = max(worst, float(np.max(np.abs(recon - propagators(p, times)))))
     assert worst < 1e-9
 
     basis = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -201,17 +200,17 @@ def test_criterion_11_single_qubit_evolution():
 
 def test_criterion_12_tomography_loop():
     p = AptParams(a=1.2)
-    truths = np.array([evolve_state(bell_state(), p, p, 0.5 * i) for i in range(10)])
+    truths = evolve_pairs([(p, p)], 0.5 * np.arange(10), keep_states=True)[2][0]
     observed = draw_counts(truths, total=10000, seed=100, noiseless=True)[1]
     rho_hat = mle_fit(observed, np.full(observed.shape, 10000))[0]
     worst_fid = float(fidelity(truths, rho_hat).min())
-    worst_gap = max(abs(concurrence(r).value - concurrence(truth).value)
+    worst_gap = max(abs(concurrence(r) - concurrence(truth))
                     for r, truth in zip(rho_hat, truths))
     assert worst_fid > 0.999
     assert worst_gap < 5e-3
 
     # 100 draws of one state, from seeds 3000-3099
-    truths = np.repeat(evolve_state(bell_state(), p, p, 1.0)[None], 100, axis=0)
+    truths = np.repeat(evolve_pairs([(p, p)], [1.0], keep_states=True)[2][0], 100, axis=0)
     observed = draw_counts(truths, total=10000, seed=3000)[1]
     fids = fidelity(truths, mle_fit(observed, np.full(observed.shape, 10000))[0])
     passing = int(np.sum(fids > 0.98))

@@ -362,7 +362,7 @@ class TestDecomposeCommand:
     def test_row_reconstructs_propagator(self, tmp_path):
         from aptsim.model import AptParams
         from aptsim.optics import DecompositionParams, reconstruct
-        from aptsim.propagator import closed_form
+        from aptsim.propagator import propagators
 
         out = tmp_path / "dec.csv"
         assert cli.main(["decompose", "--a1", "1.2", "--t-max", "1.0",
@@ -375,7 +375,7 @@ class TestDecomposeCommand:
             k=int(row[6]), c=float(row[7]),
             lambda1=float("nan"), lambda2=float("nan"))
         err = np.max(np.abs(d.c * reconstruct(d) -
-                            closed_form(AptParams(a=1.2), 1.0)))
+                            propagators(AptParams(a=1.2), [1.0])[0]))
         assert err < 1e-3  # six-significant-digit table rounding
 
 
@@ -421,9 +421,9 @@ class TestTomographyCommand:
                          "--out", str(tmp_path / "t.json")]) == 0
         (observed, totals), = seen
         p = AptParams(a=1.2)
-        spec = EvolutionSpec(p1=p, p2=IDENTITY if flags == ["--identity-qubit2"] else p,
-                             t_max=4.5, dt=0.5)
-        states = dynamics.run(spec, keep_states=True).states
+        pair = (p, IDENTITY if flags == ["--identity-qubit2"] else p)
+        states = dynamics.evolve_pairs([pair], dynamics.time_grid(4.5, 0.5),
+                                       keep_states=True)[2][0]
         assert len(observed) == len(states) == 10
         for i, rho in enumerate(states):
             one = draw_counts(rho[None], total=10000, seed=11 + i,

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from aptsim import dynamics
 from aptsim.dynamics import (IDENTITY, MAX_SAMPLES, DegenerateNormError,
                              EvolutionSpec, InvalidStateError, bell_ket, bell_state,
-                             evolve_pairs, evolve_state, maximally_mixed, rank_factor,
-                             run, time_grid, validate_density_matrix)
+                             evolve_pairs, maximally_mixed, rank_factor, run, time_grid,
+                             validate_density_matrix)
 from aptsim.entanglement import concurrence
 from aptsim.model import AptParams, Family, hamiltonian
-from aptsim.propagator import closed_form
+from aptsim.propagator import propagators
 
 from oracles import expm_series
 
@@ -75,51 +75,60 @@ class TestStatesAndValidation:
 
     def test_stack_eigh_matches_one_at_a_time(self):
         p1, p2 = AptParams(a=1.2), AptParams(a=0.8)
-        stack = np.array([maximally_mixed()] + [evolve_state(bell_state(), p1, p2, t)
-                                                for t in (0.0, 0.7, 3.1)])
+        evolved = evolve_pairs([(p1, p2)], [0.0, 0.7, 3.1], keep_states=True)[2][0]
+        stack = np.concatenate([maximally_mixed()[None], evolved])
         w, v = validate_density_matrix(stack)
         for i, rho in enumerate(stack):
             w_i, v_i = validate_density_matrix(rho)
             assert np.array_equal(w[i], w_i) and np.array_equal(v[i], v_i)
 
 
-class TestEvolveState:
+class TestEvolvedStates:
     def test_time_zero_returns_initial(self):
         p = AptParams(a=1.2)
-        assert np.allclose(evolve_state(bell_state(), p, p, 0.0), bell_state(), atol=1e-15)
-        assert np.allclose(evolve_state(maximally_mixed(), p, p, 0.0),
-                           maximally_mixed(), atol=1e-15)
+        for rho0 in (bell_state(), maximally_mixed()):
+            rho = evolve_pairs([(p, p)], [0.0], rho0, keep_states=True)[2][0, 0]
+            assert np.allclose(rho, rho0, atol=1e-15)
 
     def test_bell_recovered_after_full_period(self):
         p = AptParams(a=1.2)
         period = np.pi / np.sqrt(1.2 ** 2 - 1.0)
-        rho = evolve_state(bell_state(), p, p, period)
+        rho = evolve_pairs([(p, p)], [period], keep_states=True)[2][0, 0]
         overlap = float(np.real(np.vdot(bell_ket(), rho @ bell_ket())))
         assert overlap > 1.0 - 1e-9
 
     def test_output_satisfies_invariants(self):
         for a1, a2, t in ((1.2, 1.3, 3.0), (0.8, 0.8, 10.0), (1.0, 2.0, 5.0)):
-            rho = evolve_state(bell_state(), AptParams(a=a1), AptParams(a=a2), t)
+            rho = evolve_pairs([(AptParams(a=a1), AptParams(a=a2))], [t],
+                               keep_states=True)[2][0, 0]
             validate_density_matrix(rho)
 
     def test_identity_marker_applies_u_tensor_identity(self):
         p = AptParams(a=1.2)
-        got = evolve_state(bell_state(), p, IDENTITY, 1.0)
-        u = np.kron(closed_form(p, 1.0), np.eye(2, dtype=complex))
+        got = evolve_pairs([(p, IDENTITY)], [1.0], keep_states=True)[2][0, 0]
+        u = np.kron(propagators(p, [1.0])[0], np.eye(2, dtype=complex))
         m = u @ bell_state() @ u.conj().T
         expected = (m + m.conj().T) / (2.0 * np.real(np.trace(m)))
         assert np.max(np.abs(got - expected)) < 1e-14
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError, match="t=400"):
-            evolve_state(bell_state(), AptParams(a=0.5), AptParams(a=0.5), 400.0)
+            evolve_pairs([(AptParams(a=0.5), AptParams(a=0.5))], [400.0])
 
     def test_degenerate_norm_raises_with_time(self, monkeypatch):
         monkeypatch.setattr(dynamics, "NORM_FLOOR", 10.0)
         p = AptParams(a=1.2)
         with pytest.raises(DegenerateNormError) as err:
-            evolve_state(bell_state(), p, p, 0.5)
+            evolve_pairs([(p, p)], [0.5])
         assert err.value.t == 0.5
+
+    def test_keep_states(self):
+        p = AptParams(a=1.2)
+        times = time_grid(0.5, 0.25)
+        states = evolve_pairs([(p, p)], times, keep_states=True)[2][0]
+        assert len(states) == times.size
+        for rho in states:
+            validate_density_matrix(rho)
 
 
 class TestRun:
@@ -143,14 +152,6 @@ class TestRun:
         assert np.all(traj.concurrence >= 0.0)
         assert np.all(traj.concurrence <= 1.0 + 1e-9)
         assert np.all(traj.unnormalized_norm > 0.0)
-
-    def test_keep_states(self):
-        spec = EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2),
-                             t_max=0.5, dt=0.25)
-        traj = run(spec, keep_states=True)
-        assert len(traj.states) == traj.times.size
-        for rho in traj.states:
-            validate_density_matrix(rho)
 
     def test_inverse_norm_identity(self):
         cases = [
@@ -273,7 +274,7 @@ def _reference_sample(rho0, p1, p2, t):
     u = np.kron(expm_series(hamiltonian(p1), t), u2)
     m = u @ rho0 @ u.conj().T
     norm = float(np.real(np.trace(m)))
-    return concurrence((m + m.conj().T) / (2.0 * norm), validate=False).value, norm
+    return concurrence((m + m.conj().T) / (2.0 * norm)), norm
 
 
 # the EP band |a - 1| <= 1e-9 is drawn on purpose: it is where a regime
@@ -300,12 +301,10 @@ class TestRunProperties:
         f = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
         rho0 = f @ f.conj().T
         rho0 = (rho0 + rho0.conj().T) / (2.0 * np.real(np.trace(rho0)))
-        spec = EvolutionSpec(p1=p1, p2=p2, t_max=t_max,
-                             dt=max(t_max / 4.0, 1e-3), initial=rho0)
-        traj = run(spec, keep_states=True)
+        times = time_grid(t_max, max(t_max / 4.0, 1e-3))
+        conc, norms, states = evolve_pairs([(p1, p2)], times, rho0, keep_states=True)
         conc_tol = 1e-10 if rank == 1 else 1e-6
-        for t, c, n, rho in zip(traj.times, traj.concurrence,
-                                traj.unnormalized_norm, traj.states):
+        for t, c, n, rho in zip(times, conc[0], norms[0], states[0]):
             ref_c, ref_n = _reference_sample(rho0, p1, p2, float(t))
             assert n == pytest.approx(ref_n, rel=1e-9)
             assert abs(c - ref_c) < conc_tol
@@ -347,12 +346,12 @@ class TestStackedEvolution:
         assert conc.shape == norms.shape == (len(pairs), times.size)
         assert states.shape == (len(pairs), times.size, 4, 4)
         for i, spec in enumerate(specs):
-            traj = run(spec, keep_states=True)
-            assert isinstance(traj.states, np.ndarray)
-            assert traj.states.shape == (times.size, 4, 4)
+            traj = run(spec)
             assert np.array_equal(conc[i], traj.concurrence)
             assert np.array_equal(norms[i], traj.unnormalized_norm)
-            assert np.array_equal(states[i], traj.states)
+            # each pair's states do not depend on the rest of the stack
+            one = evolve_pairs([pairs[i]], times, initial, keep_states=True)[2]
+            assert np.array_equal(states[i], one[0])
 
     def test_failure_names_first_failing_pair(self):
         # a = 0.3 overflows at a smaller t than a = 0.5, but the a = 0.5 pair

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aptsim.dynamics import (EvolutionSpec, InvalidStateError, bell_state,
-                             evolve_state, maximally_mixed, rank_factor, run)
+                             maximally_mixed, rank_factor, run)
 from aptsim.entanglement import (analytic_concurrence_identical, concurrence,
                                  concurrence_minimum_identical,
                                  concurrence_period, ep_concurrence)
@@ -36,15 +36,15 @@ def random_pure_state():
 
 class TestConcurrence:
     def test_bell_is_maximal(self):
-        assert concurrence(bell_state()).value == pytest.approx(1.0, abs=1e-12)
+        assert concurrence(bell_state()) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_is_zero(self):
-        assert concurrence(maximally_mixed()).value == 0.0
+        assert concurrence(maximally_mixed()) == 0.0
 
     def test_product_state_is_zero(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        assert concurrence(rho).value == pytest.approx(0.0, abs=1e-12)
+        assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_random_product_states_are_zero(self):
         for _ in range(10):
@@ -52,37 +52,39 @@ class TestConcurrence:
             v = RNG.normal(size=2) + 1j * RNG.normal(size=2)
             ket = np.kron(u / np.linalg.norm(u), v / np.linalg.norm(v))
             rho = np.outer(ket, ket.conj())
-            assert concurrence(rho).value < 1e-12
+            assert concurrence(rho) < 1e-12
 
     def test_pure_state_matches_direct_formula(self):
         for _ in range(10):
             rho, v = random_pure_state()
             direct = 2.0 * abs(v[0] * v[3] - v[1] * v[2])
-            assert concurrence(rho).value == pytest.approx(direct, abs=1e-12)
+            assert concurrence(rho) == pytest.approx(direct, abs=1e-12)
 
     def test_local_unitary_invariance(self):
         for _ in range(10):
             rho = random_mixed_state()
-            base = concurrence(rho).value
+            base = concurrence(rho)
             u = np.kron(random_unitary(), random_unitary())
             rotated = u @ rho @ u.conj().T
             rotated = (rotated + rotated.conj().T) / 2.0
-            assert abs(concurrence(rotated).value - base) < 1e-10
+            assert abs(concurrence(rotated) - base) < 1e-10
 
-    def test_report_eigenvalues_sorted_and_consistent(self):
-        rep = concurrence(random_mixed_state())
-        lams = np.array(rep.r_eigenvalues)
+    def test_spin_flip_eigenvalues_sorted_and_consistent(self):
+        # the s^2 of wootters() are the eigenvalues of rho (sy x sy) rho* (sy x sy)
+        rho = random_mixed_state()
+        lams = wootters(rank_factor(rho))[1] ** 2
         assert lams.size == 4
         assert np.all(np.diff(lams) <= 0)
         assert np.all(lams >= 0)
         roots = np.sqrt(lams)
         expected = max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
-        assert rep.value == pytest.approx(min(expected, 1.0), abs=1e-12)
+        assert concurrence(rho) == pytest.approx(min(expected, 1.0), abs=1e-12)
 
-    def test_pure_report_shape(self):
-        rep = concurrence(bell_state())
-        assert rep.r_eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
-        assert rep.r_eigenvalues[1:] == (0.0, 0.0, 0.0)
+    def test_pure_spin_flip_spectrum(self):
+        # rank 1: one eigenvalue; the other three are the cut columns of F
+        lams = wootters(rank_factor(bell_state()))[1] ** 2
+        assert lams[0] == pytest.approx(1.0, abs=1e-10)
+        assert lams.shape == (1,)
 
     def test_invalid_state_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -93,7 +95,7 @@ class TestConcurrence:
         for p_mix in (0.2, 0.5, 0.9):
             rho = p_mix * bell_state() + (1.0 - p_mix) * maximally_mixed()
             expected = max(0.0, (3.0 * p_mix - 1.0) / 2.0)
-            assert concurrence(rho).value == pytest.approx(expected, abs=1e-10)
+            assert concurrence(rho) == pytest.approx(expected, abs=1e-10)
 
 
 def _ket(rng):
@@ -115,7 +117,7 @@ class TestConcurrenceAccuracy:
         eps = 10.0 ** log_eps
         rho = (1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.outer(phi, phi.conj())
         rho = (rho + rho.conj().T) / 2.0
-        assert abs(concurrence(rho).value - wootters_mp(rho)) < 1e-12
+        assert abs(concurrence(rho) - wootters_mp(rho)) < 1e-12
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(rank=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
@@ -125,7 +127,7 @@ class TestConcurrenceAccuracy:
         f = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
         rho = f @ f.conj().T
         rho = (rho + rho.conj().T) / (2.0 * np.real(np.trace(rho)))
-        assert abs(concurrence(rho).value - wootters_mp(rho)) < 1e-12
+        assert abs(concurrence(rho) - wootters_mp(rho)) < 1e-12
 
 
 class TestBatchedConcurrence:
@@ -145,7 +147,7 @@ class TestBatchedConcurrence:
         values = wootters(rank_factor(states, validate=False))[0]
         assert values.shape == (len(states),)
         for rho, value in zip(states, values):
-            assert abs(value - concurrence(rho, validate=False).value) <= 1e-15
+            assert abs(value - wootters(rank_factor(rho, validate=False))[0]) <= 1e-15
 
 
 class TestAnalyticIdentical:

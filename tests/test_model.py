@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aptsim.model import AptParams, Family, Regime, classify, hamiltonian
-from aptsim.propagator import closed_form
+from aptsim.propagator import propagators
 
 from oracles import eig2
 
@@ -33,7 +33,7 @@ class TestHamiltonian:
         # traceless generator, so |det exp(-iHt)| = 1 in every regime
         for family in Family:
             for a in (0.5, 0.9, 1.0, 1.3, 2.2):
-                u = closed_form(AptParams(a=a, family=family), 4.0)
+                u = propagators(AptParams(a=a, family=family), [4.0])[0]
                 assert abs(np.linalg.det(u)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -104,4 +104,4 @@ class TestParamsValidation:
     def test_finite_k_accepted(self):
         # k is formed as in the propagator, gamma * gamma * (a - 1) * (a + 1)
         for p in (AptParams(a=1e150), AptParams(a=1e160, gamma=1e-10)):
-            assert np.array_equal(closed_form(p, 0.0), np.eye(2))
+            assert np.array_equal(propagators(p, [0.0])[0], np.eye(2))

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from aptsim import optics
 from aptsim.model import AptParams, Family
 from aptsim.optics import (BeamPaths, DecompositionError, DecompositionParams,
-                           bd_circuit, decompose, decompose_grid, hwp, loss_matrix,
-                           qwp, reconstruct)
-from aptsim.propagator import closed_form, propagators
+                           bd_circuit, decompose_grid, hwp, loss_matrix, qwp,
+                           reconstruct)
+from aptsim.propagator import propagators
 
 RNG = np.random.default_rng(11)
 
@@ -65,90 +65,85 @@ class TestWavePlates:
 
 class TestDecompose:
     def test_time_zero_is_identity(self):
-        d = decompose(AptParams(a=1.2), 0.0)
-        assert d.lambda1 == pytest.approx(1.0, abs=1e-12)
-        assert d.lambda2 == pytest.approx(1.0, abs=1e-12)
-        assert d.c == pytest.approx(1.0, abs=1e-12)
-        assert d.xi1_deg == pytest.approx(45.0, abs=1e-9)
-        assert d.xi2_deg == pytest.approx(45.0, abs=1e-9)
-        assert np.allclose(reconstruct(d), np.eye(2), atol=1e-12)
+        d = decompose_grid(AptParams(a=1.2), [0.0])
+        assert d.lambda1[0] == pytest.approx(1.0, abs=1e-12)
+        assert d.lambda2[0] == pytest.approx(1.0, abs=1e-12)
+        assert d.c[0] == pytest.approx(1.0, abs=1e-12)
+        assert d.xi1_deg[0] == pytest.approx(45.0, abs=1e-9)
+        assert d.xi2_deg[0] == pytest.approx(45.0, abs=1e-9)
+        assert np.allclose(reconstruct(d)[0], np.eye(2), atol=1e-12)
 
     def test_exceptional_point_example(self):
-        d = decompose(AptParams(a=1.0), 1.0)
-        assert d.lambda1 == pytest.approx(ROOT2 - 1.0, abs=1e-12)
-        assert d.lambda2 == pytest.approx(ROOT2 + 1.0, abs=1e-12)
+        d = decompose_grid(AptParams(a=1.0), [1.0])
+        assert d.lambda1[0] == pytest.approx(ROOT2 - 1.0, abs=1e-12)
+        assert d.lambda2[0] == pytest.approx(ROOT2 + 1.0, abs=1e-12)
         # arg(A + iB) = pi/4, shifted by the 45-degree phase compensation
-        assert d.theta1_deg == pytest.approx((45.0 + 180.0) / 4.0, abs=1e-9)
-        assert d.theta2_deg == pytest.approx(d.theta1_deg, abs=1e-9)
+        assert d.theta1_deg[0] == pytest.approx((45.0 + 180.0) / 4.0, abs=1e-9)
+        assert d.theta2_deg[0] == pytest.approx(d.theta1_deg[0], abs=1e-9)
 
     def test_quarter_period_lambdas(self):
         a = 1.5
         w = np.sqrt(a * a - 1.0)
-        d = decompose(AptParams(a=a), (np.pi / 2.0) / w)
-        assert d.lambda1 == pytest.approx((a - 1.0) / w, abs=1e-9)
-        assert d.lambda2 == pytest.approx((a + 1.0) / w, abs=1e-9)
+        d = decompose_grid(AptParams(a=a), [(np.pi / 2.0) / w])
+        assert d.lambda1[0] == pytest.approx((a - 1.0) / w, abs=1e-9)
+        assert d.lambda2[0] == pytest.approx((a + 1.0) / w, abs=1e-9)
 
     def test_roundtrip_across_regimes(self):
         times = (0.1, 0.5, 1.0, 2.0, 5.0)
         for a in (0.8, 1.0, 1.2, 1.8):
             p = AptParams(a=a)
             d = decompose_grid(p, times)
-            for t, c, plates in zip(times, d.c, reconstruct(d)):
-                err = np.max(np.abs(c * plates - closed_form(p, t)))
+            for t, c, plates, u in zip(times, d.c, reconstruct(d), propagators(p, times)):
+                err = np.max(np.abs(c * plates - u))
                 assert err < 1e-9, f"a={a} t={t}: {err}"
 
     def test_roundtrip_negative_off_diagonal(self):
         # w t past pi makes C < 0; the branch search must still close
         p = AptParams(a=1.2)
-        for t in (6.0, 8.5):
-            d = decompose(p, t)
-            err = np.max(np.abs(d.c * reconstruct(d) - closed_form(p, t)))
-            assert err < 1e-9
+        d = decompose_grid(p, [6.0, 8.5])
+        err = np.max(np.abs(d.c[:, None, None] * reconstruct(d) - propagators(p, [6.0, 8.5])))
+        assert err < 1e-9
 
     def test_scale_positive_and_maximal(self):
         for a, t in ((0.8, 2.0), (1.2, 1.0), (1.8, 4.0)):
-            d = decompose(AptParams(a=a), t)
-            assert d.c > 0.0
-            assert d.c == pytest.approx(max(d.lambda1, d.lambda2), abs=1e-15)
+            d = decompose_grid(AptParams(a=a), [t])
+            assert d.c[0] > 0.0
+            assert d.c[0] == pytest.approx(max(d.lambda1[0], d.lambda2[0]), abs=1e-15)
 
     def test_loss_angle_invariants(self):
         for a, t in ((0.8, 1.0), (1.2, 2.5), (1.0, 0.7)):
-            d = decompose(AptParams(a=a), t)
-            s1 = np.sin(2.0 * np.deg2rad(d.xi1_deg))
-            s2 = np.sin(2.0 * np.deg2rad(d.xi2_deg))
-            assert s1 == pytest.approx(d.lambda1 / d.c, abs=1e-12)
-            assert s2 == pytest.approx(d.lambda2 / d.c, abs=1e-12)
+            d = decompose_grid(AptParams(a=a), [t])
+            s1 = np.sin(2.0 * np.deg2rad(d.xi1_deg[0]))
+            s2 = np.sin(2.0 * np.deg2rad(d.xi2_deg[0]))
+            assert s1 == pytest.approx(d.lambda1[0] / d.c[0], abs=1e-12)
+            assert s2 == pytest.approx(d.lambda2[0] / d.c[0], abs=1e-12)
             assert 0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0
 
     def test_pt_rejected(self):
         with pytest.raises(ValueError):
-            decompose(AptParams(a=1.2, family=Family.PT), 1.0)
-        with pytest.raises(ValueError):
             decompose_grid(AptParams(a=1.2, family=Family.PT), [0.5, 1.0])
 
     @pytest.mark.parametrize("a", [0.5, 0.8, 1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.2, 1.8, 2.5])
-    def test_grid_equals_one_point(self, a):
+    def test_grid_stops_at_first_failing_point(self, a):
         p = AptParams(a=a)
         times = np.arange(401) * 0.05  # t up to 20
-        singles = []
+        passing = 0
         for t in times.tolist():
             try:
-                singles.append(decompose(p, t))
+                decompose_grid(p, [t])
             except DecompositionError:
-                # if a point fails, the grid must stop at the same point
-                # and name it
+                # if a point fails alone, the grid must stop at the same
+                # point and name it
                 with pytest.raises(DecompositionError, match=f"^t={t:g}: "):
                     decompose_grid(p, times)
                 break
-        assert len(singles) > 280
-        grid = decompose_grid(p, times[:len(singles)])
+            passing += 1
+        assert passing > 280
+        grid = decompose_grid(p, times[:passing])
         for field in dataclasses.fields(grid):
             column = getattr(grid, field.name)
-            values = [getattr(d, field.name) for d in singles]
-            assert column.shape == (len(singles),)
-            assert np.array_equal(column, values), field.name
-            # the one-point case holds Python numbers, the grid arrays
-            assert {type(v) for v in values} == {int if field.name == "k" else float}
+            assert column.shape == (passing,)
+            assert column.dtype == (int if field.name == "k" else float), field.name
         assert not np.shares_memory(grid.theta1_deg, grid.theta2_deg)
 
     def test_failing_point_names_its_t(self, monkeypatch):
@@ -157,7 +152,7 @@ class TestDecompose:
                            match=r"^t=0\.5: no branch reproduced the propagator"):
             decompose_grid(AptParams(a=1.2), [0.5, 1.0])
         with pytest.raises(DecompositionError, match=r"^t=1: no branch"):
-            decompose(AptParams(a=1.2), 1.0)
+            decompose_grid(AptParams(a=1.2), [1.0])
 
     def test_overflowing_point_names_its_t(self):
         with pytest.raises(DecompositionError, match=r"^t=1000: .*best error inf"):

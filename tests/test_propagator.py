@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aptsim.model import AptParams, Family, hamiltonian
-from aptsim.propagator import closed_form, propagator_terms, propagators
+from aptsim.propagator import propagator_terms, propagators
 
 from oracles import expm_series, two_qubit
 
@@ -44,14 +44,6 @@ class TestCoefficients:
             det = u[:, 0, 0].real ** 2 + u[:, 0, 0].imag ** 2 - u[:, 0, 1].real ** 2
             assert np.max(np.abs(det - 1.0)) < 1e-9
 
-    def test_arrays_match_scalars(self):
-        times = np.arange(0.0, 5.0, 0.31)
-        for a in (0.7, 1.0, 1.4):
-            p = AptParams(a=a)
-            stack = propagators(p, times)
-            for i, t in enumerate(times):
-                assert np.array_equal(stack[i], closed_form(p, float(t)))
-
     def test_pt_rejected(self):
         # the real (A, B, C) form is APT-only: a PT propagator has a real
         # diagonal and an imaginary off-diagonal instead
@@ -63,27 +55,25 @@ class TestCoefficients:
 class TestClosedForm:
     def test_identity_at_time_zero(self):
         for a in (0.5, 1.0, 1.7):
-            assert np.allclose(closed_form(AptParams(a=a), 0.0), np.eye(2), atol=1e-15)
+            assert np.allclose(propagators(AptParams(a=a), [0.0])[0], np.eye(2), atol=1e-15)
 
     def test_matches_series_oracle(self):
         for a in (0.8, 1.0, 1.2):
             p = AptParams(a=a)
             h = hamiltonian(p)
-            for t in np.arange(0.0, 5.0, 0.25):
-                gap = np.max(np.abs(closed_form(p, float(t)) - expm_series(h, float(t))))
+            times = np.arange(0.0, 5.0, 0.25)
+            for t, u in zip(times, propagators(p, times)):
+                gap = np.max(np.abs(u - expm_series(h, float(t))))
                 assert gap < 1e-10
 
     def test_near_ep_continuity(self):
         # the exact closed forms differ from the EP branch by ~44 * delta
         # over t <= 5, so the gap fades linearly as delta -> 0
         def worst_gap(delta):
-            worst = 0.0
-            for t in np.arange(0.0, 5.0001, 0.25):
-                at_ep = closed_form(AptParams(a=1.0), float(t))
-                for a in (1.0 - delta, 1.0 + delta):
-                    gap = np.max(np.abs(closed_form(AptParams(a=a), float(t)) - at_ep))
-                    worst = max(worst, float(gap))
-            return worst
+            times = np.arange(0.0, 5.0001, 0.25)
+            at_ep = propagators(AptParams(a=1.0), times)
+            return max(float(np.max(np.abs(propagators(AptParams(a=a), times) - at_ep)))
+                       for a in (1.0 - delta, 1.0 + delta))
 
         coarse, fine = worst_gap(1e-4), worst_gap(1e-5)
         assert fine < 1e-3
@@ -91,21 +81,21 @@ class TestClosedForm:
         assert coarse / fine == pytest.approx(10.0, rel=0.1)
 
     def test_broken_regime_growth_scale(self):
-        u = closed_form(AptParams(a=0.8), 10.0)
+        u = propagators(AptParams(a=0.8), [10.0])[0]
         assert u[0, 0].real == pytest.approx(np.cosh(6.0), rel=1e-12)
         assert abs(u[0, 0]) > np.cosh(6.0)
 
     def test_gamma_rescales_time(self):
-        lhs = closed_form(AptParams(a=1.3, gamma=2.5), 1.7)
-        rhs = closed_form(AptParams(a=1.3), 2.5 * 1.7)
+        lhs = propagators(AptParams(a=1.3, gamma=2.5), [1.7])[0]
+        rhs = propagators(AptParams(a=1.3), [2.5 * 1.7])[0]
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_pt_matches_eigendecomposition(self):
         for a in (0.6, 1.5):
             p = AptParams(a=a, family=Family.PT)
             h = hamiltonian(p)
-            for t in (0.5, 2.0, 4.0):
-                gap = np.max(np.abs(closed_form(p, t) - eig_expm(h, t)))
+            for t, u in zip((0.5, 2.0, 4.0), propagators(p, [0.5, 2.0, 4.0])):
+                gap = np.max(np.abs(u - eig_expm(h, t)))
                 assert gap < 1e-10
 
     @pytest.mark.parametrize("family", [Family.APT, Family.PT])
@@ -116,7 +106,7 @@ class TestClosedForm:
         # size ~gamma * t here, so the gap is measured relative to |U|
         p = AptParams(a=1.0 + delta, gamma=gamma, family=family)
         series = expm_series(hamiltonian(p), 70.0)
-        gap = np.max(np.abs(closed_form(p, 70.0) - series))
+        gap = np.max(np.abs(propagators(p, [70.0])[0] - series))
         assert gap / np.max(np.abs(series)) < 1e-10
 
     def test_inside_ep_band_vs_exact_exponential(self):
@@ -124,6 +114,7 @@ class TestClosedForm:
         for family in (Family.APT, Family.PT):
             for a in (1.0 + 0.9999e-9, 1.0 - 0.9999e-9):
                 p = AptParams(a=a, gamma=2.5, family=family)
+                u = propagators(p, [70.0])[0]
                 with mp.workdps(40):
                     a_, g = mp.mpf(a), mp.mpf(2.5)
                     if family is Family.APT:
@@ -131,13 +122,13 @@ class TestClosedForm:
                     else:
                         h = g * mp.matrix([[-1j * a_, 1], [1, 1j * a_]])
                     exact = mp.expm(-1j * h * 70)
-                    gap = max(abs(complex(exact[i, j]) - closed_form(p, 70.0)[i, j])
+                    gap = max(abs(complex(exact[i, j]) - u[i, j])
                               for i in range(2) for j in range(2))
                 assert gap < 1e-12
 
     def test_symmetric_off_diagonal(self):
         for a in (0.8, 1.0, 1.2):
-            u = closed_form(AptParams(a=a), 1.3)
+            u = propagators(AptParams(a=a), [1.3])[0]
             assert u[0, 1] == u[1, 0]
 
 
@@ -203,7 +194,7 @@ class TestTwoQubit:
     def test_tensor_structure(self):
         p1, p2 = AptParams(a=1.2), AptParams(a=0.8)
         u = two_qubit(p1, p2, 1.4)
-        expected = np.kron(closed_form(p1, 1.4), closed_form(p2, 1.4))
+        expected = np.kron(propagators(p1, [1.4])[0], propagators(p2, [1.4])[0])
         assert np.array_equal(u, expected)
 
     def test_unit_modulus_determinant(self):

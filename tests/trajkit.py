@@ -5,14 +5,14 @@ refinement on brute-force curves."""
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from aptsim.dynamics import bell_state, evolve_state
+from aptsim.dynamics import bell_state, evolve_pairs
 from aptsim.entanglement import concurrence
 
 
 def brute_concurrence(p1, p2, t, initial=None):
     """Single-point concurrence of the evolved state, full matrix route."""
     rho0 = bell_state() if initial is None else initial
-    return concurrence(evolve_state(rho0, p1, p2, t)).value
+    return concurrence(evolve_pairs([(p1, p2)], [t], rho0, keep_states=True)[2][0, 0])
 
 
 def refined_peak_times(times, values, height=0.9):

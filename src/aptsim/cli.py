@@ -317,9 +317,10 @@ def run_decompose(args):
     p = _apt(args.a1)
     times = time_grid(args.t_max, args.dt)
     d = decompose_grid(p, times)
-    fmt = "%.6g," % args.a1 + "%.6g,%.6g,%.6g,%.6g,%.6g,%d,%.6g\n"
+    # theta fills both plate columns, and k is 0: the one branch serves
+    fmt = "%.6g," % args.a1 + "%.6g,%.6g,%.6g,%.6g,%.6g,0,%.6g\n"
     rows = [fmt % row for row in zip(*(x.tolist() for x in (
-        times, d.theta1_deg, d.theta2_deg, d.xi1_deg, d.xi2_deg, d.k, d.c)))]
+        times, d.theta_deg, d.theta_deg, d.xi1_deg, d.xi2_deg, d.c)))]
     return _write(args.out, ("a,t,theta1_deg,theta2_deg,xi1_deg,xi2_deg,k,c\n"
                              + "".join(rows)).encode())
 

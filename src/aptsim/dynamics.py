@@ -3,13 +3,13 @@ renormalization, and trajectory sampling.
 
 One stacked kernel, evolve_pairs(), evolves one initial state under P qubit
 pairs (p1, p2) over one time grid, such as time_grid() validates and returns;
-run() is its P = 1 case, and the CLI commands call it once per chunk of
-whole curves. rho0 = F F^H is factored once by eigh,
-which also checks that rho0 is a state; the default Bell state's factor is a
-module constant, so it is neither validated nor factored again. Each column of
-F, as a 2x2 block F_k, evolves as U1(t) F_k U2(t)^T over the whole grid at
-once, from t = 0 at absolute time, with the propagator terms of each distinct
-qubit taken once. The norm is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes from
+the CLI commands call it once per chunk of whole curves, and run() is its
+P = 1 case over time_grid(spec.t_max, spec.dt). rho0 = F F^H is factored once
+by rank_factor()'s eigh, which also checks that rho0 is a state; the default
+Bell state's factor is a module constant, so it is neither validated nor
+factored again. Each column of F, as a 2x2 block F_k, evolves as
+U1(t) F_k U2(t)^T over the whole grid at once, from t = 0 at absolute time,
+with the propagator terms of each distinct qubit taken once. The norm is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes from
 the same F (linalg.wootters), and local filtering (Verstraete, Dehaene & De
 Moor, PRA 64, 010101, 2001) with |det U| = 1 for traceless H gives C(t) =
 C(rho0) / N(t): no eigensolver per sample, and no cancellation where the
@@ -105,14 +105,13 @@ def validate_density_matrix(rho):
     return w, v
 
 
-def rank_factor(rho, validate=True):
+def rank_factor(rho):
     """F with rho = F F^H, from the one eigh that validation makes; eigenvalues
     below _RANK_RTOL of the largest are cut. One state gives (4, r); a stack
     gives (..., 4, 4) with its cut columns zero, so that no state's factor
-    depends on the others."""
+    depends on the others. A non-state raises InvalidStateError."""
     rho = np.asarray(rho, dtype=complex)
-    w, v = (validate_density_matrix(rho) if validate
-            else np.linalg.eigh((rho + rho.conj().swapaxes(-2, -1)) / 2.0))
+    w, v = validate_density_matrix(rho)
     keep = w > _RANK_RTOL * w[..., -1:]
     if rho.ndim == 2:
         return v[:, keep] * np.sqrt(w[keep])
@@ -158,9 +157,6 @@ class EvolutionSpec:
 
     def __post_init__(self):
         _samples(self.t_max, self.dt)
-
-    def time_grid(self):
-        return time_grid(self.t_max, self.dt)
 
 
 @dataclass
@@ -227,6 +223,6 @@ def run(spec):
 
     DegenerateNormError or OverflowError names the first bad sample.
     """
-    times = spec.time_grid()
+    times = time_grid(spec.t_max, spec.dt)
     conc, norms, _ = evolve_pairs([(spec.p1, spec.p2)], times, spec.initial)
     return Trajectory(times=times, concurrence=conc[0], unnormalized_norm=norms[0])

@@ -6,9 +6,10 @@ Angle conventions: all public setting angles are degrees. With the Jones
 matrices below, QWP(45) HWP(theta) QWP(45) = -i * diag(-e^{-2i theta},
 e^{2i theta}); the two sandwiches in a full string therefore contribute a
 global factor of -1, which decompose_grid() absorbs by adding 45 degrees
-to both theta angles. One branch serves: theta1 = theta2 (k = 0), since the
-shift (theta1, theta2) + k (45, -45) leaves the product as it is for k = 2
-and negates its real off-diagonal C for k = +-1, a sign lambda1,2 carry.
+to theta. One angle, DecompositionParams.theta_deg, serves both strings:
+the shift (theta, theta) + k (45, -45) leaves the product as it is for
+k = 2 and negates its real off-diagonal C for k = +-1, a sign lambda1,2
+carry.
 decompose_grid() decomposes a time grid as one stack of 2x2 plate products.
 """
 
@@ -53,22 +54,20 @@ def loss_matrix(xi1_deg, xi2_deg):
 
 
 class DecompositionError(ArithmeticError):
-    """The propagator could not be matched by any plate-string branch."""
+    """The plate strings could not reproduce the propagator."""
 
 
 @dataclass(frozen=True)
 class DecompositionParams:
-    """Plate angles, loss angles, branch, and scale realizing a propagator,
-    or, as decompose_grid() returns them, (T,) arrays over a time grid.
+    """Plate angle, loss angles and scale realizing a propagator, or, as
+    decompose_grid() returns them, (T,) arrays over a time grid.
 
     c * reconstruct(params) equals the propagator elementwise, with
     sin(2 xi1) = lambda1 / c and sin(2 xi2) = lambda2 / c in [0, 1].
     """
-    theta1_deg: float
-    theta2_deg: float
+    theta_deg: float
     xi1_deg: float
     xi2_deg: float
-    k: int
     c: float
     lambda1: float
     lambda2: float
@@ -80,26 +79,21 @@ _QWP45 = qwp(45.0)
 _HWP67_5 = hwp(67.5)
 
 
-def _plate_strings(theta1_deg, theta2_deg, xi1_deg, xi2_deg):
-    """second(theta2) @ loss(xi1, xi2) @ first(theta1), elementwise over
-    broadcast arrays of angles."""
-    first = _FIRST_HEAD @ hwp(theta1_deg) @ _QWP45
-    second = _QWP45 @ hwp(theta2_deg) @ _QWP45 @ _HWP67_5
-    return second @ loss_matrix(xi1_deg, xi2_deg) @ first
-
-
 def reconstruct(d):
-    """Plate-string product: second(theta2) @ loss(xi1, xi2) @ first(theta1)."""
-    return _plate_strings(d.theta1_deg, d.theta2_deg, d.xi1_deg, d.xi2_deg)
+    """Plate-string product second(theta) @ loss(xi1, xi2) @ first(theta),
+    elementwise over the broadcast angle arrays of d."""
+    plate = hwp(d.theta_deg)
+    first = _FIRST_HEAD @ plate @ _QWP45
+    second = _QWP45 @ plate @ _QWP45 @ _HWP67_5
+    return second @ loss_matrix(d.xi1_deg, d.xi2_deg) @ first
 
 
 def decompose_grid(p, times):
     """Plate and loss parameters realizing propagators(p, times) / c, as one
-    DecompositionParams of (T,) arrays: theta2_deg a copy of theta1_deg, k
-    integer zeros.
+    DecompositionParams of (T,) arrays.
 
     A, B and C come off one propagator stack and every field is computed
-    elementwise, theta1 = theta2 = arg(A + iB) / 4 + 45 degrees included;
+    elementwise, theta = arg(A + iB) / 4 + 45 degrees included;
     lambda1,2 = |A + iB| -+ C >= 0 as A^2 + B^2 = 1 + C^2. A point holds when
     its round-trip error is within _ROUNDTRIP_TOL of its largest |U| entry,
     since U grows like cosh in t. Raises DecompositionError naming the first
@@ -119,7 +113,8 @@ def decompose_grid(p, times):
         xi1 = np.rad2deg(0.5 * np.arcsin(np.minimum(lam1 / c, 1.0)))
         xi2 = np.rad2deg(0.5 * np.arcsin(np.minimum(lam2 / c, 1.0)))
         theta = np.rad2deg(np.arctan2(b, a) / 4.0 + np.pi / 4.0) % 180.0
-        recon = c[:, None, None] * _plate_strings(theta, theta, xi1, xi2)
+        d = DecompositionParams(theta, xi1, xi2, c, lam1, lam2)
+        recon = c[:, None, None] * reconstruct(d)
         err = (np.max(np.abs(recon - target), axis=(-2, -1))
                / np.max(np.abs(target), axis=(-2, -1)))
     bad = degenerate | ~(err < _ROUNDTRIP_TOL)
@@ -131,8 +126,7 @@ def decompose_grid(p, times):
         best = np.inf if np.isnan(err[i]) else err[i]
         raise DecompositionError(
             f"{where}: no branch reproduced the propagator (best error {best:.3e} of max |U|)")
-    return DecompositionParams(theta, theta.copy(), xi1, xi2, np.zeros(times.size, dtype=int),
-                               c, lam1, lam2)
+    return d
 
 
 @dataclass(frozen=True)

@@ -146,12 +146,6 @@ def _to_matrix(x):
     return t.view(complex).reshape(-1, 4, 4)
 
 
-def _unpermuted(factor, order):
-    """F F^H in the original basis, for a factor F whose rows follow `order`."""
-    f = np.take_along_axis(factor, np.argsort(order, axis=1)[:, :, None], 1)
-    return f @ f.conj().transpose(0, 2, 1)
-
-
 def _start(rho):
     """Unit coordinates of the Cholesky factor of (1 - _MIX) rho + _MIX I/4
     in diagonal-pivoting order, so the columns that vanish at a rank-deficient
@@ -174,28 +168,34 @@ def _start(rho):
             2.0 * kets[:, :, :, None], outer)
 
 
+def _armijo(p, pf, delta, n, big_n, lengths, slope):
+    """Armijo's test f(s) - f <= -_ARMIJO * length * slope at L lengths, for
+    (P,16) probabilities p, floored pf and (P,16,L) changes delta of p: whether
+    any length passes, and the index of the passing one that lowers f most."""
+    change = np.maximum(p[:, :, None] + delta, _P_FLOOR) - pf[:, :, None]
+    gain = (big_n[:, :, None] * delta
+            - n[:, :, None] * np.log1p(change / pf[:, :, None])).sum(axis=1)
+    accept = gain <= -_ARMIJO * lengths * slope[:, None]
+    return accept.any(axis=1), np.where(accept, gain, np.inf).argmin(axis=1)
+
+
 def _frank_wolfe_step(x, g_matrix, gap, p, conj_kets, n, big_n):
     """Coordinates of (1 - s) rho + s u u^H for rho = T T^H at x and u the
     eigenvector of lambda_min(G): a Frank-Wolfe step, which lowers f by about
     s * gap (Journee, Bach, Absil & Sepulchre, SIAM J. Optim. 20, 2327, 2010).
-    s is picked as in a Newton pass, from _STEPS times gap / f''(0), capped
-    at 1; it is 0 if no length passes Armijo's test. The new T is the
-    triangular factor of [sqrt(1 - s) T, sqrt(s) u] by LQ, in the same row
-    order. No I/4 is mixed in, so f only falls and Newton cannot return to
-    the point that failed."""
+    s is picked by _armijo from _STEPS times gap / f''(0), capped at 1; it
+    is 0 if no length passes Armijo's test. The new T is the triangular
+    factor of [sqrt(1 - s) T, sqrt(s) u] by LQ, in the same row order. No
+    I/4 is mixed in, so f only falls and Newton cannot return to the point
+    that failed."""
     u = np.linalg.eigh(g_matrix.view(complex).reshape(-1, 4, 4))[1][:, :, :1]
-    p = p[:, :, None]
-    dp = np.abs(conj_kets @ u) ** 2 - p
+    dp = np.abs(conj_kets @ u) ** 2 - p[:, :, None]
     pf = np.maximum(p, _P_FLOOR)
-    curvature = (n[:, :, None] * dp * dp / (pf * pf)).sum(axis=1)[:, 0]
+    curvature = (n[:, :, None] * dp * dp / (pf * pf)[:, :, None]).sum(axis=1)[:, 0]
     length = np.divide(gap, curvature, out=np.ones_like(gap), where=curvature > 0.0)
     lengths = np.clip(length[:, None] * _STEPS, 0.0, 1.0)
-    change = np.maximum(p + lengths[:, None, :] * dp, _P_FLOOR) - pf
-    gain = (big_n[:, :, None] * lengths[:, None, :] * dp
-            - n[:, :, None] * np.log1p(change / pf)).sum(axis=1)
-    accept = gain <= -_ARMIJO * lengths * gap[:, None]
-    best = np.where(accept, gain, np.inf).argmin(axis=1)[:, None]
-    s = np.where(accept.any(axis=1), np.take_along_axis(lengths, best, 1)[:, 0], 0.0)
+    ok, best = _armijo(p, pf, lengths[:, None, :] * dp, n, big_n, lengths, gap)
+    s = np.where(ok, lengths[np.arange(len(best)), best], 0.0)
     factor = np.concatenate([np.sqrt(1.0 - s)[:, None, None] * _to_matrix(x),
                              np.sqrt(s)[:, None, None] * u], axis=2)
     lower = np.linalg.qr(factor.conj().transpose(0, 2, 1), mode="r").conj().transpose(0, 2, 1)
@@ -210,7 +210,7 @@ def _newton(n, big_n, rho):
     estimates, each row's accepted steps, and which rows stopped within
     MAX_PASSES passes. Stopped rows leave the working arrays."""
     x, order, conj_kets, twice_kets, projectors = _start(rho)
-    estimates = np.zeros((len(rho), 4, 4), dtype=complex)
+    final = np.zeros_like(x)
     iterations, steps, passes = np.zeros((3, len(rho)), dtype=int)
     converged, rows = np.zeros(len(rho), dtype=bool), np.arange(len(rho))
     damping = np.full(len(rho), _DAMPING)
@@ -251,12 +251,8 @@ def _newton(n, big_n, rho):
         quad = (y_d * y_d).sum(axis=2) - p * dd[:, None]
         delta = ((lin[:, :, None] * _STEPS + quad[:, :, None] * _STEPS ** 2)
                  / (1.0 + dd[:, None, None] * _STEPS ** 2))
-        change = np.maximum(p[:, :, None] + delta, _P_FLOOR) - pf[:, :, None]
-        gain = (big_n[:, :, None] * delta
-                - n[:, :, None] * np.log1p(change / pf[:, :, None])).sum(axis=1)
-        accept = gain <= -_ARMIJO * _STEPS * decrement[:, None]
-        best = np.where(accept, gain, np.inf).argmin(axis=1)
-        take = accept.any(axis=1) & ~small
+        ok, best = _armijo(p, pf, delta, n, big_n, _STEPS, decrement)
+        take = ok & ~small
         x = x + np.where(take, _STEPS[best], 0.0)[:, None] * d
         x /= np.sqrt((x * x).sum(axis=1, keepdims=True))
         steps += take
@@ -271,15 +267,16 @@ def _newton(n, big_n, rho):
 
         done = stop | (passes >= MAX_PASSES)
         if done.any():
-            estimates[rows[done]] = _unpermuted(_to_matrix(x[done]), order[done])
+            final[rows[done]] = x[done]
             iterations[rows[done]] = steps[done]
             converged[rows[done]] = stop[done]
             keep = ~done
-            (rows, x, order, conj_kets, twice_kets, projectors, steps, passes,
-             damping, n, big_n) = (v[keep] for v in (
-                 rows, x, order, conj_kets, twice_kets, projectors, steps, passes,
-                 damping, n, big_n))
-    return estimates, iterations, converged
+            (rows, x, conj_kets, twice_kets, projectors, steps, passes, damping, n,
+             big_n) = (v[keep] for v in (rows, x, conj_kets, twice_kets, projectors,
+                                         steps, passes, damping, n, big_n))
+    # T T^H in the original basis: T's rows follow each point's pivot order
+    t = np.take_along_axis(_to_matrix(final), np.argsort(order, axis=1)[:, :, None], 1)
+    return t @ t.conj().transpose(0, 2, 1), iterations, converged
 
 
 def mle_fit(observed, totals):
@@ -325,9 +322,10 @@ def fidelity(a, b):
     stacks as a (P,) array, or of two 4x4 states as a float (their (1,4,4)
     stack): (sum of the singular values of A^H B)^2 for the rank_factor
     factors a = A A^H and b = B B^H. No matrix square root is taken, so a
-    rank-1 a = |psi><psi| gives <psi|b|psi> to rounding."""
+    rank-1 a = |psi><psi| gives <psi|b|psi> to rounding. A non-state
+    raises InvalidStateError naming its index in its stack."""
     a, b = (np.asarray(m, dtype=complex) for m in (a, b))
-    factor_a, factor_b = (rank_factor(m.reshape(-1, 4, 4), validate=False) for m in (a, b))
+    factor_a, factor_b = (rank_factor(m.reshape(-1, 4, 4)) for m in (a, b))
     s = np.linalg.svd(factor_a.conj().transpose(0, 2, 1) @ factor_b, compute_uv=False)
     fids = np.clip(s.sum(axis=1) ** 2, 0.0, 1.0)
     return float(fids[0]) if a.ndim == 2 else fids

@@ -356,7 +356,8 @@ class TestDecomposeCommand:
         assert len(rows) == 3
         for row in rows:
             assert row[0] == "1.2"
-            int(row[6])  # branch column holds an integer
+            # one branch: k is 0, and both plate columns hold theta
+            assert row[6] == "0" and row[3] == row[2]
             assert float(row[7]) > 0.0
 
     def test_row_reconstructs_propagator(self, tmp_path):
@@ -369,11 +370,10 @@ class TestDecomposeCommand:
                          "--dt", "1.0", "--out", str(out)]) == 0
         _, rows = read_csv_columns(out)
         row = rows[-1]
+        assert row[3] == row[2] and row[6] == "0"
         d = DecompositionParams(
-            theta1_deg=float(row[2]), theta2_deg=float(row[3]),
-            xi1_deg=float(row[4]), xi2_deg=float(row[5]),
-            k=int(row[6]), c=float(row[7]),
-            lambda1=float("nan"), lambda2=float("nan"))
+            theta_deg=float(row[2]), xi1_deg=float(row[4]), xi2_deg=float(row[5]),
+            c=float(row[7]), lambda1=float("nan"), lambda2=float("nan"))
         err = np.max(np.abs(d.c * reconstruct(d) -
                             propagators(AptParams(a=1.2), [1.0])[0]))
         assert err < 1e-3  # six-significant-digit table rounding

@@ -135,7 +135,7 @@ class TestRun:
     def test_grid_includes_both_ends(self):
         spec = EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2),
                              t_max=1.0, dt=0.25)
-        assert np.allclose(spec.time_grid(), [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.allclose(run(spec).times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_zero_t_max_single_sample(self):
         spec = EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2), t_max=0.0)
@@ -213,7 +213,8 @@ class TestRun:
                 EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2), **grid)
         largest = EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2),
                                 t_max=float(MAX_SAMPLES - 1), dt=1.0)
-        assert largest.time_grid().size == MAX_SAMPLES > 7001  # figures 2b, 3b: 7001
+        # figures 2b and 3b have the most samples, 7001
+        assert time_grid(largest.t_max, largest.dt).size == MAX_SAMPLES > 7001
 
     @pytest.mark.parametrize("t_max, dt, message", [
         (np.nan, 0.01, "t_max must be finite, got nan"),
@@ -236,13 +237,6 @@ class TestRun:
             with pytest.raises(ValueError) as err:
                 make(t_max, dt)
             assert str(err.value) == message
-
-    @pytest.mark.parametrize("t_max, dt", [(0.0, 0.01), (1.0, 0.25), (14.0, 0.01),
-                                           (70.0, 0.01), (4.5, 0.5), (0.3, 0.1),
-                                           (float(MAX_SAMPLES - 1), 1.0)])
-    def test_time_grid_equals_spec_grid(self, t_max, dt):
-        spec = EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2), t_max=t_max, dt=dt)
-        assert np.array_equal(time_grid(t_max, dt), spec.time_grid())
 
     def test_invalid_initial_rejected(self):
         spec = EvolutionSpec(p1=AptParams(a=1.2), p2=AptParams(a=1.2),
@@ -341,7 +335,7 @@ class TestStackedEvolution:
             initial = (initial + initial.conj().T) / (2.0 * np.real(np.trace(initial)))
         specs = [EvolutionSpec(p1=p1, p2=p2, t_max=t_max, dt=max(t_max / 50.0, 1e-3),
                                initial=initial) for p1, p2 in pairs]
-        times = specs[0].time_grid()
+        times = time_grid(specs[0].t_max, specs[0].dt)
         conc, norms, states = evolve_pairs(pairs, times, initial, keep_states=True)
         assert conc.shape == norms.shape == (len(pairs), times.size)
         assert states.shape == (len(pairs), times.size, 4, 4)
@@ -358,7 +352,7 @@ class TestStackedEvolution:
         # comes first, so its first bad t is the one named
         pairs = [(AptParams(a=1.2), AptParams(a=1.2)), (AptParams(a=0.5), AptParams(a=0.5)),
                  (AptParams(a=0.3), AptParams(a=0.3))]
-        times = EvolutionSpec(p1=pairs[0][0], p2=pairs[0][1], t_max=400.0).time_grid()
+        times = time_grid(400.0, 0.01)  # EvolutionSpec's default dt
         messages = []
         for p1, p2 in pairs[1:]:
             with pytest.raises(OverflowError) as err:

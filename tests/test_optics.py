@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aptsim import optics
+from aptsim.dynamics import time_grid
 from aptsim.model import AptParams, Family
 from aptsim.optics import (BeamPaths, DecompositionError, DecompositionParams,
                            bd_circuit, decompose_grid, hwp, loss_matrix, qwp,
@@ -78,8 +79,7 @@ class TestDecompose:
         assert d.lambda1[0] == pytest.approx(ROOT2 - 1.0, abs=1e-12)
         assert d.lambda2[0] == pytest.approx(ROOT2 + 1.0, abs=1e-12)
         # arg(A + iB) = pi/4, shifted by the 45-degree phase compensation
-        assert d.theta1_deg[0] == pytest.approx((45.0 + 180.0) / 4.0, abs=1e-9)
-        assert d.theta2_deg[0] == pytest.approx(d.theta1_deg[0], abs=1e-9)
+        assert d.theta_deg[0] == pytest.approx((45.0 + 180.0) / 4.0, abs=1e-9)
 
     def test_quarter_period_lambdas(self):
         a = 1.5
@@ -123,28 +123,37 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose_grid(AptParams(a=1.2, family=Family.PT), [0.5, 1.0])
 
-    @pytest.mark.parametrize("a", [0.5, 0.8, 1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.2, 1.8, 2.5])
-    def test_grid_stops_at_first_failing_point(self, a):
+    @pytest.mark.parametrize("a, t_max, dt, first_failing", [
+        *(pytest.param(a, 20.0, 0.05, None, id=str(a))
+          for a in (0.5, 0.8, 1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.2, 1.8, 2.5)),
+        # in the broken regime U grows like cosh(sqrt(1 - a^2) t), until the
+        # plates no longer reproduce it to _ROUNDTRIP_TOL of max |U|
+        pytest.param(0.5, 1000.0, 2.5, 820.0, id="0.5-to-t1000"),
+        pytest.param(0.3, 1000.0, 2.5, 745.0, id="0.3-to-t1000"),
+    ])
+    def test_grid_stops_at_first_failing_point(self, a, t_max, dt, first_failing):
         p = AptParams(a=a)
-        times = np.arange(401) * 0.05  # t up to 20
+        times = time_grid(t_max, dt)
         passing = 0
         for t in times.tolist():
             try:
                 decompose_grid(p, [t])
             except DecompositionError:
-                # if a point fails alone, the grid must stop at the same
-                # point and name it
-                with pytest.raises(DecompositionError, match=f"^t={t:g}: "):
-                    decompose_grid(p, times)
                 break
             passing += 1
+        if first_failing is None:
+            assert passing == times.size
+        else:
+            # the grid stops at the first point that fails alone and names it
+            assert times[passing] == first_failing
+            with pytest.raises(DecompositionError, match=f"^t={first_failing:g}: "):
+                decompose_grid(p, times)
         assert passing > 280
         grid = decompose_grid(p, times[:passing])
         for field in dataclasses.fields(grid):
             column = getattr(grid, field.name)
             assert column.shape == (passing,)
-            assert column.dtype == (int if field.name == "k" else float), field.name
-        assert not np.shares_memory(grid.theta1_deg, grid.theta2_deg)
+            assert column.dtype == float, field.name
 
     def test_failing_point_names_its_t(self, monkeypatch):
         monkeypatch.setattr(optics, "_ROUNDTRIP_TOL", 0.0)
@@ -162,16 +171,21 @@ class TestDecompose:
     @given(theta=st.floats(-360.0, 360.0), xi1=st.floats(0.0, 45.0),
            xi2=st.floats(0.0, 45.0))
     def test_other_branches_repeat_or_negate_off_diagonal(self, theta, xi1, xi2):
-        # why decompose_grid() needs only theta1 = theta2: the branch shift
-        # (theta1, theta2) + k (45, -45) gives the k = 0 product for k = 2,
-        # and for k = +-1 that product with its off-diagonal negated, which
-        # the loss angles already fix through the sign of C
-        base = optics._plate_strings(theta, theta, xi1, xi2)
+        # why decompose_grid() needs one angle theta for both strings: the
+        # branch shift (theta, theta) + k (45, -45) gives the k = 0 product
+        # for k = 2, and for k = +-1 that product with its off-diagonal
+        # negated, which the loss angles already fix through the sign of C
+        def strings(theta1, theta2):
+            first = optics._FIRST_HEAD @ hwp(theta1) @ optics._QWP45
+            second = optics._QWP45 @ hwp(theta2) @ optics._QWP45 @ optics._HWP67_5
+            return second @ loss_matrix(xi1, xi2) @ first
+
+        base = reconstruct(DecompositionParams(theta, xi1, xi2, 1.0, np.nan, np.nan))
+        assert np.array_equal(strings(theta, theta), base)
         flip = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        k2 = optics._plate_strings(theta + 90.0, theta - 90.0, xi1, xi2)
-        assert np.max(np.abs(k2 - base)) < 1e-14
+        assert np.max(np.abs(strings(theta + 90.0, theta - 90.0) - base)) < 1e-14
         for sign in (1.0, -1.0):
-            k1 = optics._plate_strings(theta + sign * 45.0, theta - sign * 45.0, xi1, xi2)
+            k1 = strings(theta + sign * 45.0, theta - sign * 45.0)
             assert np.max(np.abs(k1 - flip * base)) < 1e-14
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -184,7 +198,6 @@ class TestDecompose:
         times = np.linspace(0.0, reach * 20.0 / gamma, size)
         target = propagators(p, times)
         d = decompose_grid(p, times)
-        assert np.all(d.k == 0) and np.array_equal(d.theta2_deg, d.theta1_deg)
         for c, plates, u in zip(d.c, reconstruct(d), target):
             err = np.max(np.abs(c * plates - u))
             assert err <= optics._ROUNDTRIP_TOL * np.max(np.abs(u))

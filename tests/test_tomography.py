@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import aptsim
 from aptsim import tomography
-from aptsim.dynamics import (bell_state, evolve_pairs, maximally_mixed, time_grid,
-                             validate_density_matrix)
+from aptsim.dynamics import (InvalidStateError, bell_state, evolve_pairs, maximally_mixed,
+                             time_grid, validate_density_matrix)
 from aptsim.entanglement import concurrence
 from aptsim.model import AptParams
 from aptsim.tomography import (BASIS_LABELS, MleConvergenceError,
@@ -390,6 +390,17 @@ class TestFidelity:
         a = evolve_pairs([(AptParams(a=1.2), AptParams(a=1.3))], [0.7], keep_states=True)[2][0, 0]
         b = maximally_mixed()
         assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-14)
+
+    def test_non_state_raises_naming_its_index(self):
+        # both stacks are validated, as rank_factor validates every input
+        states = np.array([bell_state(), 2.0 * maximally_mixed(), maximally_mixed()])
+        good = np.array([bell_state()] * 3)
+        for a, b in ((states, good), (good, states)):
+            with pytest.raises(InvalidStateError, match=r"^state 1: trace is \(2\+0j\)"):
+                fidelity(a, b)
+        # two 4x4 states are factored as (1,4,4) stacks
+        with pytest.raises(InvalidStateError, match=r"^state 0: trace is \(2\+0j\)"):
+            fidelity(bell_state(), 2.0 * maximally_mixed())
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(rank=st.integers(1, 4), log_eps=st.floats(-16.0, 0.0),

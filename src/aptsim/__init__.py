@@ -9,7 +9,7 @@ from .dynamics import (IDENTITY, DegenerateNormError, EvolutionSpec,
 from .entanglement import (analytic_concurrence_identical, concurrence,
                            concurrence_minimum_identical, concurrence_period,
                            ep_concurrence)
-from .linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .model import AptParams, Family, Regime, classify, hamiltonian
 from .optics import (BeamPaths, DecompositionError, DecompositionParams,
                      bd_circuit, decompose_grid, hwp, loss_matrix, qwp,

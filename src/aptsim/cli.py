@@ -39,7 +39,8 @@ from .dynamics import (IDENTITY, MAX_SAMPLES, DegenerateNormError,
 from .linalg import wootters
 from .model import AptParams, Family
 from .optics import DecompositionError, decompose_grid
-from .tomography import MAX_TOTAL, MleConvergenceError, draw_counts, fidelity, mle_fit
+from .tomography import (DEFAULT_TOTAL, MAX_TOTAL, MleConvergenceError, draw_counts,
+                         fidelity, mle_fit)
 
 FIGURE_IDS = ("2a", "2b", "3a", "3b", "4a", "4b", "4c", "4d", "A4", "A5")
 
@@ -337,8 +338,7 @@ def run_tomography(args):
     observed = draw_counts(truths, total=args.total, seed=args.seed,
                            noiseless=args.noiseless)[1]
     try:
-        rho_hat, log_likelihood, iterations = mle_fit(
-            observed, np.full(observed.shape, args.total))
+        rho_hat, log_likelihood, iterations = mle_fit(observed, args.total)
     except MleConvergenceError as exc:
         raise MleConvergenceError(f"t={float(times[exc.points[0]]):g}: {exc}",
                                   exc.points) from exc
@@ -400,7 +400,7 @@ def build_parser():
     tomo.add_argument("--t-max", type=float, default=4.5)
     tomo.add_argument("--dt", type=float, default=0.5)
     tomo.add_argument("--seed", type=int, default=0)
-    tomo.add_argument("--total", type=int, default=10000,
+    tomo.add_argument("--total", type=int, default=DEFAULT_TOTAL,
                       help="photon counts per basis")
     tomo.add_argument("--noiseless", action="store_true",
                       help="use rounded expected counts instead of Poisson draws")

@@ -8,8 +8,8 @@ e^{2i theta}); the two sandwiches in a full string therefore contribute a
 global factor of -1, which decompose_grid() absorbs by adding 45 degrees
 to theta. One angle, DecompositionParams.theta_deg, serves both strings:
 the shift (theta, theta) + k (45, -45) leaves the product as it is for
-k = 2 and negates its real off-diagonal C for k = +-1, a sign lambda1,2
-carry.
+k = 2 and negates its real off-diagonal C for k = +-1, a sign the loss
+angles carry.
 decompose_grid() decomposes a time grid as one stack of 2x2 plate products.
 """
 
@@ -62,15 +62,13 @@ class DecompositionParams:
     """Plate angle, loss angles and scale realizing a propagator, or, as
     decompose_grid() returns them, (T,) arrays over a time grid.
 
-    c * reconstruct(params) equals the propagator elementwise, with
-    sin(2 xi1) = lambda1 / c and sin(2 xi2) = lambda2 / c in [0, 1].
+    c * reconstruct(params) equals the propagator elementwise, and the loss
+    element's entries are lambda1,2 = c sin(2 xi1,2) in [0, c].
     """
     theta_deg: float
     xi1_deg: float
     xi2_deg: float
     c: float
-    lambda1: float
-    lambda2: float
 
 
 # the fixed plates of both strings, multiplied in the order the strings use
@@ -113,7 +111,7 @@ def decompose_grid(p, times):
         xi1 = np.rad2deg(0.5 * np.arcsin(np.minimum(lam1 / c, 1.0)))
         xi2 = np.rad2deg(0.5 * np.arcsin(np.minimum(lam2 / c, 1.0)))
         theta = np.rad2deg(np.arctan2(b, a) / 4.0 + np.pi / 4.0) % 180.0
-        d = DecompositionParams(theta, xi1, xi2, c, lam1, lam2)
+        d = DecompositionParams(theta, xi1, xi2, c)
         recon = c[:, None, None] * reconstruct(d)
         err = (np.max(np.abs(recon - target), axis=(-2, -1))
                / np.max(np.abs(target), axis=(-2, -1)))
@@ -123,9 +121,9 @@ def decompose_grid(p, times):
         where = f"t={float(times[i]):g}"
         if degenerate[i]:
             raise DecompositionError(f"{where}: degenerate propagator: |A + iB| + |C| = 0")
-        best = np.inf if np.isnan(err[i]) else err[i]
-        raise DecompositionError(
-            f"{where}: no branch reproduced the propagator (best error {best:.3e} of max |U|)")
+        error = np.inf if np.isnan(err[i]) else err[i]
+        raise DecompositionError(f"{where}: the plate strings do not reproduce the "
+                                 f"propagator (round-trip error {error:.3e} of max |U|)")
     return d
 
 

@@ -2,7 +2,7 @@
 Kwiat, Munro & White (PRA 64, 052312, 2001) with Poisson count
 statistics, and maximum-likelihood reconstruction of the density matrix.
 
-The fit minimizes f(rho) = sum_b [N_b p_b - n_b log p_b], p_b = <b|rho|b>,
+The fit minimizes f(rho) = sum_b [N p_b - n_b log p_b], p_b = <b|rho|b>,
 the negative Poisson log-likelihood up to a constant, over rho = T T^H with
 T lower triangular and |T| = 1 (Burer & Monteiro, Math. Program. 95, 329,
 2003), by damped Newton steps on that sphere with the exact Hessian and a
@@ -58,7 +58,7 @@ _OUTER = np.einsum("bi,bj->bij", _KETS, _KETS.conj()).reshape(16, 16)
 _PROJECTORS = _OUTER.view(float)
 _INVERSION = np.linalg.inv(_OUTER.conj())  # probabilities -> vec(rho)
 
-# Newton constants, in units of f / sum_b N_b. A point stops when its Newton
+# Newton constants, in units of f / (16 N). A point stops when its Newton
 # decrement (about twice f - min f) and its Frank-Wolfe gap are below the two
 # tolerances. A pass keeps the step length that lowers f most among those
 # passing Armijo's test; lengths over 1 help where rho loses rank.
@@ -68,6 +68,7 @@ _TOL_GAP = 1e-6
 _ARMIJO = 1e-4
 _STEPS = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.25, 0.125, 0.0625])
 _DAMPING = 1e-12
+_WEIGHT = 1.0 / 16.0  # N_b / sum_b N_b: one total N in every basis
 # p_b is floored here before any logarithm or division, in the fit and in
 # the reported log-likelihood
 _P_FLOOR = 1e-14
@@ -168,18 +169,17 @@ def _start(rho):
             2.0 * kets[:, :, :, None], outer)
 
 
-def _armijo(p, pf, delta, n, big_n, lengths, slope):
+def _armijo(p, pf, delta, n, lengths, slope):
     """Armijo's test f(s) - f <= -_ARMIJO * length * slope at L lengths, for
     (P,16) probabilities p, floored pf and (P,16,L) changes delta of p: whether
     any length passes, and the index of the passing one that lowers f most."""
     change = np.maximum(p[:, :, None] + delta, _P_FLOOR) - pf[:, :, None]
-    gain = (big_n[:, :, None] * delta
-            - n[:, :, None] * np.log1p(change / pf[:, :, None])).sum(axis=1)
+    gain = (_WEIGHT * delta - n[:, :, None] * np.log1p(change / pf[:, :, None])).sum(axis=1)
     accept = gain <= -_ARMIJO * lengths * slope[:, None]
     return accept.any(axis=1), np.where(accept, gain, np.inf).argmin(axis=1)
 
 
-def _frank_wolfe_step(x, g_matrix, gap, p, conj_kets, n, big_n):
+def _frank_wolfe_step(x, g_matrix, gap, p, conj_kets, n):
     """Coordinates of (1 - s) rho + s u u^H for rho = T T^H at x and u the
     eigenvector of lambda_min(G): a Frank-Wolfe step, which lowers f by about
     s * gap (Journee, Bach, Absil & Sepulchre, SIAM J. Optim. 20, 2327, 2010).
@@ -194,7 +194,7 @@ def _frank_wolfe_step(x, g_matrix, gap, p, conj_kets, n, big_n):
     curvature = (n[:, :, None] * dp * dp / (pf * pf)[:, :, None]).sum(axis=1)[:, 0]
     length = np.divide(gap, curvature, out=np.ones_like(gap), where=curvature > 0.0)
     lengths = np.clip(length[:, None] * _STEPS, 0.0, 1.0)
-    ok, best = _armijo(p, pf, lengths[:, None, :] * dp, n, big_n, lengths, gap)
+    ok, best = _armijo(p, pf, lengths[:, None, :] * dp, n, lengths, gap)
     s = np.where(ok, lengths[np.arange(len(best)), best], 0.0)
     factor = np.concatenate([np.sqrt(1.0 - s)[:, None, None] * _to_matrix(x),
                              np.sqrt(s)[:, None, None] * u], axis=2)
@@ -205,13 +205,14 @@ def _frank_wolfe_step(x, g_matrix, gap, p, conj_kets, n, big_n):
     return x / np.sqrt((x * x).sum(axis=1, keepdims=True))
 
 
-def _newton(n, big_n, rho):
-    """Minimize f from each row of the (P,4,4) start stack `rho`: the
-    estimates, each row's accepted steps, and which rows stopped within
-    MAX_PASSES passes. Stopped rows leave the working arrays."""
+def _newton(n, rho):
+    """Minimize f / (16 N), for (P,16) counts n / (16 N), from each row of the
+    (P,4,4) start stack `rho`: the estimates, each row's accepted steps, and
+    which rows stopped within MAX_PASSES passes. Stopped rows leave the loop."""
     x, order, conj_kets, twice_kets, projectors = _start(rho)
     final = np.zeros_like(x)
-    iterations, steps, passes = np.zeros((3, len(rho)), dtype=int)
+    iterations, steps = np.zeros((2, len(rho)), dtype=int)
+    passes = 0  # rows only leave the loop, so every row in it has made this many
     converged, rows = np.zeros(len(rho), dtype=bool), np.arange(len(rho))
     damping = np.full(len(rho), _DAMPING)
     while rows.size:
@@ -219,7 +220,7 @@ def _newton(n, big_n, rho):
         y_float = y.view(float)
         p = (y_float * y_float).sum(axis=2)
         pf = np.maximum(p, _P_FLOOR)
-        w = big_n - n / pf
+        w = _WEIGHT - n / pf
         g_matrix = (w[:, None, :] @ projectors)[:, 0]  # G.view(float)
         lam_min = np.linalg.eigvalsh(g_matrix.view(complex).reshape(-1, 4, 4))[:, 0]
         gap = (w * p).sum(axis=1) - lam_min
@@ -251,7 +252,7 @@ def _newton(n, big_n, rho):
         quad = (y_d * y_d).sum(axis=2) - p * dd[:, None]
         delta = ((lin[:, :, None] * _STEPS + quad[:, :, None] * _STEPS ** 2)
                  / (1.0 + dd[:, None, None] * _STEPS ** 2))
-        ok, best = _armijo(p, pf, delta, n, big_n, _STEPS, decrement)
+        ok, best = _armijo(p, pf, delta, n, _STEPS, decrement)
         take = ok & ~small
         x = x + np.where(take, _STEPS[best], 0.0)[:, None] * d
         x /= np.sqrt((x * x).sum(axis=1, keepdims=True))
@@ -262,8 +263,7 @@ def _newton(n, big_n, rho):
         saddle = np.flatnonzero(small & ~stop)
         if saddle.size:
             x[saddle] = _frank_wolfe_step(x[saddle], g_matrix[saddle], gap[saddle],
-                                          p[saddle], conj_kets[saddle], n[saddle],
-                                          big_n[saddle])
+                                          p[saddle], conj_kets[saddle], n[saddle])
 
         done = stop | (passes >= MAX_PASSES)
         if done.any():
@@ -271,40 +271,41 @@ def _newton(n, big_n, rho):
             iterations[rows[done]] = steps[done]
             converged[rows[done]] = stop[done]
             keep = ~done
-            (rows, x, conj_kets, twice_kets, projectors, steps, passes, damping, n,
-             big_n) = (v[keep] for v in (rows, x, conj_kets, twice_kets, projectors,
-                                         steps, passes, damping, n, big_n))
+            rows, x, conj_kets, twice_kets, projectors, steps, damping, n = (
+                v[keep] for v in (rows, x, conj_kets, twice_kets, projectors, steps,
+                                  damping, n))
     # T T^H in the original basis: T's rows follow each point's pivot order
     t = np.take_along_axis(_to_matrix(final), np.argsort(order, axis=1)[:, :, None], 1)
     return t @ t.conj().transpose(0, 2, 1), iterations, converged
 
 
-def mle_fit(observed, totals):
-    """Maximum-likelihood fits of (P,16) observed counts and per-basis totals
-    in basis order; row i depends on row i alone. Returns the (P,4,4)
-    estimates, their log-likelihoods and each point's accepted Newton steps.
+def mle_fit(observed, total):
+    """Maximum-likelihood fits of (P,16) observed counts in basis order, taken
+    with one total in every basis; row i depends on row i alone. Returns the
+    (P,4,4) estimates, their log-likelihoods and each point's accepted steps.
 
-    A point converges when its Newton decrement is below 1e-13 * sum_b N_b
-    and its Frank-Wolfe gap below 1e-6 * sum_b N_b; MleConvergenceError
+    A point converges when its Newton decrement is below 1e-13 * 16 total
+    and its Frank-Wolfe gap below 1e-6 * 16 total; MleConvergenceError
     names the points that have not within MAX_PASSES Newton passes. ValueError
-    names shapes other than (P,16), or the first point with a count that is
-    not finite and >= 0 or a total that is not finite and > 0.
+    names a shape other than (P,16), the first point with a count that is
+    not finite and >= 0, or a total that is not one finite number > 0.
     """
-    observed, totals = np.asarray(observed, dtype=float), np.asarray(totals, dtype=float)
-    if observed.ndim != 2 or observed.shape[1] != 16 or totals.shape != observed.shape:
-        raise ValueError(f"observed and totals must both be (P, 16), got "
-                         f"{observed.shape} and {totals.shape}")
-    for name, values, good, rule in (("observed counts", observed, observed >= 0, ">= 0"),
-                                     ("totals", totals, totals > 0, "> 0")):
-        bad = ~(good & np.isfinite(values))
-        if bad.any():
-            i, b = np.unravel_index(np.argmax(bad), bad.shape)
-            raise ValueError(f"{name} must be finite and {rule}, got {values[i, b]} "
-                             f"at point {i}, basis {BASIS_LABELS[b]}")
-    scale = totals.sum(axis=1, keepdims=True)
-    linear = ((observed / totals)[:, None, :] * _INVERSION).sum(axis=2).reshape(-1, 4, 4)
+    observed = np.asarray(observed, dtype=float)
+    if observed.ndim != 2 or observed.shape[1] != 16:
+        raise ValueError(f"observed must be (P, 16), got {observed.shape}")
+    bad = ~((observed >= 0) & np.isfinite(observed))
+    if bad.any():
+        i, b = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"observed counts must be finite and >= 0, got {observed[i, b]} "
+                         f"at point {i}, basis {BASIS_LABELS[b]}")
+    if np.ndim(total) != 0:
+        raise ValueError(f"total must be one number, got shape {np.shape(total)}")
+    total = float(total)
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"total must be finite and > 0, got {total}")
+    linear = ((observed / total)[:, None, :] * _INVERSION).sum(axis=2).reshape(-1, 4, 4)
     start = _project((linear + linear.conj().transpose(0, 2, 1)) / 2.0)
-    rho, steps, converged = _newton(observed / scale, totals / scale, start)
+    rho, steps, converged = _newton(observed / (16.0 * total), start)
     stuck = np.flatnonzero(~converged)
     if stuck.size:
         raise MleConvergenceError(
@@ -312,7 +313,7 @@ def mle_fit(observed, totals):
             stuck.tolist())
 
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
-    mus = totals * np.maximum(_probabilities(rho), _P_FLOOR)
+    mus = total * np.maximum(_probabilities(rho), _P_FLOOR)
     log_likelihood = np.sum(observed * np.log(mus) - mus, axis=1)
     return rho, log_likelihood, steps
 

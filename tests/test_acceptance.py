@@ -202,7 +202,7 @@ def test_criterion_12_tomography_loop():
     p = AptParams(a=1.2)
     truths = evolve_pairs([(p, p)], 0.5 * np.arange(10), keep_states=True)[2][0]
     observed = draw_counts(truths, total=10000, seed=100, noiseless=True)[1]
-    rho_hat = mle_fit(observed, np.full(observed.shape, 10000))[0]
+    rho_hat = mle_fit(observed, 10000)[0]
     worst_fid = float(fidelity(truths, rho_hat).min())
     worst_gap = max(abs(concurrence(r) - concurrence(truth))
                     for r, truth in zip(rho_hat, truths))
@@ -212,7 +212,7 @@ def test_criterion_12_tomography_loop():
     # 100 draws of one state, from seeds 3000-3099
     truths = np.repeat(evolve_pairs([(p, p)], [1.0], keep_states=True)[2][0], 100, axis=0)
     observed = draw_counts(truths, total=10000, seed=3000)[1]
-    fids = fidelity(truths, mle_fit(observed, np.full(observed.shape, 10000))[0])
+    fids = fidelity(truths, mle_fit(observed, 10000)[0])
     passing = int(np.sum(fids > 0.98))
     assert passing >= 95
     print(f"[acceptance] criterion 12: PASS (noiseless min fid {worst_fid:.6f}, "

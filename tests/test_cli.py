@@ -373,7 +373,7 @@ class TestDecomposeCommand:
         assert row[3] == row[2] and row[6] == "0"
         d = DecompositionParams(
             theta_deg=float(row[2]), xi1_deg=float(row[4]), xi2_deg=float(row[5]),
-            c=float(row[7]), lambda1=float("nan"), lambda2=float("nan"))
+            c=float(row[7]))
         err = np.max(np.abs(d.c * reconstruct(d) -
                             propagators(AptParams(a=1.2), [1.0])[0]))
         assert err < 1e-3  # six-significant-digit table rounding
@@ -415,11 +415,12 @@ class TestTomographyCommand:
         # the grid's counts, drawn as one array, equal draw_counts one state
         # at a time, bit for bit
         seen, fit = [], cli.mle_fit
-        monkeypatch.setattr(cli, "mle_fit", lambda observed, totals: (
-            seen.append((observed, totals)) or fit(observed, totals)))
+        monkeypatch.setattr(cli, "mle_fit", lambda observed, total: (
+            seen.append((observed, total)) or fit(observed, total)))
         assert cli.main(["tomography", "--seed", "11", *flags,
                          "--out", str(tmp_path / "t.json")]) == 0
-        (observed, totals), = seen
+        (observed, total), = seen
+        assert total == 10000
         p = AptParams(a=1.2)
         pair = (p, IDENTITY if flags == ["--identity-qubit2"] else p)
         states = dynamics.evolve_pairs([pair], dynamics.time_grid(4.5, 0.5),
@@ -429,7 +430,6 @@ class TestTomographyCommand:
             one = draw_counts(rho[None], total=10000, seed=11 + i,
                               noiseless=flags == ["--noiseless"])[1]
             assert np.array_equal(observed[i], one[0])
-            assert np.array_equal(totals[i], np.full(16, 10000))
 
     def test_noiseless_concurrence_keeps_small_eigenvalues(self, tmp_path, monkeypatch):
         # at the noiseless t = 3.5 point of the defaults rho_hat has
@@ -437,8 +437,8 @@ class TestTomographyCommand:
         # concurrence_mle 5.1e-13 from the 50-digit value
         pytest.importorskip("mpmath")
         estimates, fit = [], cli.mle_fit
-        monkeypatch.setattr(cli, "mle_fit", lambda observed, totals: (
-            estimates.append(fit(observed, totals)) or estimates[-1]))
+        monkeypatch.setattr(cli, "mle_fit", lambda observed, total: (
+            estimates.append(fit(observed, total)) or estimates[-1]))
         out = tmp_path / "t.json"
         assert cli.main(["tomography", "--noiseless", "--out", str(out)]) == 0
         point = json.loads(out.read_text())["points"][7]
@@ -480,7 +480,7 @@ class TestErrorMapping:
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
     def test_mle_convergence_error_names_time(self, tmp_path, capsys, monkeypatch):
-        def stall(observed, totals):
+        def stall(observed, total):
             raise MleConvergenceError("no convergence", [1])
 
         monkeypatch.setattr(cli, "mle_fit", stall)
@@ -499,7 +499,7 @@ class TestErrorMapping:
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("a1,t_max,dt,tol,named", [
-        ("1.2", "1", "0.5", 0.0, "t=0"),                   # no branch within tolerance
+        ("1.2", "1", "0.5", 0.0, "t=0"),                   # round trip beyond tolerance
         ("0.5", "1000", "1000", optics._ROUNDTRIP_TOL, "t=1000")])  # propagator overflows
     def test_decomposition_failure_names_time(self, tmp_path, capsys, monkeypatch,
                                               a1, t_max, dt, tol, named):
@@ -508,7 +508,7 @@ class TestErrorMapping:
         assert cli.main(["decompose", "--a1", a1, "--t-max", t_max, "--dt", dt,
                          "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(
-            f"numerical error: {named}: no branch reproduced the propagator")
+            f"numerical error: {named}: the plate strings do not reproduce the propagator")
         assert not out.exists()
 
     def test_missing_command_exits_2(self):

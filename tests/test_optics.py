@@ -18,6 +18,17 @@ RNG = np.random.default_rng(11)
 ROOT2 = np.sqrt(2.0)
 
 
+def _loss_entries(d):
+    """(lambda1, lambda2) = c sin(2 xi1,2) of the first point of d."""
+    return tuple(d.c[0] * np.sin(2.0 * np.deg2rad(xi[0])) for xi in (d.xi1_deg, d.xi2_deg))
+
+
+def _propagator_lambdas(p, t):
+    """|A + iB| -+ C of the propagator at t, U[0, 0] = A - iB and C = Re U[0, 1]."""
+    u = propagators(p, [t])[0]
+    return abs(u[0, 0]) - u[0, 1].real, abs(u[0, 0]) + u[0, 1].real
+
+
 class TestWavePlates:
     def test_hwp_22_5(self):
         expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / ROOT2
@@ -67,8 +78,9 @@ class TestWavePlates:
 class TestDecompose:
     def test_time_zero_is_identity(self):
         d = decompose_grid(AptParams(a=1.2), [0.0])
-        assert d.lambda1[0] == pytest.approx(1.0, abs=1e-12)
-        assert d.lambda2[0] == pytest.approx(1.0, abs=1e-12)
+        lambda1, lambda2 = _loss_entries(d)
+        assert lambda1 == pytest.approx(1.0, abs=1e-12)
+        assert lambda2 == pytest.approx(1.0, abs=1e-12)
         assert d.c[0] == pytest.approx(1.0, abs=1e-12)
         assert d.xi1_deg[0] == pytest.approx(45.0, abs=1e-9)
         assert d.xi2_deg[0] == pytest.approx(45.0, abs=1e-9)
@@ -76,8 +88,9 @@ class TestDecompose:
 
     def test_exceptional_point_example(self):
         d = decompose_grid(AptParams(a=1.0), [1.0])
-        assert d.lambda1[0] == pytest.approx(ROOT2 - 1.0, abs=1e-12)
-        assert d.lambda2[0] == pytest.approx(ROOT2 + 1.0, abs=1e-12)
+        lambda1, lambda2 = _loss_entries(d)
+        assert lambda1 == pytest.approx(ROOT2 - 1.0, abs=1e-12)
+        assert lambda2 == pytest.approx(ROOT2 + 1.0, abs=1e-12)
         # arg(A + iB) = pi/4, shifted by the 45-degree phase compensation
         assert d.theta_deg[0] == pytest.approx((45.0 + 180.0) / 4.0, abs=1e-9)
 
@@ -85,8 +98,9 @@ class TestDecompose:
         a = 1.5
         w = np.sqrt(a * a - 1.0)
         d = decompose_grid(AptParams(a=a), [(np.pi / 2.0) / w])
-        assert d.lambda1[0] == pytest.approx((a - 1.0) / w, abs=1e-9)
-        assert d.lambda2[0] == pytest.approx((a + 1.0) / w, abs=1e-9)
+        lambda1, lambda2 = _loss_entries(d)
+        assert lambda1 == pytest.approx((a - 1.0) / w, abs=1e-9)
+        assert lambda2 == pytest.approx((a + 1.0) / w, abs=1e-9)
 
     def test_roundtrip_across_regimes(self):
         times = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -98,7 +112,7 @@ class TestDecompose:
                 assert err < 1e-9, f"a={a} t={t}: {err}"
 
     def test_roundtrip_negative_off_diagonal(self):
-        # w t past pi makes C < 0; the branch search must still close
+        # w t past pi makes C < 0; the one branch must still close
         p = AptParams(a=1.2)
         d = decompose_grid(p, [6.0, 8.5])
         err = np.max(np.abs(d.c[:, None, None] * reconstruct(d) - propagators(p, [6.0, 8.5])))
@@ -108,15 +122,17 @@ class TestDecompose:
         for a, t in ((0.8, 2.0), (1.2, 1.0), (1.8, 4.0)):
             d = decompose_grid(AptParams(a=a), [t])
             assert d.c[0] > 0.0
-            assert d.c[0] == pytest.approx(max(d.lambda1[0], d.lambda2[0]), abs=1e-15)
+            assert d.c[0] == pytest.approx(max(_propagator_lambdas(AptParams(a=a), t)),
+                                           abs=1e-15)
 
     def test_loss_angle_invariants(self):
         for a, t in ((0.8, 1.0), (1.2, 2.5), (1.0, 0.7)):
             d = decompose_grid(AptParams(a=a), [t])
+            lambda1, lambda2 = _propagator_lambdas(AptParams(a=a), t)
             s1 = np.sin(2.0 * np.deg2rad(d.xi1_deg[0]))
             s2 = np.sin(2.0 * np.deg2rad(d.xi2_deg[0]))
-            assert s1 == pytest.approx(d.lambda1[0] / d.c[0], abs=1e-12)
-            assert s2 == pytest.approx(d.lambda2[0] / d.c[0], abs=1e-12)
+            assert s1 == pytest.approx(lambda1 / d.c[0], abs=1e-12)
+            assert s2 == pytest.approx(lambda2 / d.c[0], abs=1e-12)
             assert 0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0
 
     def test_pt_rejected(self):
@@ -158,13 +174,13 @@ class TestDecompose:
     def test_failing_point_names_its_t(self, monkeypatch):
         monkeypatch.setattr(optics, "_ROUNDTRIP_TOL", 0.0)
         with pytest.raises(DecompositionError,
-                           match=r"^t=0\.5: no branch reproduced the propagator"):
+                           match=r"^t=0\.5: the plate strings do not reproduce the propagator"):
             decompose_grid(AptParams(a=1.2), [0.5, 1.0])
-        with pytest.raises(DecompositionError, match=r"^t=1: no branch"):
+        with pytest.raises(DecompositionError, match=r"^t=1: the plate strings"):
             decompose_grid(AptParams(a=1.2), [1.0])
 
     def test_overflowing_point_names_its_t(self):
-        with pytest.raises(DecompositionError, match=r"^t=1000: .*best error inf"):
+        with pytest.raises(DecompositionError, match=r"^t=1000: .*round-trip error inf"):
             decompose_grid(AptParams(a=0.5), [0.0, 1000.0])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -180,7 +196,7 @@ class TestDecompose:
             second = optics._QWP45 @ hwp(theta2) @ optics._QWP45 @ optics._HWP67_5
             return second @ loss_matrix(xi1, xi2) @ first
 
-        base = reconstruct(DecompositionParams(theta, xi1, xi2, 1.0, np.nan, np.nan))
+        base = reconstruct(DecompositionParams(theta, xi1, xi2, 1.0))
         assert np.array_equal(strings(theta, theta), base)
         flip = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert np.max(np.abs(strings(theta + 90.0, theta - 90.0) - base)) < 1e-14

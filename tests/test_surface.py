@@ -1,6 +1,6 @@
-"""The library surface carries no public function or class that only tests
-use: each one must be named by the package's own code or by the benchmark
-in perfbench/, or stand on KEPT with its reason."""
+"""The library surface carries no public function, class or module-level
+constant that only tests use: each one must be named by the package's own
+code or by the benchmark in perfbench/, or stand on KEPT with its reason."""
 
 import ast
 from pathlib import Path
@@ -32,12 +32,22 @@ def _public_definitions(path):
             and not node.name.startswith("_")]
 
 
+def _public_constants(path):
+    """The public names a module assigns at its top level."""
+    targets = [target for node in ast.parse(path.read_text()).body
+               for target in (node.targets if isinstance(node, ast.Assign) else
+                              [node.target] if isinstance(node, ast.AnnAssign) else [])]
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and not node.id.startswith("_")]
+
+
 def _named(path):
-    """Every identifier a file uses: names, attributes and imports. A
-    definition's own name is not a use of it, and docstrings are not read."""
+    """Every identifier a file uses: loaded names, attributes and imports. A
+    definition's own name, or an assignment to a name, is not a use of it,
+    and docstrings are not read."""
     out = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -46,15 +56,25 @@ def _named(path):
     return out
 
 
-def test_every_public_name_has_a_caller():
+def _unused(public):
+    """The `public(path)` names of the package's modules that neither the
+    package nor perfbench/ uses and KEPT does not hold."""
     # __init__.py only re-exports, so it names every public name and is left out
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     users = modules + sorted((ROOT / "perfbench").glob("*.py"))
     named = set().union(*(_named(path) for path in users))
-    unused = [f"{path.name}: {name}" for path in modules
-              for name in _public_definitions(path)
-              if name not in named and name not in KEPT]
+    return [f"{path.name}: {name}" for path in modules
+            for name in public(path) if name not in named and name not in KEPT]
+
+
+def test_every_public_name_has_a_caller():
+    unused = _unused(_public_definitions)
     assert not unused, f"public names that only tests use: {unused}"
+
+
+def test_every_public_constant_has_a_reader():
+    unused = _unused(_public_constants)
+    assert not unused, f"public constants that only tests read: {unused}"
 
 
 def test_kept_names_exist():

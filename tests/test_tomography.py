@@ -15,6 +15,7 @@ from aptsim.dynamics import (InvalidStateError, bell_state, evolve_pairs, maxima
                              time_grid, validate_density_matrix)
 from aptsim.entanglement import concurrence
 from aptsim.model import AptParams
+from aptsim.optics import hwp, qwp
 from aptsim.tomography import (BASIS_LABELS, MleConvergenceError,
                                basis_set, draw_counts, fidelity, mle_fit)
 
@@ -43,6 +44,15 @@ class TestBasisSet:
         assert by_label["HH"].settings == ((0.0, 0.0), (0.0, 0.0))
         assert by_label["DR"].settings == ((45.0, 22.5), (0.0, 22.5))
         assert by_label["VL"].settings == ((0.0, 45.0), (45.0, 0.0))
+
+    def test_settings_realize_kets(self):
+        # light passes the QWP, then the HWP, then a PBS that transmits H, so
+        # photon k is projected onto (HWP QWP)^H |H> at its (qwp, hwp) angles
+        horizontal = np.array([1.0, 0.0])
+        for b in basis_set():
+            analyzed = [(hwp(h) @ qwp(q)).conj().T @ horizontal for q, h in b.settings]
+            overlap = np.vdot(np.kron(*analyzed), b.ket)
+            assert abs(overlap) == pytest.approx(1.0, abs=1e-12), b.label
 
     def test_rl_ket(self):
         rl = next(b for b in basis_set() if b.label == "RL")
@@ -91,7 +101,7 @@ class TestDrawCounts:
 class TestMleFit:
     def test_noiseless_bell(self):
         observed = draw_counts(bell_state()[None], total=10000, seed=0, noiseless=True)[1]
-        rho_hat = mle_fit(observed, np.full(observed.shape, 10000))[0]
+        rho_hat = mle_fit(observed, 10000)[0]
         fids = fidelity(bell_state()[None], rho_hat)
         assert fids[0] > 0.999
         assert concurrence(rho_hat[0]) > 0.998
@@ -99,13 +109,13 @@ class TestMleFit:
     def test_noiseless_maximally_mixed(self):
         observed = draw_counts(maximally_mixed()[None], total=10000, seed=0, noiseless=True)[1]
         fids = fidelity(maximally_mixed()[None],
-                        mle_fit(observed, np.full(observed.shape, 10000))[0])
+                        mle_fit(observed, 10000)[0])
         assert fids[0] > 0.999
 
     def test_output_always_physical(self):
         rho = evolve_pairs([(AptParams(a=1.2), AptParams(a=1.3))], [1.0], keep_states=True)[2][0, 0]
         observed = draw_counts(rho[None], total=500, seed=5)[1]
-        result = mle_fit(observed, np.full(observed.shape, 500))
+        result = mle_fit(observed, 500)
         rho_hat, _, iterations = result
         validate_density_matrix(rho_hat[0])
         assert len(result) == 3  # estimates, log-likelihoods, steps: no scores
@@ -113,10 +123,9 @@ class TestMleFit:
 
     def test_log_likelihood_is_poisson(self):
         observed = draw_counts(bell_state()[None], total=1000, seed=9)[1]
-        totals = np.full(observed.shape, 1000)
-        rho_hat, log_likelihood, _ = mle_fit(observed, totals)
-        mus = np.array([n_b * max(float(np.real(np.vdot(b.ket, rho_hat[0] @ b.ket))), 1e-14)
-                        for n_b, b in zip(totals[0], basis_set())])
+        rho_hat, log_likelihood, _ = mle_fit(observed, 1000)
+        mus = np.array([1000 * max(float(np.real(np.vdot(b.ket, rho_hat[0] @ b.ket))), 1e-14)
+                        for b in basis_set()])
         expected_ll = float(np.sum(observed[0] * np.log(mus) - mus))
         assert log_likelihood[0] == pytest.approx(expected_ll, abs=1e-6)
 
@@ -127,7 +136,7 @@ class TestMleFit:
             fids = []
             for seed in range(15):
                 observed = draw_counts(rho[None], total=total, seed=500 + seed)[1]
-                rho_hat = mle_fit(observed, np.full(observed.shape, total))[0]
+                rho_hat = mle_fit(observed, total)[0]
                 fids.append(fidelity(rho[None], rho_hat)[0])
             medians.append(float(np.median(fids)))
         assert medians[0] <= medians[1] <= medians[2]
@@ -136,46 +145,49 @@ class TestMleFit:
         monkeypatch.setattr(tomography, "MAX_PASSES", 2)
         observed = draw_counts(bell_state()[None], total=10000, seed=1)[1]
         with pytest.raises(MleConvergenceError):
-            mle_fit(observed, np.full(observed.shape, 10000))
+            mle_fit(observed, 10000)
 
 
 class TestMleFitInput:
-    """Malformed counts raise ValueError naming the first bad point."""
+    """Malformed input raises ValueError; a bad count names its point and basis."""
 
-    @pytest.mark.parametrize("observed_shape,totals_shape", [
-        ((1, 15), (1, 15)), ((16,), (16,)), ((1, 1, 16), (1, 1, 16)), ((1, 16), (2, 16))])
-    def test_shape(self, observed_shape, totals_shape):
-        message = (f"observed and totals must both be (P, 16), "
-                   f"got {observed_shape} and {totals_shape}")
+    @pytest.mark.parametrize("observed_shape", [(1, 15), (16,), (1, 1, 16)])
+    def test_shape(self, observed_shape):
+        message = f"observed must be (P, 16), got {observed_shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            mle_fit(np.ones(observed_shape), np.ones(totals_shape))
+            mle_fit(np.ones(observed_shape), 100)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
     def test_observed_not_finite_or_negative(self, value):
-        observed, totals = np.full((3, 16), 10.0), np.full((3, 16), 100.0)
+        observed = np.full((3, 16), 10.0)
         observed[1, 4] = observed[2, 0] = value
         message = f"observed counts must be finite and >= 0, got {value} at point 1, basis RH"
         with pytest.raises(ValueError, match=re.escape(message)):
-            mle_fit(observed, totals)
+            mle_fit(observed, 100)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -5.0])
-    def test_totals_not_finite_or_positive(self, value):
-        observed, totals = np.full((3, 16), 10.0), np.full((3, 16), 100.0)
-        totals[2, 15] = totals[1, 7] = value
-        message = f"totals must be finite and > 0, got {value} at point 1, basis DH"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            mle_fit(observed, totals)
+    @pytest.mark.parametrize("value,message", [
+        (np.nan, "total must be finite and > 0, got nan"),
+        (np.inf, "total must be finite and > 0, got inf"),
+        (0, "total must be finite and > 0, got 0.0"),
+        (-5, "total must be finite and > 0, got -5.0"),
+        (np.full((3, 16), 100.0), "total must be one number, got shape (3, 16)")],
+        ids=["nan", "inf", "0", "-5", "per-basis"])
+    def test_total_not_one_finite_positive_number(self, value, message):
+        # one total serves every basis of every point; a (P, 16) array of
+        # per-basis totals is refused
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            mle_fit(np.full((3, 16), 10.0), value)
 
 
-def _frank_wolfe_gap(rho, observed, totals):
+def _frank_wolfe_gap(rho, observed, total):
     """<G, rho> - lambda_min(G) for G the gradient of
-    f = sum_b [N_b p_b - n_b log p_b] at rho, for one point's 16 observed
-    counts n_b and totals N_b. f is convex, so the gap bounds
+    f = sum_b [N p_b - n_b log p_b] at rho, for one point's 16 observed
+    counts n_b and the total N of each basis. f is convex, so the gap bounds
     f(rho) - min f over density matrices, and it is 0 only at the
     maximum-likelihood state."""
     kets = np.array([b.ket for b in basis_set()])
     p = np.real(np.einsum("bi,ij,bj->b", kets.conj(), rho, kets))
-    w = totals - np.divide(observed, p, out=np.zeros(16), where=observed != 0)
+    w = total - np.divide(observed, p, out=np.zeros(16), where=observed != 0)
     g = np.einsum("b,bi,bj->ij", w, kets, kets.conj())
     return float(np.real(np.vdot(g, rho))) - float(np.linalg.eigvalsh(g)[0])
 
@@ -187,10 +199,10 @@ def _random_state(rank, seed):
 
 
 class TestMleOptimality:
-    # The fit stops only once its Newton decrement is below 1e-13 * sum_b N_b
-    # and its own Frank-Wolfe gap below 1e-6 * sum_b N_b. Over 1,500 random
-    # draws of state, seed and total (1e2 to 1e6 per basis) the gap at the
-    # estimate was at most 9.6e-8 * sum_b N_b, and at most 1.2e-7 * sum_b N_b
+    # The fit stops only once its Newton decrement is below 1e-13 * 16 N
+    # and its own Frank-Wolfe gap below 1e-6 * 16 N. Over 1,500 random
+    # draws of state, seed and total N (1e2 to 1e6 per basis) the gap at the
+    # estimate was at most 9.6e-8 * 16 N, and at most 1.2e-7 * 16 N
     # over 1,000 near-pure draws.
     GAP_PER_COUNT = 1e-5
 
@@ -201,21 +213,19 @@ class TestMleOptimality:
         total = int(10 ** log_total)
         observed = draw_counts(_random_state(rank, state_seed)[None], total=total,
                                seed=count_seed)[1]
-        totals = np.full(observed.shape, total)
-        rho_hat = mle_fit(observed, totals)[0]
-        gap = _frank_wolfe_gap(rho_hat[0], observed[0], totals[0])
-        assert gap < self.GAP_PER_COUNT * totals.sum()
+        rho_hat = mle_fit(observed, total)[0]
+        gap = _frank_wolfe_gap(rho_hat[0], observed[0], total)
+        assert gap < self.GAP_PER_COUNT * 16 * total
 
     def test_batch_matches_one_at_a_time(self):
         p = AptParams(a=1.2)
         observed = np.concatenate([
             draw_counts(evolve_pairs([(p, p)], [0.5 * i], keep_states=True)[2][0], total=10000,
                         seed=40 + i, noiseless=i % 3 == 2)[1] for i in range(10)])
-        totals = np.full(observed.shape, 10000)
-        rho, _, iterations = mle_fit(observed, totals)
-        rho_reversed, _, iterations_reversed = mle_fit(observed[::-1], totals)
+        rho, _, iterations = mle_fit(observed, 10000)
+        rho_reversed, _, iterations_reversed = mle_fit(observed[::-1], 10000)
         for i in range(10):
-            rho_alone, _, iterations_alone = mle_fit(observed[i:i + 1], totals[i:i + 1])
+            rho_alone, _, iterations_alone = mle_fit(observed[i:i + 1], 10000)
             for rho_other, iterations_other in ((rho[i], iterations[i]),
                                                 (rho_reversed[9 - i], iterations_reversed[9 - i])):
                 assert fidelity(rho_alone[0], rho_other) >= 1.0 - 1e-9
@@ -227,12 +237,11 @@ class TestMleOptimality:
         observed = np.concatenate([draw_counts(rho[None], total=2000, seed=60 + i,
                                                noiseless=i == 4)[1]
                                    for i, rho in enumerate(truths)])
-        totals = np.full(observed.shape, 2000)
-        rho_hat = mle_fit(observed, totals)[0]
+        rho_hat = mle_fit(observed, 2000)[0]
         fids = fidelity(truths, rho_hat)  # two (P,4,4) stacks: a (P,) array
         assert fids.shape == (10,)
         for i in range(10):
-            alone = fidelity(truths[i:i + 1], mle_fit(observed[i:i + 1], totals[i:i + 1])[0])
+            alone = fidelity(truths[i:i + 1], mle_fit(observed[i:i + 1], 2000)[0])
             assert fids[i] == alone[0]
             single = fidelity(truths[i], rho_hat[i])  # two states: a float
             assert type(single) is float and fids[i] == single
@@ -249,10 +258,9 @@ class TestMleOptimality:
         rho = (1.0 - eps) * _random_state(1, state_seed) + eps * _random_state(rank, noise_seed)
         total = int(10 ** log_total)
         observed = draw_counts(rho[None], total=total, seed=count_seed)[1]
-        totals = np.full(observed.shape, total)
-        rho_hat = mle_fit(observed, totals)[0]
-        gap = _frank_wolfe_gap(rho_hat[0], observed[0], totals[0])
-        assert gap < self.GAP_PER_COUNT * totals.sum()
+        rho_hat = mle_fit(observed, total)[0]
+        gap = _frank_wolfe_gap(rho_hat[0], observed[0], total)
+        assert gap < self.GAP_PER_COUNT * 16 * total
 
     def test_tail_point_converges(self):
         # t = 2.5 of `tomography --seed 10` at its defaults: bases of 1-6
@@ -262,19 +270,17 @@ class TestMleOptimality:
         assert times[5] == 2.5
         states = evolve_pairs([(p, p)], times, keep_states=True)[2][0]
         observed = draw_counts(states[5][None], total=10000, seed=15)[1]
-        totals = np.full(observed.shape, 10000)
-        rho_hat, _, iterations = mle_fit(observed, totals)
+        rho_hat, _, iterations = mle_fit(observed, 10000)
         assert iterations[0] <= 40
-        gap = _frank_wolfe_gap(rho_hat[0], observed[0], totals[0])
-        assert gap < self.GAP_PER_COUNT * totals.sum()
+        gap = _frank_wolfe_gap(rho_hat[0], observed[0], 10000)
+        assert gap < self.GAP_PER_COUNT * 16 * 10000
 
     def test_slowest_point_of_default_runs(self):
         # `tomography --seed s` at its defaults for s = 0-29; a run's slowest
         # point sets its cost. The mean of the largest `iterations` is 11.8.
         p = AptParams(a=1.2)
         states = evolve_pairs([(p, p)], time_grid(4.5, 0.5), keep_states=True)[2][0]
-        totals = np.full((len(states), 16), 10000)
-        worst = [mle_fit(draw_counts(states, total=10000, seed=s)[1], totals)[2].max()
+        worst = [mle_fit(draw_counts(states, total=10000, seed=s)[1], 10000)[2].max()
                  for s in range(30)]
         assert np.mean(worst) <= 30
 
@@ -284,11 +290,10 @@ class TestMleOptimality:
         observed = np.concatenate([draw_counts(states, total=10000, seed=10,
                                                noiseless=noiseless)[1]
                                    for noiseless in (False, True)])
-        totals = np.full(observed.shape, 10000)
-        batch = mle_fit(observed, totals)
-        odd_first = mle_fit(np.concatenate([observed[1::2], observed[::2]]), totals)
+        batch = mle_fit(observed, 10000)
+        odd_first = mle_fit(np.concatenate([observed[1::2], observed[::2]]), 10000)
         for i in range(len(observed)):
-            alone = mle_fit(observed[i:i + 1], totals[i:i + 1])
+            alone = mle_fit(observed[i:i + 1], 10000)
             j = i // 2 + (0 if i % 2 else len(observed) // 2)
             for result, k in ((batch, i), (odd_first, j)):
                 assert np.array_equal(result[0][k], alone[0][0])
@@ -302,12 +307,10 @@ class TestMleOptimality:
         states = evolve_pairs([(p, p)], time_grid(4.5, 0.5), keep_states=True)[2][0]
         observed = np.concatenate([draw_counts(states, 10000, 30, noiseless)[1]
                                    for noiseless in (False, True)])
-        totals = np.full(observed.shape, 10000)
-        alone = [mle_fit(observed[i:i + 1], totals[i:i + 1]) for i in range(20)]
+        alone = [mle_fit(observed[i:i + 1], 10000) for i in range(20)]
         for size in (1, 2, 7, 10, 20):
             for start in range(0, 20, size):
-                rho, log_likelihood, iterations = mle_fit(
-                    observed[start:start + size], totals[start:start + size])
+                rho, log_likelihood, iterations = mle_fit(observed[start:start + size], 10000)
                 for j in range(len(rho)):
                     rho_1, ll_1, iterations_1 = alone[start + j]
                     assert np.array_equal(rho[j], rho_1[0])
@@ -325,7 +328,7 @@ class TestMleOptimality:
                             lambda x, *rest: steps.append(len(x)) or real_step(x, *rest))
         observed = draw_counts(bell_state()[None], total=10000, seed=1)[1]
         with pytest.raises(MleConvergenceError):
-            mle_fit(observed, np.full(observed.shape, 10000))
+            mle_fit(observed, 10000)
         assert len(steps) > 2
 
     def test_failed_certificate_point_converges(self, monkeypatch):
@@ -336,16 +339,15 @@ class TestMleOptimality:
         monkeypatch.setattr(tomography, "MAX_PASSES", 20)
         observed = np.array([[2436, 2538, 2588, 2522, 0, 1, 2475, 2502,
                               0, 2477, 0, 2412, 2403, 4920, 5041, 0]])
-        totals = np.full(observed.shape, 10000)
-        alone = mle_fit(observed, totals)
+        alone = mle_fit(observed, 10000)
         validate_density_matrix(alone[0][0])
-        gap = _frank_wolfe_gap(alone[0][0], observed[0], totals[0])
-        assert gap < self.GAP_PER_COUNT * totals.sum()
+        gap = _frank_wolfe_gap(alone[0][0], observed[0], 10000)
+        assert gap < self.GAP_PER_COUNT * 16 * 10000
         # the Frank-Wolfe step keeps the point's fit independent of its batch
         p = AptParams(a=1.2)
         states = evolve_pairs([(p, p)], time_grid(4.5, 0.5), keep_states=True)[2][0]
         batch = np.concatenate([draw_counts(states, total=10000, seed=3)[1], observed])
-        result = mle_fit(batch, np.full(batch.shape, 10000))
+        result = mle_fit(batch, 10000)
         for fitted, one in zip(result, alone):
             assert np.array_equal(fitted[-1], one[0])
 
@@ -354,7 +356,7 @@ class TestMleOptimality:
         monkeypatch.setattr(tomography, "MAX_PASSES", 2)
         observed = draw_counts(np.array([bell_state()] * 2), total=10000, seed=1)[1]
         with pytest.raises(MleConvergenceError) as err:
-            mle_fit(observed, np.full(observed.shape, 10000))
+            mle_fit(observed, 10000)
         assert err.value.points == (0, 1)
 
 

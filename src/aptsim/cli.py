@@ -34,11 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (IDENTITY, MAX_SAMPLES, DegenerateNormError,
-                       IdentityEvolution, evolve_pairs, rank_factor, time_grid)
+from .dynamics import MAX_SAMPLES, evolve_pairs, rank_factor, time_grid
 from .linalg import wootters
-from .model import AptParams, Family
-from .optics import DecompositionError, decompose_grid
+from .model import IDENTITY, AptParams, Family
+from .optics import decompose_grid
 from .tomography import (DEFAULT_TOTAL, MAX_TOTAL, MleConvergenceError, draw_counts,
                          fidelity, mle_fit)
 
@@ -89,7 +88,7 @@ def figure_curves(figure_id):
 
 
 def _param_token(p):
-    if isinstance(p, IdentityEvolution):
+    if p.gamma == 0.0:
         return "id"
     if p.family is Family.PT:
         return f"pt{p.a:g}"
@@ -252,30 +251,29 @@ def run_figure(args):
     curves, default_t_max = figure_curves(args.figure)
     t_max = default_t_max if args.t_max is None else args.t_max
     times = time_grid(t_max, args.dt)  # every curve shares one grid
-    # every curve is computed before the first file is written, so a curve
-    # that fails leaves no partial output
-    chunks = _chunks(len(curves), times.size)
-    values = [np.stack(evolve_pairs(curves[chunk], times)[:2], axis=-1) for chunk in chunks]
+    # every curve's text is built before the first file is written, so a
+    # curve that fails leaves no partial output
+    values = [np.stack(evolve_pairs(curves[chunk], times)[:2], axis=-1)
+              for chunk in _chunks(len(curves), times.size)]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
         t = times.tolist()
         payload = [{"a1": _param_token(p1), "a2": _param_token(p2), "t": t,
                     "concurrence": v[:, 0].tolist(), "norm": v[:, 1].tolist()}
                    for (p1, p2), v in zip(curves, np.concatenate(values))]
-        path = out_dir / f"fig{args.figure}.json"
-        path.write_text(json.dumps({"figure": args.figure, "curves": payload},
-                                   indent=2, sort_keys=True) + "\n")
-        return [path]
+        text = json.dumps({"figure": args.figure, "curves": payload}, indent=2, sort_keys=True)
+        return _write(out_dir / f"fig{args.figure}.json", (text + "\n").encode())
     t_cells = _cells(times, _COMMA)
-    written = []
-    for chunk, group in zip(chunks, values):
+    texts = []
+    for group in values:
         cells = _cells(group, _ENDS)
-        texts = _text(times.size, t_cells, cells[:, :, 0], cells[:, :, 1])
-        for (p1, p2), text in zip(curves[chunk], texts):
-            path = out_dir / f"fig{args.figure}_{_param_token(p1)}_{_param_token(p2)}.csv"
-            path.write_bytes(b"t,concurrence,norm\n" + text)
-            written.append(path)
+        texts += _text(times.size, t_cells, cells[:, :, 0], cells[:, :, 1])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for (p1, p2), text in zip(curves, texts):
+        path = out_dir / f"fig{args.figure}_{_param_token(p1)}_{_param_token(p2)}.csv"
+        path.write_bytes(b"t,concurrence,norm\n" + text)
+        written.append(path)
     return written
 
 
@@ -424,8 +422,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateNormError, MleConvergenceError, DecompositionError,
-            OverflowError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

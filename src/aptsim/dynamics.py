@@ -9,14 +9,16 @@ by rank_factor()'s eigh, which also checks that rho0 is a state; the default
 Bell state's factor is a module constant, so it is neither validated nor
 factored again. Each column of F, as a 2x2 block F_k, evolves as
 U1(t) F_k U2(t)^T over the whole grid at once, from t = 0 at absolute time,
-with the propagator terms of each distinct qubit taken once. The norm is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes from
-the same F (linalg.wootters), and local filtering (Verstraete, Dehaene & De
+with the propagator terms of each distinct qubit taken once; a qubit that
+does not evolve is model.IDENTITY, gamma = 0, whose terms are those of
+H = 0. The norm is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes from the
+same F (linalg.wootters), and local filtering (Verstraete, Dehaene & De
 Moor, PRA 64, 010101, 2001) with |det U| = 1 for traceless H gives C(t) =
 C(rho0) / N(t): no eigensolver per sample, and no cancellation where the
 state's entries grow large."""
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -46,16 +48,6 @@ class DegenerateNormError(ArithmeticError):
         super().__init__(f"evolution norm underflowed at t={t}: {norm!r}")
         self.t = t
         self.norm = norm
-
-
-class IdentityEvolution:
-    """Marker for a qubit that does not evolve (single-qubit case)."""
-
-    def __repr__(self):
-        return "IdentityEvolution()"
-
-
-IDENTITY = IdentityEvolution()
 
 
 def bell_ket():
@@ -150,7 +142,7 @@ class EvolutionSpec:
     """One trajectory request: qubit parameters, grid, and initial state
     (defaults to the Bell state)."""
     p1: AptParams
-    p2: Union[AptParams, IdentityEvolution]
+    p2: AptParams
     t_max: float
     dt: float = 0.01
     initial: Optional[np.ndarray] = None
@@ -166,22 +158,15 @@ class Trajectory:
     unnormalized_norm: np.ndarray
 
 
-def _terms(p, times):
-    """(c, ts, H) of exp(-i H t) = c I - i ts H; H = 0 for a frozen qubit."""
-    if isinstance(p, IdentityEvolution):
-        return np.ones(times.size), np.zeros(times.size), np.zeros((2, 2))
-    return (*propagator.propagator_terms(p, times), hamiltonian(p))
-
-
 def evolve_pairs(pairs, times, initial=None, keep_states=False):
     """Concurrence and unnormalized norm, each (P, T), and with keep_states
     the (P, T, 4, 4) states, of `initial` (default: the Bell state) under
-    each (p1, p2) of `pairs` over `times`; p2 may be an IdentityEvolution
-    marker. U1 F U2^T expands over {I, H1} x {I, H2}: one real
-    (P, T, 4) x (P, 4, 8r) product of scalar terms with four constant
-    complex blocks per pair seen as floats. A norm that is not finite or
-    below NORM_FLOOR raises OverflowError or DegenerateNormError naming the
-    first bad t of the first pair that has one."""
+    each (p1, p2) of `pairs` over `times`. U1 F U2^T expands over
+    {I, H1} x {I, H2}: one real (P, T, 4) x (P, 4, 8r) product of scalar
+    terms with four constant complex blocks per pair seen as floats. A norm
+    that is not finite or below NORM_FLOOR raises OverflowError or
+    DegenerateNormError naming the first bad t of the first pair that has
+    one."""
     factor = _BELL_FACTOR if initial is None else rank_factor(initial)
     times = np.asarray(times, dtype=float).reshape(-1)
     f = factor.T.reshape(-1, 2, 2)  # rho0 = sum_k vec(F_k) vec(F_k)^H
@@ -192,7 +177,7 @@ def evolve_pairs(pairs, times, initial=None, keep_states=False):
         for i, pair in enumerate(pairs):
             for p in pair:
                 if p not in qubits:
-                    qubits[p] = _terms(p, times)
+                    qubits[p] = (*propagator.propagator_terms(p, times), hamiltonian(p))
             (c1, s1, h1), (c2, s2, h2) = qubits[pair[0]], qubits[pair[1]]
             for k, (x, y) in enumerate(((c1, c2), (c1, s2), (s1, c2), (s1, s2))):
                 np.multiply(x, y, out=terms[i, :, k])

@@ -32,18 +32,24 @@ class AptParams:
 
     `a` is the degree of Hermiticity (ratio of the Hermitian sigma_z part
     to the anti-Hermitian sigma_x part), `gamma` the energy scale; times
-    elsewhere are quoted in units of 1/gamma.
+    elsewhere are quoted in units of 1/gamma. gamma = 0 is H = 0, a qubit
+    that does not evolve (IDENTITY).
     """
     a: float
     gamma: float = 1.0
     family: Family = Family.APT
 
     def __post_init__(self):
-        for field, value in (("a", self.a), ("gamma", self.gamma)):
-            if not 0 < value < np.inf:
-                raise ValueError(f"{field} must be finite and > 0, got {value}")
+        if not 0 < self.a < np.inf:
+            raise ValueError(f"a must be finite and > 0, got {self.a}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not abs(self.gamma * self.gamma * (self.a - 1.0) * (self.a + 1.0)) < np.inf:
             raise ValueError(f"a = {self.a}, gamma = {self.gamma} overflow k = gamma^2 (a^2 - 1)")
+
+
+# the single-qubit case: H = 0, so exp(-i H t) = I at every t
+IDENTITY = AptParams(a=1.0, gamma=0.0)
 
 
 def hamiltonian(p):
@@ -57,10 +63,13 @@ def classify(p, eps=DEFAULT_EP_TOL):
     """Symmetry regime, with an eps-wide exceptional-point band around a = 1.
 
     APT eigenvalues +-gamma*sqrt(a^2 - 1) are real for a > 1 (unbroken)
-    and imaginary for a < 1 (broken); the PT family is mirrored.
+    and imaginary for a < 1 (broken); the PT family is mirrored. gamma = 0
+    is H = 0, diagonalizable with a real spectrum: unbroken at any a.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
+    if p.gamma == 0.0:
+        return Regime.UNBROKEN
     if abs(p.a - 1.0) <= eps:
         return Regime.EXCEPTIONAL_POINT
     above = p.a > 1.0

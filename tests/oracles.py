@@ -1,10 +1,12 @@
 """Reference implementations that only the tests use: a series matrix
-exponential, closed-form 2x2 eigenvalues and the two-qubit tensor
-propagator. They are deliberately independent of the closed-form
-propagator in `aptsim.propagator`, which they check."""
+exponential, closed-form 2x2 eigenvalues, the two-qubit tensor
+propagator, and mpmath evaluations of the propagator terms, of Wootters'
+concurrence and of a whole evolution. Except for two_qubit, they are
+deliberately independent of `aptsim.propagator`, which they check."""
 
 import numpy as np
 
+from aptsim.model import Family
 from aptsim.propagator import propagators
 
 # Taylor order 24 at scaled norm <= 0.5 makes the truncation error
@@ -72,16 +74,81 @@ def two_qubit(p1, p2, t):
     return np.kron(propagators(p1, [t])[0], propagators(p2, [t])[0])
 
 
+def _mp_matrix(m):
+    import mpmath as mp
+
+    return mp.matrix([[mp.mpc(complex(x)) for x in row] for row in m])
+
+
+def _wootters_mp(r):
+    """Wootters' concurrence of the mpmath 4x4 state r at the working
+    precision: square roots of the eigenvalues of r (sy x sy) r* (sy x sy)."""
+    import mpmath as mp
+
+    yy = mp.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+    flipped = r * yy * r.apply(mp.conj) * yy
+    roots = sorted((mp.sqrt(max(mp.re(x), 0)) for x in
+                    mp.eig(flipped, left=False, right=False)), reverse=True)
+    return max(0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
 def wootters_mp(rho, dps=50):
-    """Wootters' concurrence of the 4x4 float matrix rho, taken as exact:
-    square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy) at `dps`
-    digits, where eigenvalue noise near zero is far below double precision."""
+    """Wootters' concurrence of the 4x4 float matrix rho, taken as exact, at
+    `dps` digits, where eigenvalue noise near zero is far below double
+    precision."""
     import mpmath as mp
 
     with mp.workdps(dps):
-        r = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in rho])
-        yy = mp.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
-        flipped = r * yy * r.apply(mp.conj) * yy
-        roots = sorted((mp.sqrt(max(mp.re(x), 0)) for x in
-                        mp.eig(flipped, left=False, right=False)), reverse=True)
-        return float(max(0, roots[0] - roots[1] - roots[2] - roots[3]))
+        return float(_wootters_mp(_mp_matrix(rho)))
+
+
+def terms_mp(p, t):
+    """(c, ts) of exp(-i H t) = c I - i ts H at one time, at the working
+    mpmath precision: cos/sin or cosh/sinh of the exact k of the float
+    inputs, and k = 0 exact."""
+    import mpmath as mp
+
+    a, g, t = mp.mpf(p.a), mp.mpf(p.gamma), mp.mpf(t)
+    k = g * g * (a - 1) * (a + 1) * (1 if p.family is Family.APT else -1)
+    if k == 0:
+        return mp.mpf(1), t
+    w = mp.sqrt(abs(k))
+    if k > 0:
+        return mp.cos(w * t), mp.sin(w * t) / w
+    return mp.cosh(w * t), mp.sinh(w * t) / w
+
+
+def _propagator_mp(p, t):
+    """exp(-i H t) = c I - i ts H at the working mpmath precision."""
+    import mpmath as mp
+
+    a, g = mp.mpf(p.a), mp.mpf(p.gamma)
+    if p.family is Family.APT:
+        h = g * mp.matrix([[a, 1j], [1j, -a]])
+    else:
+        h = g * mp.matrix([[-1j * a, 1], [1, 1j * a]])
+    c, ts = terms_mp(p, t)
+    return c * mp.eye(2) - 1j * ts * h
+
+
+def evolve_mp(rho0, p1, p2, times, dps=40):
+    """(C, N) at each t of `times`, as two float arrays, of the 4x4 float
+    state rho0, taken as exact, under U1(t) (x) U2(t), at `dps` digits:
+    N = Tr[U rho0 U^H] and C is Wootters' concurrence of U rho0 U^H / N.
+    Neither a factor of rho0 nor the local-filtering law is used."""
+    import mpmath as mp
+
+    conc, norms = [], []
+    with mp.workdps(dps):
+        r0 = _mp_matrix(rho0)
+        for t in times:
+            u1, u2 = _propagator_mp(p1, t), _propagator_mp(p2, t)
+            u = mp.matrix(4, 4)
+            for i in range(4):
+                for j in range(4):
+                    u[i, j] = u1[i // 2, j // 2] * u2[i % 2, j % 2]
+            m = u * r0 * u.H
+            n = mp.re(sum(m[i, i] for i in range(4)))
+            conc.append(float(_wootters_mp(m / n)))
+            norms.append(float(n))
+    return np.array(conc), np.array(norms)

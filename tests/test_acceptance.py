@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from aptsim import cli
-from aptsim.dynamics import IDENTITY, EvolutionSpec, evolve_pairs, run
+from aptsim.dynamics import EvolutionSpec, evolve_pairs, run
 from aptsim.entanglement import (analytic_concurrence_identical, concurrence,
                                  concurrence_minimum_identical,
                                  concurrence_period, ep_concurrence)
-from aptsim.model import AptParams, Family, hamiltonian
+from aptsim.model import IDENTITY, AptParams, Family, hamiltonian
 from aptsim.optics import bd_circuit, decompose_grid, loss_matrix, reconstruct
 from aptsim.propagator import propagators
 from aptsim.tomography import draw_counts, fidelity, mle_fit

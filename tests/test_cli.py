@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aptsim import cli, dynamics, optics, propagator
-from aptsim.dynamics import IDENTITY, DegenerateNormError, EvolutionSpec, run
+from aptsim.dynamics import DegenerateNormError, EvolutionSpec, run
 from aptsim.entanglement import concurrence_minimum_identical
-from aptsim.model import AptParams
+from aptsim.model import IDENTITY, AptParams
 from aptsim.tomography import MleConvergenceError, draw_counts
 
 from oracles import wootters_mp
@@ -478,6 +478,25 @@ class TestErrorMapping:
         err = capsys.readouterr().err
         assert err == f"numerical error: out of memory{': ' + detail if detail else ''}\n"
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+    def test_later_chunk_failure_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # 70,001 rows a curve puts each of 2a's two curves in its own chunk;
+        # the second curve's text runs out of memory after the first is built
+        text, calls = cli._text, []
+
+        def second_exhausted(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise MemoryError()
+            return text(*args)
+
+        monkeypatch.setattr(cli, "_text", second_exhausted)
+        out = tmp_path / "figs"
+        assert cli.main(["figure", "--figure", "2a", "--dt", "0.001", "--t-max", "70",
+                         "--out", str(out)]) == 3
+        assert len(calls) == 2
+        assert capsys.readouterr().err == "numerical error: out of memory\n"
+        assert not list(tmp_path.rglob("*"))
 
     def test_mle_convergence_error_names_time(self, tmp_path, capsys, monkeypatch):
         def stall(observed, total):

@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aptsim import dynamics
-from aptsim.dynamics import (IDENTITY, MAX_SAMPLES, DegenerateNormError,
+from aptsim.dynamics import (MAX_SAMPLES, DegenerateNormError,
                              EvolutionSpec, InvalidStateError, bell_ket, bell_state,
                              evolve_pairs, maximally_mixed, rank_factor, run, time_grid,
                              validate_density_matrix)
 from aptsim.entanglement import concurrence
-from aptsim.model import AptParams, Family, hamiltonian
+from aptsim.model import IDENTITY, AptParams, Family, hamiltonian
 from aptsim.propagator import propagators
 
-from oracles import expm_series
+from oracles import evolve_mp, expm_series
 
 
 class TestStatesAndValidation:
@@ -264,8 +264,7 @@ class TestFastBellCurve:
 def _reference_sample(rho0, p1, p2, t):
     """(concurrence, norm) at one time through the 4x4 route: series
     exponentials, np.kron, the sandwich, and the Wootters concurrence."""
-    u2 = np.eye(2) if p2 is IDENTITY else expm_series(hamiltonian(p2), t)
-    u = np.kron(expm_series(hamiltonian(p1), t), u2)
+    u = np.kron(expm_series(hamiltonian(p1), t), expm_series(hamiltonian(p2), t))
     m = u @ rho0 @ u.conj().T
     norm = float(np.real(np.trace(m)))
     return concurrence((m + m.conj().T) / (2.0 * norm)), norm
@@ -280,7 +279,15 @@ _QUBITS = st.builds(AptParams, a=_A_VALUES, gamma=st.floats(0.5, 2.5),
 
 
 def _growth_rate(p):
-    return 0.0 if p is IDENTITY else p.gamma * np.sqrt(abs(p.a ** 2 - 1.0))
+    return p.gamma * np.sqrt(abs(p.a ** 2 - 1.0))
+
+
+def _random_state(rank, seed):
+    """A two-qubit state of the given rank from a seeded Gaussian factor."""
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho0 = f @ f.conj().T
+    return (rho0 + rho0.conj().T) / (2.0 * np.real(np.trace(rho0)))
 
 
 class TestRunProperties:
@@ -291,10 +298,7 @@ class TestRunProperties:
     def test_matches_per_sample_reference(self, p1, p2, t_max, rank, seed):
         # keep |U| below ~e^40 so the reference's norm stays finite
         t_max = min(t_max, 40.0 / max(_growth_rate(p1), _growth_rate(p2), 1e-3))
-        rng = np.random.default_rng(seed)
-        f = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-        rho0 = f @ f.conj().T
-        rho0 = (rho0 + rho0.conj().T) / (2.0 * np.real(np.trace(rho0)))
+        rho0 = _random_state(rank, seed)
         times = time_grid(t_max, max(t_max / 4.0, 1e-3))
         conc, norms, states = evolve_pairs([(p1, p2)], times, rho0, keep_states=True)
         conc_tol = 1e-10 if rank == 1 else 1e-6
@@ -303,6 +307,28 @@ class TestRunProperties:
             assert n == pytest.approx(ref_n, rel=1e-9)
             assert abs(c - ref_c) < conc_tol
             validate_density_matrix(rho)
+
+
+# Against 40-digit values, 1,800 samples of these pools (t <= 60) had a worst
+# error of 1.9e-14 relative in N and 1.6e-15 absolute in C, at every rank
+REFEREE_NORM_REL = 1e-12
+REFEREE_CONC_ABS = 1e-13
+
+
+class TestMixedStateReferee:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(p1=st.one_of(_QUBITS, st.just(IDENTITY)), p2=st.one_of(_QUBITS, st.just(IDENTITY)),
+           t_max=st.floats(0.0, 60.0), rank=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_40_digit_evolution(self, p1, p2, t_max, rank, seed):
+        # the broken regime up to a growth of e^40 in |U|
+        t_max = min(t_max, 40.0 / max(_growth_rate(p1), _growth_rate(p2), 1e-3))
+        rho0 = _random_state(rank, seed)
+        times = t_max * np.array([1.0 / 3.0, 2.0 / 3.0, 1.0])
+        conc, norms, _ = evolve_pairs([(p1, p2)], times, rho0)
+        ref_c, ref_n = evolve_mp(rho0, p1, p2, times)
+        assert np.all(np.abs(norms[0] - ref_n) <= REFEREE_NORM_REL * ref_n)
+        assert np.all(np.abs(conc[0] - ref_c) <= REFEREE_CONC_ABS)
 
 
 # a in the broken regime, at the exceptional point, one EP-band width either
@@ -329,10 +355,7 @@ class TestStackedEvolution:
         t_max = min(t_max, 40.0 / max(1e-3, *(_growth_rate(p) for pair in pairs for p in pair)))
         initial = None
         if rank is not None:
-            rng = np.random.default_rng(seed)
-            f = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-            initial = f @ f.conj().T
-            initial = (initial + initial.conj().T) / (2.0 * np.real(np.trace(initial)))
+            initial = _random_state(rank, seed)
         specs = [EvolutionSpec(p1=p1, p2=p2, t_max=t_max, dt=max(t_max / 50.0, 1e-3),
                                initial=initial) for p1, p2 in pairs]
         times = time_grid(specs[0].t_max, specs[0].dt)

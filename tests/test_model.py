@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from aptsim.model import AptParams, Family, Regime, classify, hamiltonian
+from aptsim.model import IDENTITY, AptParams, Family, Regime, classify, hamiltonian
 from aptsim.propagator import propagators
 
 from oracles import eig2
@@ -54,6 +56,11 @@ class TestClassify:
         assert classify(AptParams(a=1.0 + 2e-9), eps=1e-9) is Regime.UNBROKEN
         assert classify(AptParams(a=1.0 - 2e-9), eps=1e-9) is Regime.BROKEN
 
+    def test_frozen_qubit_is_unbroken(self):
+        # H = 0 is diagonalizable with a real spectrum, although a = 1
+        for family in Family:
+            assert classify(replace(IDENTITY, family=family)) is Regime.UNBROKEN
+
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             classify(AptParams(a=1.2), eps=-1e-3)
@@ -84,9 +91,16 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             AptParams(a=-1.2)
 
-    def test_nonpositive_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            AptParams(a=1.2, gamma=0.0)
+    @pytest.mark.parametrize("gamma", [-1.0, -1e-300, -np.inf, np.inf, np.nan])
+    def test_negative_or_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be finite and >= 0"):
+            AptParams(a=1.2, gamma=gamma)
+
+    def test_zero_gamma_is_a_frozen_qubit(self):
+        # H = 0 exactly, so the propagator is the identity at every t
+        assert AptParams(a=1.2, gamma=0.0).gamma == 0.0
+        for t in (0.0, 1.0, 1e300):
+            assert np.array_equal(propagators(IDENTITY, [t])[0], np.eye(2))
 
     @pytest.mark.parametrize("field,kwargs", [
         ("a", {"a": np.inf}), ("a", {"a": np.nan}),

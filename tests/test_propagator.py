@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from aptsim.model import AptParams, Family, hamiltonian
 from aptsim.propagator import propagator_terms, propagators
 
-from oracles import expm_series, two_qubit
+from oracles import expm_series, terms_mp, two_qubit
 
 RNG = np.random.default_rng(7)
 
@@ -137,14 +137,7 @@ def _terms_mp(p, t, dps=40):
     k of the float inputs."""
     import mpmath as mp
     with mp.workdps(dps):
-        a, g, t = mp.mpf(p.a), mp.mpf(p.gamma), mp.mpf(t)
-        k = g * g * (a - 1) * (a + 1) * (1 if p.family is Family.APT else -1)
-        if k == 0:
-            return 1.0, float(t)
-        w = mp.sqrt(abs(k))
-        if k > 0:
-            return float(mp.cos(w * t)), float(mp.sin(w * t) / w)
-        return float(mp.cosh(w * t)), float(mp.sinh(w * t) / w)
+        return tuple(float(x) for x in terms_mp(p, t))
 
 
 # broken, unbroken (mirrored for PT), the EP band |a - 1| <= 1e-9, and a = 1

@@ -17,13 +17,15 @@ every curve of a command reuses, and drops the NULs of the buffer's bytes
 with bytes.translate(None, b"\0"), which leaves the curve's CSV lines. `figure` and
 `sweep` evolve all their curves in one dynamics.evolve_pairs call per chunk
 of whole curves of about _CHUNK_ROWS rows, which is one call for every
-preset and the default sweep, and write nothing until every chunk is done.
+preset and the default sweep.
 `decompose` keeps one `%` format per row: on its 51-row default table that
 takes about 60 us, and the encoder, whose cost is mostly fixed per call,
-about 90 us. Every command takes its time grid from dynamics.time_grid.
+about 90 us. Every command takes its time grid from dynamics.time_grid and
+returns its files as a dict from path to bytes; `main` alone makes their
+directories and writes them, so a command that fails writes no file.
 
 Exit codes: 0 success, 1 i/o error, 2 validation error, 3 numerical error
-(out of memory included, with a one-line message and no output file).
+(out of memory included), each failure with a one-line message.
 """
 
 import argparse
@@ -239,20 +241,10 @@ def _chunks(n_items, n_rows):
     return [slice(i, i + step) for i in range(0, n_items, step)]
 
 
-def _write(out, data):
-    """Write the bytes `data` to the path `out`, making its parent directory."""
-    path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-    return [path]
-
-
 def run_figure(args):
     curves, default_t_max = figure_curves(args.figure)
     t_max = default_t_max if args.t_max is None else args.t_max
     times = time_grid(t_max, args.dt)  # every curve shares one grid
-    # every curve's text is built before the first file is written, so a
-    # curve that fails leaves no partial output
     values = [np.stack(evolve_pairs(curves[chunk], times)[:2], axis=-1)
               for chunk in _chunks(len(curves), times.size)]
     out_dir = Path(args.out)
@@ -262,19 +254,15 @@ def run_figure(args):
                     "concurrence": v[:, 0].tolist(), "norm": v[:, 1].tolist()}
                    for (p1, p2), v in zip(curves, np.concatenate(values))]
         text = json.dumps({"figure": args.figure, "curves": payload}, indent=2, sort_keys=True)
-        return _write(out_dir / f"fig{args.figure}.json", (text + "\n").encode())
+        return {out_dir / f"fig{args.figure}.json": (text + "\n").encode()}
     t_cells = _cells(times, _COMMA)
-    texts = []
+    texts = []  # headed chunk by chunk: no second copy of every curve's text
     for group in values:
         cells = _cells(group, _ENDS)
-        texts += _text(times.size, t_cells, cells[:, :, 0], cells[:, :, 1])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for (p1, p2), text in zip(curves, texts):
-        path = out_dir / f"fig{args.figure}_{_param_token(p1)}_{_param_token(p2)}.csv"
-        path.write_bytes(b"t,concurrence,norm\n" + text)
-        written.append(path)
-    return written
+        texts += [b"t,concurrence,norm\n" + text
+                  for text in _text(times.size, t_cells, cells[:, :, 0], cells[:, :, 1])]
+    return {out_dir / f"fig{args.figure}_{_param_token(p1)}_{_param_token(p2)}.csv": text
+            for (p1, p2), text in zip(curves, texts)}
 
 
 def run_sweep(args):
@@ -309,7 +297,7 @@ def run_sweep(args):
     for chunk, c in zip(chunks, concurrence):
         blocks += _text(times.size, a1_cells, a2_cells[chunk, None], t_cells,
                         _cells(c, _NEWLINE))
-    return _write(args.out, b"".join(blocks))
+    return {Path(args.out): b"".join(blocks)}
 
 
 def run_decompose(args):
@@ -320,8 +308,8 @@ def run_decompose(args):
     fmt = "%.6g," % args.a1 + "%.6g,%.6g,%.6g,%.6g,%.6g,0,%.6g\n"
     rows = [fmt % row for row in zip(*(x.tolist() for x in (
         times, d.theta_deg, d.theta_deg, d.xi1_deg, d.xi2_deg, d.c)))]
-    return _write(args.out, ("a,t,theta1_deg,theta2_deg,xi1_deg,xi2_deg,k,c\n"
-                             + "".join(rows)).encode())
+    return {Path(args.out): ("a,t,theta1_deg,theta2_deg,xi1_deg,xi2_deg,k,c\n"
+                             + "".join(rows)).encode()}
 
 
 def run_tomography(args):
@@ -355,7 +343,7 @@ def run_tomography(args):
         "noiseless": args.noiseless,
         "points": points,
     }
-    return _write(args.out, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
+    return {Path(args.out): (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()}
 
 
 @functools.cache
@@ -418,7 +406,11 @@ _COMMANDS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        written = _COMMANDS[args.command](args)
+        files = _COMMANDS[args.command](args)
+        for parent in dict.fromkeys(path.parent for path in files):
+            parent.mkdir(parents=True, exist_ok=True)
+        for path, data in files.items():
+            path.write_bytes(data)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -433,7 +425,7 @@ def main(argv=None):
         print(f"i/o error on {getattr(exc, 'filename', None)!r}: {exc}",
               file=sys.stderr)
         return 1
-    for path in written:
+    for path in files:
         print(path)
     return 0
 

@@ -132,13 +132,14 @@ def _propagator_mp(p, t):
 
 
 def evolve_mp(rho0, p1, p2, times, dps=40):
-    """(C, N) at each t of `times`, as two float arrays, of the 4x4 float
-    state rho0, taken as exact, under U1(t) (x) U2(t), at `dps` digits:
-    N = Tr[U rho0 U^H] and C is Wootters' concurrence of U rho0 U^H / N.
-    Neither a factor of rho0 nor the local-filtering law is used."""
+    """(C, N, rho) at each t of `times`, as float arrays and a (T, 4, 4)
+    complex array, of the 4x4 float state rho0, taken as exact, under
+    U1(t) (x) U2(t), at `dps` digits: N = Tr[U rho0 U^H], rho = U rho0 U^H / N
+    and C is Wootters' concurrence of rho. Neither a factor of rho0 nor the
+    local-filtering law is used."""
     import mpmath as mp
 
-    conc, norms = [], []
+    conc, norms, states = [], [], []
     with mp.workdps(dps):
         r0 = _mp_matrix(rho0)
         for t in times:
@@ -151,4 +152,5 @@ def evolve_mp(rho0, p1, p2, times, dps=40):
             n = mp.re(sum(m[i, i] for i in range(4)))
             conc.append(float(_wootters_mp(m / n)))
             norms.append(float(n))
-    return np.array(conc), np.array(norms)
+            states.append([[complex(m[i, j] / n) for j in range(4)] for i in range(4)])
+    return np.array(conc), np.array(norms), np.array(states)

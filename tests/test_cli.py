@@ -454,6 +454,23 @@ class TestTomographyCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestOutputFiles:
+    @pytest.mark.parametrize("argv", [
+        ["figure", "--figure", "2a", "--t-max", "0.1"],
+        ["figure", "--figure", "2a", "--t-max", "0.1", "--format", "json"],
+        ["sweep", "--t-max", "0.1"],
+        ["decompose", "--a1", "1.2", "--t-max", "0.1"],
+        ["tomography", "--t-max", "0"]])
+    def test_main_alone_writes_what_the_command_returns(self, tmp_path, capsys, argv):
+        argv = argv + ["--out", str(tmp_path / "a" / "b")]  # two missing levels
+        args = cli.build_parser().parse_args(argv)
+        files = cli._COMMANDS[args.command](args)
+        assert not list(tmp_path.iterdir())
+        assert cli.main(argv) == 0
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+        assert capsys.readouterr().out == "".join(f"{p}\n" for p in files)
+
+
 class TestErrorMapping:
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch):
         def explode(pairs, times, initial=None, keep_states=False):
@@ -496,6 +513,19 @@ class TestErrorMapping:
                          "--out", str(out)]) == 3
         assert len(calls) == 2
         assert capsys.readouterr().err == "numerical error: out of memory\n"
+        assert not list(tmp_path.rglob("*"))
+
+    @pytest.mark.parametrize("argv,stage,error", [
+        (["sweep"], "_text", MemoryError()),
+        (["decompose", "--a1", "1.2"], "decompose_grid", optics.DecompositionError("no plates")),
+        (["tomography"], "mle_fit", MleConvergenceError("no convergence", [0]))])
+    def test_last_stage_failure_leaves_no_file(self, tmp_path, monkeypatch, argv, stage, error):
+        # the output's directory does not exist yet, and is not made
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli, stage, fail)
+        assert cli.main(argv + ["--out", str(tmp_path / "out" / "file")]) == 3
         assert not list(tmp_path.rglob("*"))
 
     def test_mle_convergence_error_names_time(self, tmp_path, capsys, monkeypatch):

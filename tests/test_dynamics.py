@@ -310,9 +310,26 @@ class TestRunProperties:
 
 
 # Against 40-digit values, 1,800 samples of these pools (t <= 60) had a worst
-# error of 1.9e-14 relative in N and 1.6e-15 absolute in C, at every rank
+# error of 1.9e-14 relative in N and 1.6e-15 absolute in C, at every rank;
+# the 39 cases below, 2.3e-15 absolute on an entry of rho(t) = U rho0 U^H / N
 REFEREE_NORM_REL = 1e-12
 REFEREE_CONC_ABS = 1e-13
+REFEREE_STATE_ABS = 1e-12
+
+# cos(0.4)|01> + e^{0.9i} sin(0.4)|10>: entangled, but not a Bell state
+_KET = np.array([0.0, np.cos(0.4), np.sin(0.4) * np.exp(0.9j), 0.0])
+# initial states by name; None is evolve_pairs' default, the Bell state
+_REFEREE_STATES = {
+    "bell": None,
+    "werner": 0.6 * bell_state() + 0.4 * maximally_mixed(),
+    "ket": np.outer(_KET, _KET.conj()),
+}
+# an APT qubit and a PT qubit of each regime
+_REFEREE_PAIRS = {
+    "broken": (AptParams(a=0.8), AptParams(a=1.4, family=Family.PT)),
+    "ep": (AptParams(a=1.0), AptParams(a=1.0, family=Family.PT)),
+    "unbroken": (AptParams(a=1.2), AptParams(a=0.6, family=Family.PT)),
+}
 
 
 class TestMixedStateReferee:
@@ -325,10 +342,20 @@ class TestMixedStateReferee:
         t_max = min(t_max, 40.0 / max(_growth_rate(p1), _growth_rate(p2), 1e-3))
         rho0 = _random_state(rank, seed)
         times = t_max * np.array([1.0 / 3.0, 2.0 / 3.0, 1.0])
-        conc, norms, _ = evolve_pairs([(p1, p2)], times, rho0)
-        ref_c, ref_n = evolve_mp(rho0, p1, p2, times)
+        conc, norms, states = evolve_pairs([(p1, p2)], times, rho0, keep_states=True)
+        ref_c, ref_n, ref_rho = evolve_mp(rho0, p1, p2, times)
         assert np.all(np.abs(norms[0] - ref_n) <= REFEREE_NORM_REL * ref_n)
         assert np.all(np.abs(conc[0] - ref_c) <= REFEREE_CONC_ABS)
+        assert np.all(np.abs(states[0] - ref_rho) <= REFEREE_STATE_ABS)
+
+    @pytest.mark.parametrize("regime", list(_REFEREE_PAIRS))
+    @pytest.mark.parametrize("state", list(_REFEREE_STATES))
+    def test_kept_states_match_40_digit_evolution(self, state, regime):
+        rho0, pair = _REFEREE_STATES[state], _REFEREE_PAIRS[regime]
+        times = np.array([0.0, 1.3, 7.1, 20.0])
+        states = evolve_pairs([pair], times, rho0, keep_states=True)[2]
+        ref_rho = evolve_mp(bell_state() if rho0 is None else rho0, *pair, times)[2]
+        assert np.all(np.abs(states[0] - ref_rho) <= REFEREE_STATE_ABS)
 
 
 # a in the broken regime, at the exceptional point, one EP-band width either

@@ -3,21 +3,15 @@ propagator decompositions, and tomography reports as deterministic
 CSV/JSON files.
 
 `figure` and `sweep` CSV files are encoded column-wise (`_cells`, `_text`):
-numpy turns each float column into the exact bytes of "%.6g" % x, and each
-file is one bytes buffer. For 1e-300 <= |x| < inf, r = |x| / 10^(e-5) with
-e = floor(log10|x|) and the correctly rounded power of ten is within 3e-10
-of the exact quotient, so rint(r) is the correctly rounded mantissa; one
-step of e fixes a log10 that misses by one or a mantissa that rounds to
-10^6. Mantissas within 1e-6 of a rounding tie, and nan, +-inf, +-0.0 and
-|x| < 1e-300 (subnormals among them), are formatted by Python's "%.6g" %.
-The time column that every curve of a command shares is encoded once.
-A cell is two uint64 words whose unused high bytes are NUL; `_text` copies
-each curve's cells, row by row, into one buffer of at most _BLOCK rows that
-every curve of a command reuses, and drops the NULs of the buffer's bytes
-with bytes.translate(None, b"\0"), which leaves the curve's CSV lines. `figure` and
-`sweep` evolve all their curves in one dynamics.evolve_pairs call per chunk
-of whole curves of about _CHUNK_ROWS rows, which is one call for every
-preset and the default sweep.
+numpy turns each float column into the exact bytes of "%.6g" % x (`_encode`
+says why), and each file is one bytes buffer. The time column that every
+curve of a command shares is encoded once. A cell is two uint64 words whose
+unused high bytes are NUL; `_text` copies each curve's cells, row by row,
+into one buffer of at most _BLOCK rows that every curve of a command reuses,
+and drops the NULs of the buffer's bytes with bytes.translate(None, b"\0"),
+which leaves the curve's CSV lines. `figure` and `sweep` evolve all their
+curves in one dynamics.evolve_pairs call per chunk of whole curves of about
+_CHUNK_ROWS rows, which is one call for every preset and the default sweep.
 `decompose` keeps one `%` format per row: on its 51-row default table that
 takes about 60 us, and the encoder, whose cost is mostly fixed per call,
 about 90 us. Every command takes its time grid from dynamics.time_grid and
@@ -43,50 +37,32 @@ from .optics import decompose_grid
 from .tomography import (DEFAULT_TOTAL, MAX_TOTAL, MleConvergenceError, draw_counts,
                          fidelity, mle_fit)
 
-FIGURE_IDS = ("2a", "2b", "3a", "3b", "4a", "4b", "4c", "4d", "A4", "A5")
-
-_SWEEP_A2_GRID = tuple(np.round(np.arange(5, 26) * 0.1, 10))
-
 
 def _apt(a):
     return AptParams(a=float(a))
 
 
-def _pt(a):
-    return AptParams(a=float(a), family=Family.PT)
-
-
 def _pt_partner(a):
     # equal |a^2 - 1|, hence equal oscillation period / decay rate
-    return float(np.sqrt(2.0 - a * a))
+    return AptParams(a=float(np.sqrt(2.0 - a * a)), family=Family.PT)
 
 
-def figure_curves(figure_id):
-    """Parameter sets and default time range for one figure id."""
-    if figure_id == "2a":
-        return [(_apt(1.2), _apt(1.2)), (_apt(1.8), _apt(1.8))], 14.0
-    if figure_id == "2b":
-        return [(_apt(1.01), _apt(1.01))], 70.0
-    if figure_id == "3a":
-        return [(_apt(1.2), _apt(1.3)), (_apt(1.5), _apt(1.6))], 14.0
-    if figure_id == "3b":
-        return [(_apt(1.01), _apt(1.03))], 70.0
-    if figure_id == "4a":
-        return [(_apt(0.8), _apt(a2)) for a2 in _SWEEP_A2_GRID], 10.0
-    if figure_id == "4b":
-        return [(_apt(0.8), _apt(0.8)), (_apt(0.8), _apt(1.0)), (_apt(0.8), _apt(2.0))], 10.0
-    if figure_id == "4c":
-        return [(_apt(1.0), _apt(a2)) for a2 in _SWEEP_A2_GRID], 10.0
-    if figure_id == "4d":
-        return [(_apt(1.0), _apt(0.8)), (_apt(1.0), _apt(1.0)), (_apt(1.0), _apt(2.0))], 10.0
-    if figure_id == "A4":
-        return [(_apt(1.2), _apt(1.2)),
-                (_pt(_pt_partner(1.2)), _pt(_pt_partner(1.2))),
-                (_apt(0.8), _apt(0.8)),
-                (_pt(_pt_partner(0.8)), _pt(_pt_partner(0.8)))], 14.0
-    if figure_id == "A5":
-        return [(_apt(1.2), IDENTITY), (_apt(0.8), IDENTITY)], 14.0
-    raise ValueError(f"unknown figure id {figure_id!r}, expected one of {FIGURE_IDS}")
+_A2 = [round(0.5 + i * 0.1, 12) for i in range(21)]  # run_sweep's a2 values at its defaults
+
+# each figure id's (p1, p2) pairs and default t_max
+FIGURES = {
+    "2a": ([(_apt(1.2), _apt(1.2)), (_apt(1.8), _apt(1.8))], 14.0),
+    "2b": ([(_apt(1.01), _apt(1.01))], 70.0),
+    "3a": ([(_apt(1.2), _apt(1.3)), (_apt(1.5), _apt(1.6))], 14.0),
+    "3b": ([(_apt(1.01), _apt(1.03))], 70.0),
+    "4a": ([(_apt(0.8), _apt(a2)) for a2 in _A2], 10.0),
+    "4b": ([(_apt(0.8), _apt(a2)) for a2 in (0.8, 1.0, 2.0)], 10.0),
+    "4c": ([(_apt(1.0), _apt(a2)) for a2 in _A2], 10.0),
+    "4d": ([(_apt(1.0), _apt(a2)) for a2 in (0.8, 1.0, 2.0)], 10.0),
+    "A4": ([(_apt(1.2), _apt(1.2)), (_pt_partner(1.2), _pt_partner(1.2)),
+            (_apt(0.8), _apt(0.8)), (_pt_partner(0.8), _pt_partner(0.8))], 14.0),
+    "A5": ([(_apt(1.2), IDENTITY), (_apt(0.8), IDENTITY)], 14.0),
+}
 
 
 def _param_token(p):
@@ -242,7 +218,7 @@ def _chunks(n_items, n_rows):
 
 
 def run_figure(args):
-    curves, default_t_max = figure_curves(args.figure)
+    curves, default_t_max = FIGURES[args.figure]
     t_max = default_t_max if args.t_max is None else args.t_max
     times = time_grid(t_max, args.dt)  # every curve shares one grid
     values = [np.stack(evolve_pairs(curves[chunk], times)[:2], axis=-1)
@@ -288,13 +264,13 @@ def run_sweep(args):
     times = time_grid(args.t_max, args.dt)
     pairs = [(p1, _apt(a2)) for a2 in a2_values]
     chunks = _chunks(len(pairs), times.size)
-    concurrence = [evolve_pairs(pairs[chunk], times)[0] for chunk in chunks]
+    conc = [evolve_pairs(pairs[chunk], times)[0] for chunk in chunks]
     # a1, a2 and the time grid, which every a2 value shares, are encoded once
     a1_cells = _cells(args.a1, _COMMA)
     a2_cells = _cells(a2_values, _COMMA)
     t_cells = _cells(times, _COMMA)
     blocks = [b"a1,a2,t,concurrence\n"]
-    for chunk, c in zip(chunks, concurrence):
+    for chunk, c in zip(chunks, conc):
         blocks += _text(times.size, a1_cells, a2_cells[chunk, None], t_cells,
                         _cells(c, _NEWLINE))
     return {Path(args.out): b"".join(blocks)}
@@ -356,7 +332,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig = sub.add_parser("figure", help="emit curve data for one figure id")
-    fig.add_argument("--figure", required=True, choices=FIGURE_IDS, metavar="ID")
+    fig.add_argument("--figure", required=True, choices=FIGURES, metavar="ID")
     fig.add_argument("--t-max", type=float, default=None,
                      help="override the figure's default time range")
     fig.add_argument("--dt", type=float, default=0.01)

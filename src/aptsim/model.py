@@ -8,7 +8,7 @@ import numpy as np
 
 from .linalg import SIGMA_X, SIGMA_Z
 
-DEFAULT_EP_TOL = 1e-9
+EP_TOL = 1e-9
 
 
 class Family(Enum):
@@ -59,18 +59,16 @@ def hamiltonian(p):
     return p.gamma * (SIGMA_X - 1j * p.a * SIGMA_Z)
 
 
-def classify(p, eps=DEFAULT_EP_TOL):
-    """Symmetry regime, with an eps-wide exceptional-point band around a = 1.
+def classify(p):
+    """Symmetry regime, with an EP_TOL-wide exceptional-point band around a = 1.
 
     APT eigenvalues +-gamma*sqrt(a^2 - 1) are real for a > 1 (unbroken)
     and imaginary for a < 1 (broken); the PT family is mirrored. gamma = 0
     is H = 0, diagonalizable with a real spectrum: unbroken at any a.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
     if p.gamma == 0.0:
         return Regime.UNBROKEN
-    if abs(p.a - 1.0) <= eps:
+    if abs(p.a - 1.0) <= EP_TOL:
         return Regime.EXCEPTIONAL_POINT
     above = p.a > 1.0
     if p.family is Family.APT:

@@ -94,9 +94,8 @@ class TestCsvFilesExact:
     per-value f-string rendering of run() on the same specs."""
 
     def test_figures(self, tmp_path):
-        for figure in cli.FIGURE_IDS:
+        for figure, (curves, t_max) in cli.FIGURES.items():
             assert cli.main(["figure", "--figure", figure, "--out", str(tmp_path)]) == 0
-            curves, t_max = cli.figure_curves(figure)
             for p1, p2 in curves:
                 traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=t_max, dt=0.01))
                 name = f"fig{figure}_{cli._param_token(p1)}_{cli._param_token(p2)}.csv"
@@ -105,7 +104,7 @@ class TestCsvFilesExact:
                     traj.unnormalized_norm.tolist())
                 assert (tmp_path / name).read_bytes() == expected.encode(), name
         assert len(list(tmp_path.iterdir())) == sum(
-            len(cli.figure_curves(f)[0]) for f in cli.FIGURE_IDS)
+            len(curves) for curves, _ in cli.FIGURES.values())
 
     def test_default_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -588,7 +587,7 @@ def _argv(draw):
     floats, ints, switches = _COMMAND_FLAGS[command]
     argv = [command]
     if command == "figure":
-        argv.append("--figure=" + draw(st.sampled_from(cli.FIGURE_IDS)))
+        argv.append("--figure=" + draw(st.sampled_from(list(cli.FIGURES))))
     if command == "decompose":
         argv.append(f"--a1={draw(_NUMBERS)!r}")
     for flags, values in ((floats, _NUMBERS), (ints, _INTEGERS)):

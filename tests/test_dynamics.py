@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from aptsim import dynamics
@@ -333,7 +333,10 @@ _REFEREE_PAIRS = {
 
 
 class TestMixedStateReferee:
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    # no shrinking: each example runs 40-digit evolutions, so a shrink of a
+    # failure would take minutes
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              phases=(Phase.explicit, Phase.generate))
     @given(p1=st.one_of(_QUBITS, st.just(IDENTITY)), p2=st.one_of(_QUBITS, st.just(IDENTITY)),
            t_max=st.floats(0.0, 60.0), rank=st.integers(1, 4),
            seed=st.integers(0, 2 ** 32 - 1))

@@ -41,9 +41,9 @@ class TestHamiltonian:
 
 class TestClassify:
     def test_apt_examples(self):
-        assert classify(AptParams(a=0.8), eps=1e-9) is Regime.BROKEN
-        assert classify(AptParams(a=1.0), eps=1e-9) is Regime.EXCEPTIONAL_POINT
-        assert classify(AptParams(a=1.2), eps=1e-9) is Regime.UNBROKEN
+        assert classify(AptParams(a=0.8)) is Regime.BROKEN
+        assert classify(AptParams(a=1.0)) is Regime.EXCEPTIONAL_POINT
+        assert classify(AptParams(a=1.2)) is Regime.UNBROKEN
 
     def test_pt_is_mirrored(self):
         assert classify(AptParams(a=0.8, family=Family.PT)) is Regime.UNBROKEN
@@ -51,19 +51,15 @@ class TestClassify:
         assert classify(AptParams(a=1.2, family=Family.PT)) is Regime.BROKEN
 
     def test_band_edges(self):
-        assert classify(AptParams(a=1.0 + 5e-10), eps=1e-9) is Regime.EXCEPTIONAL_POINT
-        assert classify(AptParams(a=1.0 - 5e-10), eps=1e-9) is Regime.EXCEPTIONAL_POINT
-        assert classify(AptParams(a=1.0 + 2e-9), eps=1e-9) is Regime.UNBROKEN
-        assert classify(AptParams(a=1.0 - 2e-9), eps=1e-9) is Regime.BROKEN
+        assert classify(AptParams(a=1.0 + 5e-10)) is Regime.EXCEPTIONAL_POINT
+        assert classify(AptParams(a=1.0 - 5e-10)) is Regime.EXCEPTIONAL_POINT
+        assert classify(AptParams(a=1.0 + 2e-9)) is Regime.UNBROKEN
+        assert classify(AptParams(a=1.0 - 2e-9)) is Regime.BROKEN
 
     def test_frozen_qubit_is_unbroken(self):
         # H = 0 is diagonalizable with a real spectrum, although a = 1
         for family in Family:
             assert classify(replace(IDENTITY, family=family)) is Regime.UNBROKEN
-
-    def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
-            classify(AptParams(a=1.2), eps=-1e-3)
 
     def test_apt_eigenvalues_match_regime(self):
         for a in (0.3, 0.8, 0.999, 1.0, 1.001, 1.2, 2.5):

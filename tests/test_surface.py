@@ -7,6 +7,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "aptsim"
+# __init__.py only re-exports, so it names every public name and is left out
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 # public names that no module calls, each kept for a reason
 KEPT = {
@@ -16,12 +18,8 @@ KEPT = {
     "concurrence_period": "closed form the acceptance tests check against",
     "ep_concurrence": "closed form the acceptance tests check against",
     "classify": "the regime of each qubit, for a run manifest",
-    "Regime": "the regime of each qubit, for a run manifest",
-    "reconstruct": "the paper's plate string, which the decomposition realizes",
     "bd_circuit": "the paper's beam-displacer loss element",
-    "BeamPaths": "the paper's beam-displacer loss element",
     "basis_set": "the wave-plate settings of the 16 projections",
-    "ProjectionBasis": "the wave-plate settings of the 16 projections",
     "maximally_mixed": "the I/4 state, the other end of the Werner family",
 }
 
@@ -59,11 +57,9 @@ def _named(path):
 def _unused(public):
     """The `public(path)` names of the package's modules that neither the
     package nor perfbench/ uses and KEPT does not hold."""
-    # __init__.py only re-exports, so it names every public name and is left out
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    users = modules + sorted((ROOT / "perfbench").glob("*.py"))
+    users = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
     named = set().union(*(_named(path) for path in users))
-    return [f"{path.name}: {name}" for path in modules
+    return [f"{path.name}: {name}" for path in MODULES
             for name in public(path) if name not in named and name not in KEPT]
 
 
@@ -80,3 +76,9 @@ def test_every_public_constant_has_a_reader():
 def test_kept_names_exist():
     defined = {name for path in PACKAGE.glob("*.py") for name in _public_definitions(path)}
     assert not set(KEPT) - defined
+
+
+def test_kept_names_have_no_caller_in_the_package():
+    # a name the package's own code uses needs no reason to stay
+    named = set().union(*(_named(path) for path in MODULES)) & set(KEPT)
+    assert not named, f"KEPT names the package itself uses: {sorted(named)}"

@@ -1,6 +1,5 @@
-"""Experiment runner: emits figure curve data, parameter sweeps,
-propagator decompositions, and tomography reports as deterministic
-CSV/JSON files.
+"""Experiment runner: emits figure curve data, parameter sweeps, propagator
+decompositions and tomography reports as deterministic CSV/JSON files.
 
 `figure` and `sweep` CSV files are encoded column-wise (`_cells`, `_text`):
 numpy turns each float column into the exact bytes of "%.6g" % x (`_encode`
@@ -14,17 +13,21 @@ curves in one dynamics.evolve_pairs call per chunk of whole curves of about
 _CHUNK_ROWS rows, which is one call for every preset and the default sweep.
 `decompose` keeps one `%` format per row: on its 51-row default table that
 takes about 60 us, and the encoder, whose cost is mostly fixed per call,
-about 90 us. Every command takes its time grid from dynamics.time_grid and
-returns its files as a dict from path to bytes; `main` alone makes their
-directories and writes them, so a command that fails writes no file.
+about 90 us. Every command, which its subparser holds as `func`, takes its
+time grid from dynamics.time_grid and returns its files as a dict from path
+to bytes; `main` alone makes their directories and writes them, so a command
+that fails writes no file, and an OSError while writing removes the files
+and directories that the call made.
 
 Exit codes: 0 success, 1 i/o error, 2 validation error, 3 numerical error
 (out of memory included), each failure with a one-line message.
 """
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -38,10 +41,6 @@ from .tomography import (DEFAULT_TOTAL, MAX_TOTAL, MleConvergenceError, draw_cou
                          fidelity, mle_fit)
 
 
-def _apt(a):
-    return AptParams(a=float(a))
-
-
 def _pt_partner(a):
     # equal |a^2 - 1|, hence equal oscillation period / decay rate
     return AptParams(a=float(np.sqrt(2.0 - a * a)), family=Family.PT)
@@ -51,17 +50,17 @@ _A2 = [round(0.5 + i * 0.1, 12) for i in range(21)]  # run_sweep's a2 values at 
 
 # each figure id's (p1, p2) pairs and default t_max
 FIGURES = {
-    "2a": ([(_apt(1.2), _apt(1.2)), (_apt(1.8), _apt(1.8))], 14.0),
-    "2b": ([(_apt(1.01), _apt(1.01))], 70.0),
-    "3a": ([(_apt(1.2), _apt(1.3)), (_apt(1.5), _apt(1.6))], 14.0),
-    "3b": ([(_apt(1.01), _apt(1.03))], 70.0),
-    "4a": ([(_apt(0.8), _apt(a2)) for a2 in _A2], 10.0),
-    "4b": ([(_apt(0.8), _apt(a2)) for a2 in (0.8, 1.0, 2.0)], 10.0),
-    "4c": ([(_apt(1.0), _apt(a2)) for a2 in _A2], 10.0),
-    "4d": ([(_apt(1.0), _apt(a2)) for a2 in (0.8, 1.0, 2.0)], 10.0),
-    "A4": ([(_apt(1.2), _apt(1.2)), (_pt_partner(1.2), _pt_partner(1.2)),
-            (_apt(0.8), _apt(0.8)), (_pt_partner(0.8), _pt_partner(0.8))], 14.0),
-    "A5": ([(_apt(1.2), IDENTITY), (_apt(0.8), IDENTITY)], 14.0),
+    "2a": ([(AptParams(a=1.2), AptParams(a=1.2)), (AptParams(a=1.8), AptParams(a=1.8))], 14.0),
+    "2b": ([(AptParams(a=1.01), AptParams(a=1.01))], 70.0),
+    "3a": ([(AptParams(a=1.2), AptParams(a=1.3)), (AptParams(a=1.5), AptParams(a=1.6))], 14.0),
+    "3b": ([(AptParams(a=1.01), AptParams(a=1.03))], 70.0),
+    "4a": ([(AptParams(a=0.8), AptParams(a=a2)) for a2 in _A2], 10.0),
+    "4b": ([(AptParams(a=0.8), AptParams(a=a2)) for a2 in (0.8, 1.0, 2.0)], 10.0),
+    "4c": ([(AptParams(a=1.0), AptParams(a=a2)) for a2 in _A2], 10.0),
+    "4d": ([(AptParams(a=1.0), AptParams(a=a2)) for a2 in (0.8, 1.0, 2.0)], 10.0),
+    "A4": ([(AptParams(a=1.2), AptParams(a=1.2)), (_pt_partner(1.2), _pt_partner(1.2)),
+            (AptParams(a=0.8), AptParams(a=0.8)), (_pt_partner(0.8), _pt_partner(0.8))], 14.0),
+    "A5": ([(AptParams(a=1.2), IDENTITY), (AptParams(a=0.8), IDENTITY)], 14.0),
 }
 
 
@@ -260,9 +259,9 @@ def run_sweep(args):
         raise ValueError(f"--a2-min {args.a2_min} gives a2 = {a2_values[0]} after rounding to "
                          f"12 decimals; a2 must be > 0")
 
-    p1 = _apt(args.a1)
+    p1 = AptParams(a=args.a1)
     times = time_grid(args.t_max, args.dt)
-    pairs = [(p1, _apt(a2)) for a2 in a2_values]
+    pairs = [(p1, AptParams(a=a2)) for a2 in a2_values]
     chunks = _chunks(len(pairs), times.size)
     conc = [evolve_pairs(pairs[chunk], times)[0] for chunk in chunks]
     # a1, a2 and the time grid, which every a2 value shares, are encoded once
@@ -277,7 +276,7 @@ def run_sweep(args):
 
 
 def run_decompose(args):
-    p = _apt(args.a1)
+    p = AptParams(a=args.a1)
     times = time_grid(args.t_max, args.dt)
     d = decompose_grid(p, times)
     # theta fills both plate columns, and k is 0: the one branch serves
@@ -293,7 +292,7 @@ def run_tomography(args):
         raise ValueError(f"--total must be in [1, {MAX_TOTAL:.0e}], got {args.total}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    pair = (_apt(args.a1), IDENTITY if args.identity_qubit2 else _apt(args.a2))
+    pair = (AptParams(a=args.a1), IDENTITY if args.identity_qubit2 else AptParams(a=args.a2))
     times = time_grid(args.t_max, args.dt)
     # one array pipeline over the grid: states, counts, fits and concurrences
     (conc,), _, (truths,) = evolve_pairs([pair], times, keep_states=True)
@@ -309,16 +308,8 @@ def run_tomography(args):
                "log_likelihood": log_likelihood, "iterations": iterations}
     points = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
-    report = {
-        "a1": args.a1,
-        "a2": "id" if args.identity_qubit2 else args.a2,
-        "dt": args.dt,
-        "t_max": args.t_max,
-        "total": args.total,
-        "seed": args.seed,
-        "noiseless": args.noiseless,
-        "points": points,
-    }
+    report = {k: getattr(args, k) for k in ("a1", "dt", "t_max", "total", "seed", "noiseless")}
+    report.update(a2="id" if args.identity_qubit2 else args.a2, points=points)
     return {Path(args.out): (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()}
 
 
@@ -332,6 +323,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig = sub.add_parser("figure", help="emit curve data for one figure id")
+    fig.set_defaults(func=run_figure)
     fig.add_argument("--figure", required=True, choices=FIGURES, metavar="ID")
     fig.add_argument("--t-max", type=float, default=None,
                      help="override the figure's default time range")
@@ -340,6 +332,7 @@ def build_parser():
     fig.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sweep = sub.add_parser("sweep", help="concurrence over an (a2, t) grid")
+    sweep.set_defaults(func=run_sweep)
     sweep.add_argument("--a1", type=float, default=0.8)
     sweep.add_argument("--a2-min", type=float, default=0.5)
     sweep.add_argument("--a2-max", type=float, default=2.5)
@@ -349,12 +342,14 @@ def build_parser():
     sweep.add_argument("--out", default="sweep.csv", help="output CSV path")
 
     dec = sub.add_parser("decompose", help="wave-plate decomposition table")
+    dec.set_defaults(func=run_decompose)
     dec.add_argument("--a1", type=float, required=True)
     dec.add_argument("--t-max", type=float, default=5.0)
     dec.add_argument("--dt", type=float, default=0.1)
     dec.add_argument("--out", default="decomposition.csv", help="output CSV path")
 
     tomo = sub.add_parser("tomography", help="counts + MLE loop over a time grid")
+    tomo.set_defaults(func=run_tomography)
     tomo.add_argument("--a1", type=float, default=1.2)
     tomo.add_argument("--a2", type=float, default=1.2)
     tomo.add_argument("--identity-qubit2", action="store_true",
@@ -371,21 +366,16 @@ def build_parser():
     return parser
 
 
-_COMMANDS = {
-    "figure": run_figure,
-    "sweep": run_sweep,
-    "decompose": run_decompose,
-    "tomography": run_tomography,
-}
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    made = []  # the directories and files that this call creates, outermost first
     try:
-        files = _COMMANDS[args.command](args)
+        files = args.func(args)
         for parent in dict.fromkeys(path.parent for path in files):
+            made += [d for d in (*parent.parents[::-1], parent) if not os.path.lexists(d)]
             parent.mkdir(parents=True, exist_ok=True)
         for path, data in files.items():
+            made += [] if os.path.lexists(path) else [path]
             path.write_bytes(data)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -398,6 +388,9 @@ def main(argv=None):
         print(f"numerical error: out of memory{detail}", file=sys.stderr)
         return 3
     except OSError as exc:
+        for path in reversed(made):  # a directory is empty once its files are gone
+            with contextlib.suppress(OSError):
+                path.rmdir() if path.is_dir() else path.unlink()
         print(f"i/o error on {getattr(exc, 'filename', None)!r}: {exc}",
               file=sys.stderr)
         return 1

@@ -320,13 +320,11 @@ def mle_fit(observed, total):
 
 def fidelity(a, b):
     """Uhlmann fidelity, clamped to [0, 1], of each pair of two (P,4,4)
-    stacks as a (P,) array, or of two 4x4 states as a float (their (1,4,4)
-    stack): (sum of the singular values of A^H B)^2 for the rank_factor
-    factors a = A A^H and b = B B^H. No matrix square root is taken, so a
-    rank-1 a = |psi><psi| gives <psi|b|psi> to rounding. A non-state
-    raises InvalidStateError naming its index in its stack."""
-    a, b = (np.asarray(m, dtype=complex) for m in (a, b))
-    factor_a, factor_b = (rank_factor(m.reshape(-1, 4, 4)) for m in (a, b))
+    stacks as a (P,) array (P = 1 for two 4x4 states): (sum of the singular
+    values of A^H B)^2 for the rank_factor factors a = A A^H and b = B B^H.
+    No matrix square root is taken, so a rank-1 a = |psi><psi| gives
+    <psi|b|psi> to rounding. A non-state raises InvalidStateError naming its
+    index in its stack."""
+    factor_a, factor_b = (rank_factor(np.reshape(m, (-1, 4, 4))) for m in (a, b))
     s = np.linalg.svd(factor_a.conj().transpose(0, 2, 1) @ factor_b, compute_uv=False)
-    fids = np.clip(s.sum(axis=1) ** 2, 0.0, 1.0)
-    return float(fids[0]) if a.ndim == 2 else fids
+    return np.clip(s.sum(axis=1) ** 2, 0.0, 1.0)

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use: a series matrix
 exponential, closed-form 2x2 eigenvalues, the two-qubit tensor
 propagator, and mpmath evaluations of the propagator terms, of Wootters'
-concurrence and of a whole evolution. Except for two_qubit, they are
-deliberately independent of `aptsim.propagator`, which they check."""
+concurrence, of a whole evolution, of a Bell-state sample and of a
+plate decomposition. Except for two_qubit, they are deliberately
+independent of `aptsim.propagator`, which they check."""
 
 import numpy as np
 
@@ -154,3 +155,47 @@ def evolve_mp(rho0, p1, p2, times, dps=40):
             norms.append(float(n))
             states.append([[complex(m[i, j] / n) for j in range(4)] for i in range(4)])
     return np.array(conc), np.array(norms), np.array(states)
+
+
+def _bell_phi(p1, p2, t):
+    """phi = U1 Psi U2^T, the 2x2 matrix of (U1(t) (x) U2(t)) psi for the
+    Bell ket psi = (|01> + |10>) / sqrt(2), at the working precision."""
+    import mpmath as mp
+
+    u1, u2 = _propagator_mp(p1, t), _propagator_mp(p2, t)
+    return u1 * mp.matrix([[0, 1], [1, 0]]) * u2.T / mp.sqrt(2)
+
+
+def bell_mp(p1, p2, t, dps=40):
+    """(C, N), as mpf correct to `dps` digits, of the Bell state under
+    U1(t) (x) U2(t) for the float inputs taken as exact: N = |phi|^2 and
+    C = 2 |det phi| / N, Wootters' concurrence of the pure state phi / |phi|.
+    det phi cancels about log10 N digits, which the working precision adds."""
+    import mpmath as mp
+
+    with mp.workdps(20):
+        lost = int(mp.log10(mp.mnorm(_bell_phi(p1, p2, t), "f") ** 2))
+    with mp.workdps(dps + max(lost, 0) + 10):
+        phi = _bell_phi(p1, p2, t)
+        n = mp.mnorm(phi, "f") ** 2
+        return 2 * abs(phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]) / n, n
+
+
+def decompose_mp(p, t, dps=40):
+    """(theta, xi1, xi2, c) of optics.decompose_grid at one time, degrees and
+    scale, as mpf correct to `dps` digits, from the exact propagator of the
+    float inputs. The smaller of lambda1,2 = |A + iB| -+ C equals
+    1 / (|A + iB| + |C|) and cancels about 2 log10 |U| digits, which the
+    working precision adds."""
+    import mpmath as mp
+
+    with mp.workdps(20):
+        lost = 2 * int(mp.log10(mp.mnorm(_propagator_mp(p, t), "f")))
+    with mp.workdps(dps + max(lost, 0) + 10):
+        u = _propagator_mp(p, t)
+        a, b, off = mp.re(u[0, 0]), -mp.im(u[0, 0]), mp.re(u[0, 1])
+        mag = mp.hypot(a, b)
+        c = mag + abs(off)
+        xi1, xi2 = (mp.degrees(mp.asin((mag + sign * off) / c) / 2) for sign in (-1, 1))
+        theta = mp.degrees(mp.atan2(b, a) / 4 + mp.pi / 4) % 180
+        return theta, xi1, xi2, c

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,7 +464,7 @@ class TestOutputFiles:
     def test_main_alone_writes_what_the_command_returns(self, tmp_path, capsys, argv):
         argv = argv + ["--out", str(tmp_path / "a" / "b")]  # two missing levels
         args = cli.build_parser().parse_args(argv)
-        files = cli._COMMANDS[args.command](args)
+        files = args.func(args)
         assert not list(tmp_path.iterdir())
         assert cli.main(argv) == 0
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
@@ -558,6 +559,39 @@ class TestErrorMapping:
         assert capsys.readouterr().err.startswith(
             f"numerical error: {named}: the plate strings do not reproduce the propagator")
         assert not out.exists()
+
+    def test_write_failure_removes_only_what_the_call_made(self, tmp_path, capsys):
+        # the second curve's file name is taken by a directory: its write
+        # fails after the first curve's file is written
+        blocker = tmp_path / "fig2a_1.8_1.8.csv"
+        blocker.mkdir()
+        (tmp_path / "notes.txt").write_bytes(b"kept")
+        assert cli.main(["figure", "--figure", "2a", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"i/o error on {str(blocker)!r}:")
+        assert sorted(tmp_path.rglob("*")) == [blocker, tmp_path / "notes.txt"]
+        assert (tmp_path / "notes.txt").read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("argv,out", [
+        (["figure", "--figure", "2a"], "a/b/figs"),
+        (["figure", "--figure", "A5", "--format", "json"], "a/figs"),
+        (["sweep", "--t-max", "0.1"], "a/b/s.csv")])
+    def test_write_failure_removes_made_directories(self, tmp_path, monkeypatch, argv, out):
+        # the last write fails after the directories and any earlier file are made
+        argv = argv + ["--out", str(tmp_path / out)]
+        args = cli.build_parser().parse_args(argv)
+        n_files, write, calls = len(args.func(args)), Path.write_bytes, []
+
+        def last_fails(path, data):
+            calls.append(path)
+            if len(calls) == n_files:
+                raise PermissionError(13, "Permission denied", str(path))
+            return write(path, data)
+
+        (tmp_path / "old.txt").write_bytes(b"old")
+        monkeypatch.setattr(Path, "write_bytes", last_fails)
+        assert cli.main(argv) == 1
+        assert len(calls) == n_files
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "old.txt"]
 
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -40,14 +40,33 @@ def _public_constants(path):
 
 
 def _named(path):
-    """Every identifier a file uses: loaded names, attributes and imports. A
-    definition's own name, or an assignment to a name, is not a use of it,
+    """Every identifier a file uses: loaded names, imports, and the attributes
+    of aptsim modules (`aptsim.cli.main`, or `propagator.propagators` after
+    `from . import propagator`). An attribute of any other object is not a
+    use: a Trajectory's `concurrence` does not call entanglement.concurrence.
+    A definition's own name, or an assignment to a name, is not a use of it,
     and docstrings are not read."""
+    tree = ast.parse(path.read_text())
+    stems = {p.stem for p in MODULES}
+    # names that an import binds to an aptsim module, in any scope
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.split(".")[0] == "aptsim"}
+    modules |= {alias.asname or alias.name
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.level or node.module.split(".")[0] == "aptsim")
+                for alias in node.names if alias.name in stems}
+
+    def is_module(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in stems and is_module(node.value)
+        return isinstance(node, ast.Name) and node.id in modules
+
     out = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and is_module(node.value):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.rsplit(".", 1)[-1])

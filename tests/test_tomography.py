@@ -243,8 +243,8 @@ class TestMleOptimality:
         for i in range(10):
             alone = fidelity(truths[i:i + 1], mle_fit(observed[i:i + 1], 2000)[0])
             assert fids[i] == alone[0]
-            single = fidelity(truths[i], rho_hat[i])  # two states: a float
-            assert type(single) is float and fids[i] == single
+            single = fidelity(truths[i], rho_hat[i])  # two states: their P = 1 stack
+            assert single.shape == (1,) and fids[i] == single[0]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(log_eps=st.floats(-6.0, -3.0), rank=st.integers(1, 4),

@@ -17,7 +17,8 @@ about 90 us. Every command, which its subparser holds as `func`, takes its
 time grid from dynamics.time_grid and returns its files as a dict from path
 to bytes; `main` alone makes their directories and writes them, so a command
 that fails writes no file, and an OSError while writing removes the files
-and directories that the call made.
+and directories that the call made. The paths are printed last, so a
+stdout whose reader has gone exits 1 and leaves every file in place.
 
 Exit codes: 0 success, 1 i/o error, 2 validation error, 3 numerical error
 (out of memory included), each failure with a one-line message.
@@ -394,8 +395,13 @@ def main(argv=None):
         print(f"i/o error on {getattr(exc, 'filename', None)!r}: {exc}",
               file=sys.stderr)
         return 1
-    for path in files:
-        print(path)
+    try:
+        print(*files, sep="\n", flush=True)
+    except BrokenPipeError as exc:  # the files stay: only the reader has gone
+        with open(os.devnull, "wb") as null:  # takes the interpreter's last flush
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        print(f"i/o error on '<stdout>': {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

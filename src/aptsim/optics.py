@@ -9,7 +9,8 @@ global factor of -1, which decompose_grid() absorbs by adding 45 degrees
 to theta. One angle, DecompositionParams.theta_deg, serves both strings:
 the shift (theta, theta) + k (45, -45) leaves the product as it is for
 k = 2 and negates its real off-diagonal C for k = +-1, a sign the loss
-angles carry.
+angles carry. As H is traceless, det U = 1, so the loss element's entries
+are c = |A + iB| + |C| and 1 / c.
 decompose_grid() decomposes a time grid as one stack of 2x2 plate products.
 """
 
@@ -63,7 +64,8 @@ class DecompositionParams:
     decompose_grid() returns them, (T,) arrays over a time grid.
 
     c * reconstruct(params) equals the propagator elementwise, and the loss
-    element's entries are lambda1,2 = c sin(2 xi1,2) in [0, c].
+    element's entries are lambda1,2 = c sin(2 xi1,2): one is c and the
+    other 1 / c.
     """
     theta_deg: float
     xi1_deg: float
@@ -91,38 +93,34 @@ def decompose_grid(p, times):
     DecompositionParams of (T,) arrays.
 
     A, B and C come off one propagator stack and every field is computed
-    elementwise, theta = arg(A + iB) / 4 + 45 degrees included;
-    lambda1,2 = |A + iB| -+ C >= 0 as A^2 + B^2 = 1 + C^2. A point holds when
-    its round-trip error is within _ROUNDTRIP_TOL of its largest |U| entry,
-    since U grows like cosh in t. Raises DecompositionError naming the first
-    t that is degenerate or that the plate strings do not reproduce.
+    elementwise, theta = arg(A + iB) / 4 + 45 degrees included. As
+    A^2 + B^2 = 1 + C^2, c = |A + iB| + |C|; the loss angle on the side that
+    the sign of C picks is 45 degrees and the other asin(1 / c^2) / 2, with
+    1 / c squared so that nothing overflows. A point holds when its round-trip
+    error is within _ROUNDTRIP_TOL of its largest |U| entry, since U grows
+    like cosh in t. Raises DecompositionError naming the first t that the
+    plate strings do not reproduce.
     """
     if p.family is not Family.APT:
         raise ValueError("decomposition is defined for the APT family only")
     times = np.asarray(times, dtype=float).reshape(-1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         target = propagators(p, times)
         a, b, off = target[:, 0, 0].real, -target[:, 0, 0].imag, target[:, 0, 1].real
-        mag = np.hypot(a, b)
-        degenerate = mag + np.abs(off) == 0.0
-        lam1 = np.maximum(mag - off, 0.0)
-        lam2 = np.maximum(mag + off, 0.0)
-        c = np.maximum(lam1, lam2)
-        xi1 = np.rad2deg(0.5 * np.arcsin(np.minimum(lam1 / c, 1.0)))
-        xi2 = np.rad2deg(0.5 * np.arcsin(np.minimum(lam2 / c, 1.0)))
+        c = np.hypot(a, b) + np.abs(off)
+        small = np.rad2deg(0.5 * np.arcsin((1.0 / c) ** 2))
+        xi1 = np.where(off < 0.0, 45.0, small)
+        xi2 = np.where(off < 0.0, small, 45.0)
         theta = np.rad2deg(np.arctan2(b, a) / 4.0 + np.pi / 4.0) % 180.0
         d = DecompositionParams(theta, xi1, xi2, c)
         recon = c[:, None, None] * reconstruct(d)
         err = (np.max(np.abs(recon - target), axis=(-2, -1))
                / np.max(np.abs(target), axis=(-2, -1)))
-    bad = degenerate | ~(err < _ROUNDTRIP_TOL)
+    bad = ~(err < _ROUNDTRIP_TOL)
     if bad.any():
         i = int(np.argmax(bad))
-        where = f"t={float(times[i]):g}"
-        if degenerate[i]:
-            raise DecompositionError(f"{where}: degenerate propagator: |A + iB| + |C| = 0")
         error = np.inf if np.isnan(err[i]) else err[i]
-        raise DecompositionError(f"{where}: the plate strings do not reproduce the "
+        raise DecompositionError(f"t={float(times[i]):g}: the plate strings do not reproduce the "
                                  f"propagator (round-trip error {error:.3e} of max |U|)")
     return d
 

@@ -184,9 +184,10 @@ def bell_mp(p1, p2, t, dps=40):
 def decompose_mp(p, t, dps=40):
     """(theta, xi1, xi2, c) of optics.decompose_grid at one time, degrees and
     scale, as mpf correct to `dps` digits, from the exact propagator of the
-    float inputs. The smaller of lambda1,2 = |A + iB| -+ C equals
-    1 / (|A + iB| + |C|) and cancels about 2 log10 |U| digits, which the
-    working precision adds."""
+    float inputs. Unlike decompose_grid, which uses det U = 1 to take the
+    loss entries as c = |A + iB| + |C| and 1 / c, this takes them as
+    lambda1,2 = |A + iB| -+ C, and the smaller one cancels about
+    2 log10 |U| digits, which the working precision adds."""
     import mpmath as mp
 
     with mp.workdps(20):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -592,6 +595,25 @@ class TestErrorMapping:
         assert cli.main(argv) == 1
         assert len(calls) == n_files
         assert sorted(tmp_path.rglob("*")) == [tmp_path / "old.txt"]
+
+    def test_closed_stdout_exits_1_and_keeps_the_files(self, tmp_path):
+        # stdout is a pipe whose read end is closed before the paths are printed
+        argv = ["figure", "--figure", "4a", "--out", str(tmp_path)]
+        args = cli.build_parser().parse_args(argv)
+        files = {path.name: data for path, data in args.func(args).items()}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "aptsim", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == ["i/o error on '<stdout>': [Errno 32] Broken pipe"]
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
 
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -12,7 +12,7 @@ from aptsim.entanglement import concurrence
 from aptsim.model import IDENTITY, AptParams, Family, hamiltonian
 from aptsim.propagator import propagators
 
-from oracles import evolve_mp, expm_series
+from oracles import bell_mp, evolve_mp, expm_series
 
 
 class TestStatesAndValidation:
@@ -255,10 +255,12 @@ class TestFastBellCurve:
             (AptParams(a=1.2), IDENTITY),
         ]
         for p1, p2 in cases:
-            fast = evolve_pairs([(p1, p2)], times)[0][0]
-            traj = run(EvolutionSpec(p1=p1, p2=p2, t_max=9.95, dt=0.05))
-            assert fast.size == traj.concurrence.size
-            assert np.max(np.abs(fast - traj.concurrence)) < 1e-10
+            conc, norms, _ = evolve_pairs([(p1, p2)], times)
+            # every fourth sample against its 40-digit value
+            for t, c, n in zip(times[::4].tolist(), conc[0, ::4], norms[0, ::4]):
+                exact_c, exact_n = (float(x) for x in bell_mp(p1, p2, t))
+                assert abs(c - exact_c) < 1e-13
+                assert abs(n - exact_n) < 1e-12 * exact_n
 
 
 def _reference_sample(rho0, p1, p2, t):

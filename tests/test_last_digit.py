@@ -79,11 +79,8 @@ def test_evolution_cells_round_the_exact_value(p1, p2, dt, rows):
 
 
 @settings(max_examples=30, **_SETTINGS)
-@given(a=_A, t_max=st.floats(0.0, 5.0), rows=st.integers(2, 51))
+@given(a=_A, t_max=st.floats(0.0, 20.0), rows=st.integers(2, 51))
 def test_decompose_cells_round_the_exact_value(a, t_max, rows):
-    # the default table's span, t <= 5: further into the broken regime the
-    # smaller loss angle loses about 2 log10 |U| digits, as decompose_grid
-    # takes it as |A + iB| - |C|, and a = 0.5 misprints xi1 from t = 15 on
     dt = t_max / (rows - 1) or 1.0
     args = cli.build_parser().parse_args(
         ["decompose", "--a1", repr(a), "--t-max", repr(t_max), "--dt", repr(dt)])

@@ -94,12 +94,13 @@ def decompose_grid(p, times):
 
     A, B and C come off one propagator stack and every field is computed
     elementwise, theta = arg(A + iB) / 4 + 45 degrees included. As
-    A^2 + B^2 = 1 + C^2, c = |A + iB| + |C|; the loss angle on the side that
-    the sign of C picks is 45 degrees and the other asin(1 / c^2) / 2, with
-    1 / c squared so that nothing overflows. A point holds when its round-trip
-    error is within _ROUNDTRIP_TOL of its largest |U| entry, since U grows
-    like cosh in t. Raises DecompositionError naming the first t that the
-    plate strings do not reproduce.
+    A^2 + B^2 = 1 + C^2, c = |A + iB| + |C| with |A + iB| >= 1, a bound that
+    hypot can miss by an ulp and c keeps; the loss angle on the side that the
+    sign of C picks is 45 degrees and the other asin((1 / c)^2) / 2, which
+    cannot overflow. A point holds when its round-trip error is within
+    _ROUNDTRIP_TOL of its largest |U| entry, since U grows like cosh in t.
+    Raises DecompositionError naming the first t that the plate strings do
+    not reproduce.
     """
     if p.family is not Family.APT:
         raise ValueError("decomposition is defined for the APT family only")
@@ -107,7 +108,7 @@ def decompose_grid(p, times):
     with np.errstate(invalid="ignore", over="ignore"):
         target = propagators(p, times)
         a, b, off = target[:, 0, 0].real, -target[:, 0, 0].imag, target[:, 0, 1].real
-        c = np.hypot(a, b) + np.abs(off)
+        c = np.maximum(np.hypot(a, b), 1.0) + np.abs(off)
         small = np.rad2deg(0.5 * np.arcsin((1.0 / c) ** 2))
         xi1 = np.where(off < 0.0, 45.0, small)
         xi2 = np.where(off < 0.0, small, 45.0)

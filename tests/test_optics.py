@@ -135,6 +135,20 @@ class TestDecompose:
             assert s2 == pytest.approx(lambda2 / d.c[0], abs=1e-12)
             assert 0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0
 
+    @pytest.mark.parametrize("a", (1e16, 1e17, 1e18, 1e100))
+    def test_large_a_keeps_c_at_least_one(self, a):
+        # |C| = |sin wt| / sqrt(a^2 - 1) falls below an ulp of 1 here, and
+        # hypot(A, B) can round to 1 - 2^-53; (1 / c)^2 must still be <= 1
+        p = AptParams(a=a)
+        times = time_grid(20.0, 0.01)
+        d = decompose_grid(p, times)
+        assert np.all(d.c >= 1.0)
+        assert np.max(np.abs(d.xi1_deg - 45.0)) < 1e-5
+        assert np.max(np.abs(d.xi2_deg - 45.0)) < 1e-5
+        target = propagators(p, times)
+        err = np.max(np.abs(d.c[:, None, None] * reconstruct(d) - target), axis=(-2, -1))
+        assert np.all(err <= optics._ROUNDTRIP_TOL * np.max(np.abs(target), axis=(-2, -1)))
+
     def test_pt_rejected(self):
         with pytest.raises(ValueError):
             decompose_grid(AptParams(a=1.2, family=Family.PT), [0.5, 1.0])

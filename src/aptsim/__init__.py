@@ -4,7 +4,7 @@ nonunitary propagator and a tomography measurement chain."""
 
 from .dynamics import (DegenerateNormError, EvolutionSpec, InvalidStateError,
                        Trajectory, bell_ket, bell_state, evolve_pairs,
-                       maximally_mixed, run, time_grid, validate_density_matrix)
+                       maximally_mixed, rank_factor, run, time_grid)
 from .entanglement import (analytic_concurrence_identical, concurrence,
                            concurrence_minimum_identical, concurrence_period,
                            ep_concurrence)

@@ -16,16 +16,19 @@ takes about 60 us, and the encoder, whose cost is mostly fixed per call,
 about 90 us. Every command, which its subparser holds as `func`, takes its
 time grid from dynamics.time_grid and returns its files as a dict from path
 to bytes; `main` alone makes their directories and writes them, so a command
-that fails writes no file, and an OSError while writing removes the files
-and directories that the call made. The paths are printed last, so a
-stdout whose reader has gone exits 1 and leaves every file in place.
+that fails writes no file, a target that is a directory fails it before the
+first write, and an OSError while writing removes the files and directories
+that the call made. The paths are printed last, so a stdout whose reader has
+gone exits 1 and leaves every file in place.
 
 Exit codes: 0 success, 1 i/o error, 2 validation error, 3 numerical error
-(out of memory included), each failure with a one-line message.
+(out of memory included), each failure with a one-line message on stderr;
+a stderr whose reader has gone keeps the code.
 """
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import os
@@ -367,11 +370,31 @@ def build_parser():
     return parser
 
 
+def _quiet(stream):
+    """Point a stream whose reader has gone at the null device, which then
+    takes the interpreter's last flush."""
+    with open(os.devnull, "wb") as null:
+        os.dup2(null.fileno(), stream.fileno())
+
+
+def _fail(code, message):
+    """Report a failure on stderr and return its exit code, which a stderr
+    whose reader has gone does not change."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _quiet(sys.stderr)
+    return code
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     made = []  # the directories and files that this call creates, outermost first
     try:
         files = args.func(args)
+        for path in files:  # before any write, so that no old file is rewritten
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         for parent in dict.fromkeys(path.parent for path in files):
             made += [d for d in (*parent.parents[::-1], parent) if not os.path.lexists(d)]
             parent.mkdir(parents=True, exist_ok=True)
@@ -379,29 +402,22 @@ def main(argv=None):
             made += [] if os.path.lexists(path) else [path]
             path.write_bytes(data)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"error: {exc}")
     except ArithmeticError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"numerical error: {exc}")
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
-        print(f"numerical error: out of memory{detail}", file=sys.stderr)
-        return 3
+        return _fail(3, f"numerical error: out of memory{detail}")
     except OSError as exc:
         for path in reversed(made):  # a directory is empty once its files are gone
             with contextlib.suppress(OSError):
                 path.rmdir() if path.is_dir() else path.unlink()
-        print(f"i/o error on {getattr(exc, 'filename', None)!r}: {exc}",
-              file=sys.stderr)
-        return 1
+        return _fail(1, f"i/o error on {getattr(exc, 'filename', None)!r}: {exc}")
     try:
         print(*files, sep="\n", flush=True)
     except BrokenPipeError as exc:  # the files stay: only the reader has gone
-        with open(os.devnull, "wb") as null:  # takes the interpreter's last flush
-            os.dup2(null.fileno(), sys.stdout.fileno())
-        print(f"i/o error on '<stdout>': {exc}", file=sys.stderr)
-        return 1
+        _quiet(sys.stdout)
+        return _fail(1, f"i/o error on '<stdout>': {exc}")
     return 0
 
 

@@ -5,12 +5,12 @@ One stacked kernel, evolve_pairs(), evolves one initial state under P qubit
 pairs (p1, p2) over one time grid, such as time_grid() validates and returns;
 the CLI commands call it once per chunk of whole curves, and run() is its
 P = 1 case over time_grid(spec.t_max, spec.dt). rho0 = F F^H is factored once
-by rank_factor()'s eigh, which also checks that rho0 is a state; the default
-Bell state's factor is a module constant, so it is neither validated nor
-factored again. Each column of F, as a 2x2 block F_k, evolves as
-U1(t) F_k U2(t)^T over the whole grid at once, from t = 0 at absolute time,
-with the propagator terms of each distinct qubit taken once; a qubit that
-does not evolve is model.IDENTITY, gamma = 0, whose terms are those of
+by rank_factor(), whose eigh also checks that rho0 is a state, and F drops
+its zero columns; the Bell state's factor is a module constant, neither
+validated nor factored again. Each column of F, as a 2x2 block F_k, evolves
+as U1(t) F_k U2(t)^T over the whole grid at once, from t = 0 at absolute
+time, with the propagator terms of each distinct qubit taken once; a qubit
+that does not evolve is model.IDENTITY, gamma = 0, whose terms are those of
 H = 0. The norm is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes from the
 same F (linalg.wootters), and local filtering (Verstraete, Dehaene & De
 Moor, PRA 64, 010101, 2001) with |det U| = 1 for traceless H gives C(t) =
@@ -27,7 +27,7 @@ from .linalg import wootters
 from .model import AptParams, hamiltonian
 
 NORM_FLOOR = 1e-300
-# validate_density_matrix(): largest Hermiticity and trace deviation, least eigenvalue
+# rank_factor(): largest Hermiticity and trace deviation, least eigenvalue
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10
@@ -74,12 +74,13 @@ def _check(ok, message):
         raise InvalidStateError(message(i) if ok.ndim == 0 else f"state {i}: {message(i)}")
 
 
-def validate_density_matrix(rho):
-    """Raise InvalidStateError unless rho, a 4x4 matrix or a (..., 4, 4) stack,
-    holds valid two-qubit states; return the eigh (ascending eigenvalues,
-    eigenvectors) of its Hermitian part, one call for the whole stack. A bad
-    state of a stack is named by its index in the flattened stack."""
-    rho = np.asarray(rho)
+def rank_factor(rho):
+    """F with F F^H the Hermitian part of rho: (4, 4) for one 4x4 state and
+    (..., 4, 4) for a stack, from one eigh. The columns of eigenvalues below
+    _RANK_RTOL of the largest are zero, so no state's factor depends on the
+    others. InvalidStateError names the first matrix that is not a state
+    (by the tolerances above) by its index in the flattened stack."""
+    rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
     herm = np.abs(rho - rho.conj().swapaxes(-2, -1))
@@ -94,19 +95,7 @@ def validate_density_matrix(rho):
     w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-2, -1)) / 2.0)
     if w[..., 0].min() < EIG_FLOOR:
         _check(w[..., 0] >= EIG_FLOOR, lambda i: f"negative eigenvalue {w[..., 0].flat[i]:.3e}")
-    return w, v
-
-
-def rank_factor(rho):
-    """F with rho = F F^H, from the one eigh that validation makes; eigenvalues
-    below _RANK_RTOL of the largest are cut. One state gives (4, r); a stack
-    gives (..., 4, 4) with its cut columns zero, so that no state's factor
-    depends on the others. A non-state raises InvalidStateError."""
-    rho = np.asarray(rho, dtype=complex)
-    w, v = validate_density_matrix(rho)
     keep = w > _RANK_RTOL * w[..., -1:]
-    if rho.ndim == 2:
-        return v[:, keep] * np.sqrt(w[keep])
     return v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
 
 
@@ -168,6 +157,7 @@ def evolve_pairs(pairs, times, initial=None, keep_states=False):
     DegenerateNormError naming the first bad t of the first pair that has
     one."""
     factor = _BELL_FACTOR if initial is None else rank_factor(initial)
+    factor = factor[:, factor.any(axis=0)]  # the work grows with the rank r
     times = np.asarray(times, dtype=float).reshape(-1)
     f = factor.T.reshape(-1, 2, 2)  # rho0 = sum_k vec(F_k) vec(F_k)^H
     terms = np.empty((len(pairs), times.size, 4))

@@ -1,9 +1,10 @@
 """Concurrence of two-qubit states, plus the closed forms (value, minimum,
 period) for the Bell-initial identical-evolution trajectories.
 
-concurrence() factors rho = F F^H with the one eigh that validation makes and
-takes Wootters' formula from the singular values of F^T (sy x sy) F
-(linalg.wootters), the same formula the evolution kernel applies to rho0."""
+concurrence() factors rho = F F^H by dynamics.rank_factor, whose one eigh
+also validates rho, and takes Wootters' formula from the singular values of
+F^T (sy x sy) F (linalg.wootters), the same formula the evolution kernel
+applies to rho0."""
 
 import numpy as np
 

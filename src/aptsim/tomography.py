@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import rank_factor, validate_density_matrix
+from .dynamics import rank_factor
 
 BASIS_LABELS = ("HH", "HV", "VV", "VH", "RH", "RV", "DV", "DH",
                 "DR", "DD", "RD", "HD", "VD", "VL", "HL", "RL")
@@ -121,7 +121,7 @@ def draw_counts(states, total=DEFAULT_TOTAL, seed=0, noiseless=False):
     (deterministic), or takes round(expected) in noiseless mode."""
     if not 0 < total <= MAX_TOTAL:
         raise ValueError(f"total must be in (0, {MAX_TOTAL:.0e}], got {total}")
-    validate_density_matrix(states)
+    rank_factor(states)
     expected = np.clip(_probabilities(states) * total, 0.0, total)
     if noiseless:
         return expected, np.rint(expected)

@@ -37,6 +37,22 @@ def _fstring_lines(*columns):
     return "".join(",".join(f"{v:.6g}" for v in row) + "\n" for row in zip(*columns))
 
 
+def _run_with_closed_reader(argv, stream):
+    """`python -m aptsim argv` with `stream` ("stdout" or "stderr") a pipe
+    whose read end is closed; the other stream is captured as text."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    read, write = os.pipe()
+    os.close(read)
+    other = "stderr" if stream == "stdout" else "stdout"
+    try:
+        return subprocess.run([sys.executable, "-m", "aptsim", *argv], text=True, env=env,
+                              **{stream: write, other: subprocess.PIPE})
+    finally:
+        os.close(write)
+
+
 def _edge_sweep():
     """Deterministic floats at every %g switch, exponent width and rounding tie."""
     powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
@@ -597,23 +613,35 @@ class TestErrorMapping:
         assert sorted(tmp_path.rglob("*")) == [tmp_path / "old.txt"]
 
     def test_closed_stdout_exits_1_and_keeps_the_files(self, tmp_path):
-        # stdout is a pipe whose read end is closed before the paths are printed
         argv = ["figure", "--figure", "4a", "--out", str(tmp_path)]
         args = cli.build_parser().parse_args(argv)
         files = {path.name: data for path, data in args.func(args).items()}
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            done = subprocess.run([sys.executable, "-m", "aptsim", *argv], stdout=write,
-                                  stderr=subprocess.PIPE, text=True, env=env)
-        finally:
-            os.close(write)
+        done = _run_with_closed_reader(argv, "stdout")
         assert done.returncode == 1
         assert done.stderr.splitlines() == ["i/o error on '<stdout>': [Errno 32] Broken pipe"]
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+    @pytest.mark.parametrize("argv,code", [
+        (["decompose", "--a1=-1"], 2),
+        (["tomography", "--a1", "0.3", "--a2", "0.3", "--t-max", "200", "--dt", "10"], 3)])
+    def test_closed_stderr_keeps_the_exit_code(self, tmp_path, argv, code):
+        done = _run_with_closed_reader(argv + ["--out", str(tmp_path / "out")], "stderr")
+        assert done.returncode == code
+        assert done.stdout == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_directory_in_the_way_fails_before_any_write(self, tmp_path, capsys):
+        # the first curve's file is old, the second's name is a directory:
+        # the old file keeps its bytes, and no file is made
+        old = tmp_path / "fig2a_1.2_1.2.csv"
+        old.write_bytes(b"t,concurrence,norm\n0,1,1\n")
+        blocker = tmp_path / "fig2a_1.8_1.8.csv"
+        blocker.mkdir()
+        assert cli.main(["figure", "--figure", "2a", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"i/o error on {str(blocker)!r}: [Errno 21] Is a directory: {str(blocker)!r}\n")
+        assert old.read_bytes() == b"t,concurrence,norm\n0,1,1\n"
+        assert sorted(tmp_path.rglob("*")) == [old, blocker]
 
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as err:

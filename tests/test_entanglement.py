@@ -81,10 +81,11 @@ class TestConcurrence:
         assert concurrence(rho) == pytest.approx(min(expected, 1.0), abs=1e-12)
 
     def test_pure_spin_flip_spectrum(self):
-        # rank 1: one eigenvalue; the other three are the cut columns of F
+        # rank 1: one eigenvalue; the other three come from the zero columns of F
         lams = wootters(rank_factor(bell_state()))[1] ** 2
         assert lams[0] == pytest.approx(1.0, abs=1e-10)
-        assert lams.shape == (1,)
+        assert lams.shape == (4,)
+        assert np.all(lams[1:] == 0.0)
 
     def test_invalid_state_rejected(self):
         with pytest.raises(InvalidStateError):

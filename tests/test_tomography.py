@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import aptsim
 from aptsim import tomography
 from aptsim.dynamics import (InvalidStateError, bell_state, evolve_pairs, maximally_mixed,
-                             time_grid, validate_density_matrix)
+                             rank_factor, time_grid)
 from aptsim.entanglement import concurrence
 from aptsim.model import AptParams
 from aptsim.optics import hwp, qwp
@@ -117,7 +117,7 @@ class TestMleFit:
         observed = draw_counts(rho[None], total=500, seed=5)[1]
         result = mle_fit(observed, 500)
         rho_hat, _, iterations = result
-        validate_density_matrix(rho_hat[0])
+        rank_factor(rho_hat[0])
         assert len(result) == 3  # estimates, log-likelihoods, steps: no scores
         assert iterations[0] > 0
 
@@ -340,7 +340,7 @@ class TestMleOptimality:
         observed = np.array([[2436, 2538, 2588, 2522, 0, 1, 2475, 2502,
                               0, 2477, 0, 2412, 2403, 4920, 5041, 0]])
         alone = mle_fit(observed, 10000)
-        validate_density_matrix(alone[0][0])
+        rank_factor(alone[0][0])
         gap = _frank_wolfe_gap(alone[0][0], observed[0], 10000)
         assert gap < self.GAP_PER_COUNT * 16 * 10000
         # the Frank-Wolfe step keeps the point's fit independent of its batch

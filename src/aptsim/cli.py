@@ -1,16 +1,15 @@
 """Experiment runner: emits figure curve data, parameter sweeps, propagator
 decompositions and tomography reports as deterministic CSV/JSON files.
 
-`figure` and `sweep` CSV files are encoded column-wise (`_cells`, `_text`):
-numpy turns each float column into the exact bytes of "%.6g" % x (`_encode`
-says why), and each file is one bytes buffer. The time column that every
-curve of a command shares is encoded once. A cell is two uint64 words whose
-unused high bytes are NUL; `_text` copies each curve's cells, row by row,
-into one buffer of at most _BLOCK rows that every curve of a command reuses,
-and drops the NULs of the buffer's bytes with bytes.translate(None, b"\0"),
-which leaves the curve's CSV lines. `figure` and `sweep` evolve all their
-curves in one dynamics.evolve_pairs call per chunk of whole curves of about
-_CHUNK_ROWS rows, which is one call for every preset and the default sweep.
+`figure` and `sweep` run one loop over blocks of at most _CHUNK_ROWS rows,
+each a run of whole curves or a piece of one longer curve (`_blocks`): one
+dynamics.evolve_pairs call on the block's slice of the time grid, then
+`_cells`, which encodes each float column as the exact bytes of "%.6g" % x
+(`_encode` says why), and `_text`. A cell is two uint64 words whose unused
+high bytes are NUL; `_text` writes a block's cells into one table and drops
+the NULs of each curve's bytes with bytes.translate(None, b"\0"), which
+leaves its CSV lines. The time cells are encoded once and sliced, and a
+figure curve's parts are joined once its last block is done.
 `decompose` keeps one `%` format per row: on its 51-row default table that
 takes about 60 us, and the encoder, whose cost is mostly fixed per call,
 about 90 us. Every command, which its subparser holds as `func`, takes its
@@ -85,8 +84,8 @@ def _param_token(p):
 _E_LO, _E_HI = -310, 310  # decimal exponents the tables cover
 _GUARD = 1e-6             # mantissas this close to a rounding tie go to Python
 _TINY = 1e-300            # smaller magnitudes go to Python (10^(e-5) stays normal)
-_CHUNK_ROWS = 1 << 16     # rows encoded per call, in whole curves
-_BLOCK = 1 << 12          # values encoded, and rows filled into text, per step
+_CHUNK_ROWS = 1 << 16     # rows evolved, encoded and filled into text per block
+_BLOCK = 1 << 12          # values encoded per step
 _BYTE = np.uint64(8)
 _COMMA, _NEWLINE = ord(","), ord("\n")
 _ENDS = np.array([_COMMA, _NEWLINE])  # ends of a figure row's concurrence and norm
@@ -195,53 +194,53 @@ def _text(rows, *columns):
     """The CSV lines of each curve, as a list of bytes without the NULs,
     whose cells are the rows of columns. A column is (curves, rows, 2), or
     broadcasts to it: (rows, 2) for a column every curve shares, (curves, 1, 2)
-    or (2,) for a cell repeated on every row. Each curve is filled into one
-    uint64 buffer of at most _BLOCK rows that every curve reuses, a curve
-    longer than that _BLOCK rows at a time, and the buffer's bytes drop
-    their NULs by bytes.translate."""
+    or (2,) for a cell repeated on every row. The columns fill one
+    (curves, rows, columns, 2) table, and each curve's bytes drop their NULs
+    by bytes.translate."""
     shape = np.broadcast_shapes((1, rows, 2), *(np.shape(c) for c in columns))
-    columns = [np.broadcast_to(c, shape) for c in columns]
-    buf = np.empty((min(rows, _BLOCK), len(columns), 2), dtype="<u8")
-    texts = []
-    for curve in zip(*columns):
-        parts = []
-        for i in range(0, rows, _BLOCK):
-            n = min(rows - i, _BLOCK)
-            for j, c in enumerate(curve):
-                buf[:n, j] = c[i:i + n]
-            parts.append(buf[:n].tobytes().translate(None, b"\0"))
-        texts.append(b"".join(parts))
-    return texts
+    table = np.empty(shape[:2] + (len(columns), 2), dtype="<u8")
+    for j, c in enumerate(columns):
+        table[:, :, j] = c
+    return [curve.tobytes().translate(None, b"\0") for curve in table]
 
 
-def _chunks(n_items, n_rows):
-    """Slices of whole items of n_rows rows, about _CHUNK_ROWS rows each."""
-    step = max(1, _CHUNK_ROWS // max(n_rows, 1))
-    return [slice(i, i + step) for i in range(0, n_items, step)]
+def _blocks(n_curves, n_rows):
+    """(curves, rows) slices of at most _CHUNK_ROWS rows each, in curve and
+    time order: runs of whole curves, or equal pieces of one longer curve
+    (they peak lower in memory than full pieces and a short rest)."""
+    rows = -(-n_rows // -(-n_rows // _CHUNK_ROWS))  # n_rows / pieces, rounded up
+    step = _CHUNK_ROWS // rows  # 1 for the pieces of a longer curve
+    return [(slice(i, i + step), slice(j, min(j + rows, n_rows)))
+            for i in range(0, n_curves, step) for j in range(0, n_rows, rows)]
 
 
 def run_figure(args):
     curves, default_t_max = FIGURES[args.figure]
     t_max = default_t_max if args.t_max is None else args.t_max
     times = time_grid(t_max, args.dt)  # every curve shares one grid
-    values = [np.stack(evolve_pairs(curves[chunk], times)[:2], axis=-1)
-              for chunk in _chunks(len(curves), times.size)]
     out_dir = Path(args.out)
     if args.format == "json":
+        conc, norms = np.empty((2, len(curves), times.size))
+        for c, r in _blocks(len(curves), times.size):
+            conc[c, r], norms[c, r] = evolve_pairs(curves[c], times[r])[:2]
         t = times.tolist()
         payload = [{"a1": _param_token(p1), "a2": _param_token(p2), "t": t,
-                    "concurrence": v[:, 0].tolist(), "norm": v[:, 1].tolist()}
-                   for (p1, p2), v in zip(curves, np.concatenate(values))]
+                    "concurrence": cc.tolist(), "norm": n.tolist()}
+                   for (p1, p2), cc, n in zip(curves, conc, norms)]
         text = json.dumps({"figure": args.figure, "curves": payload}, indent=2, sort_keys=True)
         return {out_dir / f"fig{args.figure}.json": (text + "\n").encode()}
+    paths = [out_dir / f"fig{args.figure}_{_param_token(p1)}_{_param_token(p2)}.csv"
+             for p1, p2 in curves]
     t_cells = _cells(times, _COMMA)
-    texts = []  # headed chunk by chunk: no second copy of every curve's text
-    for group in values:
-        cells = _cells(group, _ENDS)
-        texts += [b"t,concurrence,norm\n" + text
-                  for text in _text(times.size, t_cells, cells[:, :, 0], cells[:, :, 1])]
-    return {out_dir / f"fig{args.figure}_{_param_token(p1)}_{_param_token(p2)}.csv": text
-            for (p1, p2), text in zip(curves, texts)}
+    files = {}  # a curve's parts, joined once its last block is done
+    for c, r in _blocks(len(curves), times.size):
+        cells = _cells(np.stack(evolve_pairs(curves[c], times[r])[:2], axis=-1), _ENDS)
+        texts = _text(r.stop - r.start, t_cells[r], cells[:, :, 0], cells[:, :, 1])
+        for path, text in zip(paths[c], texts):
+            files.setdefault(path, [b"t,concurrence,norm\n"]).append(text)
+            if r.stop == times.size:
+                files[path] = b"".join(files[path])
+    return files
 
 
 def run_sweep(args):
@@ -266,17 +265,14 @@ def run_sweep(args):
     p1 = AptParams(a=args.a1)
     times = time_grid(args.t_max, args.dt)
     pairs = [(p1, AptParams(a=a2)) for a2 in a2_values]
-    chunks = _chunks(len(pairs), times.size)
-    conc = [evolve_pairs(pairs[chunk], times)[0] for chunk in chunks]
     # a1, a2 and the time grid, which every a2 value shares, are encoded once
-    a1_cells = _cells(args.a1, _COMMA)
-    a2_cells = _cells(a2_values, _COMMA)
-    t_cells = _cells(times, _COMMA)
-    blocks = [b"a1,a2,t,concurrence\n"]
-    for chunk, c in zip(chunks, conc):
-        blocks += _text(times.size, a1_cells, a2_cells[chunk, None], t_cells,
-                        _cells(c, _NEWLINE))
-    return {Path(args.out): b"".join(blocks)}
+    a1_cells, a2_cells, t_cells = (_cells(x, _COMMA) for x in (args.a1, a2_values, times))
+    texts = [b"a1,a2,t,concurrence\n"]
+    for c, r in _blocks(len(pairs), times.size):
+        conc = evolve_pairs(pairs[c], times[r])[0]
+        texts += _text(r.stop - r.start, a1_cells, a2_cells[c, None], t_cells[r],
+                       _cells(conc, _NEWLINE))
+    return {Path(args.out): b"".join(texts)}
 
 
 def run_decompose(args):

@@ -3,7 +3,7 @@ renormalization, and trajectory sampling.
 
 One stacked kernel, evolve_pairs(), evolves one initial state under P qubit
 pairs (p1, p2) over one time grid, such as time_grid() validates and returns;
-the CLI commands call it once per chunk of whole curves, and run() is its
+the CLI commands call it once per block of their curves, and run() is its
 P = 1 case over time_grid(spec.t_max, spec.dt). rho0 = F F^H is factored once
 by rank_factor(), whose eigh also checks that rho0 is a state, and F drops
 its zero columns; the Bell state's factor is a module constant, neither
@@ -156,9 +156,12 @@ def evolve_pairs(pairs, times, initial=None, keep_states=False):
     that is not finite or below NORM_FLOOR raises OverflowError or
     DegenerateNormError naming the first bad t of the first pair that has
     one."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if times.size == 1:  # matmul's gemv for one row rounds unlike its gemm: take two
+        return tuple(x if x is None else x[:, :1]
+                     for x in evolve_pairs(pairs, np.repeat(times, 2), initial, keep_states))
     factor = _BELL_FACTOR if initial is None else rank_factor(initial)
     factor = factor[:, factor.any(axis=0)]  # the work grows with the rank r
-    times = np.asarray(times, dtype=float).reshape(-1)
     f = factor.T.reshape(-1, 2, 2)  # rho0 = sum_k vec(F_k) vec(F_k)^H
     terms = np.empty((len(pairs), times.size, 4))
     basis = np.empty((len(pairs), 4) + f.shape, dtype=complex)

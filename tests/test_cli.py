@@ -90,8 +90,8 @@ class TestCsvRows:
 
     @pytest.mark.parametrize("block", [1, 3, 5, 1 << 12])
     def test_stacked_curves_match_one_at_a_time(self, monkeypatch, block):
-        # curves reuse one buffer, and a curve longer than the buffer is
-        # filled in pieces; each curve's text is what it gets alone
+        # _BLOCK sizes only _cells' blocks of values, which a stack of
+        # curves shares; each curve's text is what it gets alone
         monkeypatch.setattr(cli, "_BLOCK", block)
         rng = np.random.default_rng(block)
         for curves, rows in ((1, 1), (7, 1), (4, 2), (3, 5), (5, 6), (2, 11)):
@@ -182,6 +182,42 @@ class TestOneKernelCall:
             calls.append(times.size) or decompose(p, times)))
         assert cli.main(["decompose", "--a1", "1.2", "--out", str(tmp_path / "d.csv")]) == 0
         assert calls == [51]
+
+
+class TestBlocks:
+    # each argv is one block at the default _CHUNK_ROWS; smaller blocks cut
+    # it into runs of whole curves and pieces of single curves
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 1000])
+    @pytest.mark.parametrize("argv", [
+        ["figure", "--figure", "2a"],
+        ["figure", "--figure", "4a", "--t-max", "0.5"],
+        ["figure", "--figure", "A4", "--t-max", "3"],
+        ["figure", "--figure", "2a", "--t-max", "3", "--format", "json"],
+        ["sweep", "--t-max", "0.3"]])
+    def test_files_do_not_depend_on_the_blocks(self, monkeypatch, argv, chunk_rows):
+        args = cli.build_parser().parse_args(argv + ["--out", "out"])
+        evolve, calls = cli.evolve_pairs, []
+
+        def recorded(pairs, times, **kwargs):
+            calls.append((pairs, times))
+            return evolve(pairs, times, **kwargs)
+
+        def samples():
+            # every (pair, t) evolved, in call order; clears the record
+            seen = [(p, t) for pairs, times in calls for p in pairs for t in times.tolist()]
+            calls.clear()
+            return seen
+
+        monkeypatch.setattr(cli, "evolve_pairs", recorded)
+        expected = args.func(args)
+        assert len(calls) == 1
+        everything = samples()
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        assert args.func(args) == expected
+        for pairs, times in calls:
+            assert len(pairs) * times.size <= chunk_rows
+        # each curve and each sample once, curve by curve and in time order
+        assert samples() == everything
 
 
 class TestOversizedGrids:
@@ -516,8 +552,8 @@ class TestErrorMapping:
         assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
     def test_later_chunk_failure_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        # 70,001 rows a curve puts each of 2a's two curves in its own chunk;
-        # the second curve's text runs out of memory after the first is built
+        # at 70,001 rows each of 2a's two curves is two blocks; the second
+        # block's text runs out of memory after the first is built
         text, calls = cli._text, []
 
         def second_exhausted(*args):

@@ -312,28 +312,6 @@ REFEREE_CONC_ABS = 1e-13
 REFEREE_STATE_ABS = 1e-12
 
 
-class TestRunProperties:
-    # no shrinking, as in TestMixedStateReferee: each example runs 40-digit
-    # evolutions
-    @settings(max_examples=60, deadline=None, derandomize=True,
-              phases=(Phase.explicit, Phase.generate))
-    @given(p1=_QUBITS, p2=st.one_of(_QUBITS, st.just(IDENTITY)),
-           t_max=st.floats(0.0, 30.0), rank=st.integers(1, 4),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_per_sample_reference(self, p1, p2, t_max, rank, seed):
-        # the broken regime up to a growth of e^40 in |U|
-        t_max = min(t_max, 40.0 / max(_growth_rate(p1), _growth_rate(p2), 1e-3))
-        rho0 = _random_state(rank, seed)
-        times = time_grid(t_max, max(t_max / 4.0, 1e-3))
-        conc, norms, states = evolve_pairs([(p1, p2)], times, rho0, keep_states=True)
-        # the 40-digit oracle at the last sample, where a broken qubit's |U|
-        # is largest: each takes about 15 ms
-        ref_c, ref_n, _ = evolve_mp(rho0, p1, p2, times[-1:])
-        assert np.all(np.abs(norms[0, -1:] - ref_n) <= REFEREE_NORM_REL * ref_n)
-        assert np.all(np.abs(conc[0, -1:] - ref_c) <= REFEREE_CONC_ABS)
-        rank_factor(states[0])
-
-
 # cos(0.4)|01> + e^{0.9i} sin(0.4)|10>: entangled, but not a Bell state
 _KET = np.array([0.0, np.cos(0.4), np.sin(0.4) * np.exp(0.9j), 0.0])
 # initial states by name; None is evolve_pairs' default, the Bell state
@@ -353,7 +331,7 @@ _REFEREE_PAIRS = {
 class TestMixedStateReferee:
     # no shrinking: each example runs 40-digit evolutions, so a shrink of a
     # failure would take minutes
-    @settings(max_examples=30, deadline=None, derandomize=True,
+    @settings(max_examples=40, deadline=None, derandomize=True,
               phases=(Phase.explicit, Phase.generate))
     @given(p1=st.one_of(_QUBITS, st.just(IDENTITY)), p2=st.one_of(_QUBITS, st.just(IDENTITY)),
            t_max=st.floats(0.0, 60.0), rank=st.integers(1, 4),
@@ -362,12 +340,15 @@ class TestMixedStateReferee:
         # the broken regime up to a growth of e^40 in |U|
         t_max = min(t_max, 40.0 / max(_growth_rate(p1), _growth_rate(p2), 1e-3))
         rho0 = _random_state(rank, seed)
-        times = t_max * np.array([1.0 / 3.0, 2.0 / 3.0, 1.0])
+        times = time_grid(t_max, max(t_max / 3.0, 1e-3))
         conc, norms, states = evolve_pairs([(p1, p2)], times, rho0, keep_states=True)
-        ref_c, ref_n, ref_rho = evolve_mp(rho0, p1, p2, times)
-        assert np.all(np.abs(norms[0] - ref_n) <= REFEREE_NORM_REL * ref_n)
-        assert np.all(np.abs(conc[0] - ref_c) <= REFEREE_CONC_ABS)
-        assert np.all(np.abs(states[0] - ref_rho) <= REFEREE_STATE_ABS)
+        # the 40-digit oracle at the last three samples, up to t_max, where
+        # a broken qubit's |U| is largest: each takes about 15 ms
+        ref_c, ref_n, ref_rho = evolve_mp(rho0, p1, p2, times[-3:])
+        assert np.all(np.abs(norms[0, -3:] - ref_n) <= REFEREE_NORM_REL * ref_n)
+        assert np.all(np.abs(conc[0, -3:] - ref_c) <= REFEREE_CONC_ABS)
+        assert np.all(np.abs(states[0, -3:] - ref_rho) <= REFEREE_STATE_ABS)
+        rank_factor(states[0])
 
     @pytest.mark.parametrize("regime", list(_REFEREE_PAIRS))
     @pytest.mark.parametrize("state", list(_REFEREE_STATES))
@@ -417,6 +398,28 @@ class TestStackedEvolution:
             # each pair's states do not depend on the rest of the stack
             one = evolve_pairs([pairs[i]], times, initial, keep_states=True)[2]
             assert np.array_equal(states[i], one[0])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(_QUBITS, st.one_of(_QUBITS, st.just(IDENTITY))),
+                          min_size=1, max_size=3),
+           t_max=st.floats(0.01, 20.0), steps=st.integers(1, 3000),
+           rank=st.one_of(st.none(), st.integers(1, 4)), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_split_grid_equals_whole_bit_for_bit(self, pairs, t_max, steps, rank, seed, data):
+        # the CLI evolves a curve longer than its block in pieces of the
+        # grid: any cut must give the whole grid's values, also one that
+        # leaves a piece of one sample; rank None is the default Bell state
+        t_max = min(t_max, 40.0 / max(1e-3, *(_growth_rate(p) for pair in pairs for p in pair)))
+        initial = None if rank is None else _random_state(rank, seed)
+        times = time_grid(t_max, t_max / steps)
+        cut = data.draw(st.one_of(st.sampled_from((1, times.size - 1)),
+                                  st.integers(1, times.size - 1)))
+        whole = evolve_pairs(pairs, times, initial, keep_states=True)
+        parts = [evolve_pairs(pairs, piece, initial, keep_states=True)
+                 for piece in (times[:cut], times[cut:])]
+        for i, name in enumerate(("conc", "norms", "states")):
+            assert np.array_equal(np.concatenate([part[i] for part in parts], axis=1),
+                                  whole[i]), name
 
     def test_failure_names_first_failing_pair(self):
         # a = 0.3 overflows at a smaller t than a = 0.5, but the a = 0.5 pair

@@ -4,8 +4,8 @@ nonunitary propagator and a tomography measurement chain."""
 
 from .dynamics import (DegenerateNormError, EvolutionSpec, InvalidStateError,
                        Trajectory, bell_ket, bell_state, evolve_pairs,
-                       maximally_mixed, rank_factor, run, time_grid)
-from .entanglement import (analytic_concurrence_identical, concurrence,
+                       rank_factor, run, time_grid)
+from .entanglement import (analytic_concurrence_identical,
                            concurrence_minimum_identical, concurrence_period,
                            ep_concurrence)
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z

@@ -10,15 +10,15 @@ high bytes are NUL; `_text` writes a block's cells into one table and drops
 the NULs of each curve's bytes with bytes.translate(None, b"\0"), which
 leaves its CSV lines. The time cells are encoded once and sliced, and a
 figure curve's parts are joined once its last block is done.
-`decompose` keeps one `%` format per row: on its 51-row default table that
-takes about 60 us, and the encoder, whose cost is mostly fixed per call,
-about 90 us. Every command, which its subparser holds as `func`, takes its
-time grid from dynamics.time_grid and returns its files as a dict from path
-to bytes; `main` alone makes their directories and writes them, so a command
-that fails writes no file, a target that is a directory fails it before the
-first write, and an OSError while writing removes the files and directories
-that the call made. The paths are printed last, so a stdout whose reader has
-gone exits 1 and leaves every file in place.
+`decompose` keeps one `%` format per row: its tables have about 50 rows,
+too few to pay for the encoder's cost per call. Every command, which its
+subparser holds as `func`, takes its time grid from dynamics.time_grid and
+returns its files as a dict from path to bytes; `main` alone makes their
+directories and writes them, so a command that fails writes no file, a
+target that is a directory fails it before the first write, and an OSError
+while writing removes the files and directories that the call made. The
+paths are printed last, so a stdout whose reader has gone exits 1 and
+leaves every file in place.
 
 Exit codes: 0 success, 1 i/o error, 2 validation error, 3 numerical error
 (out of memory included), each failure with a one-line message on stderr;

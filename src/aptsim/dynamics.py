@@ -63,10 +63,6 @@ def bell_state():
     return np.outer(v, v.conj())
 
 
-def maximally_mixed():
-    return np.eye(4, dtype=complex) / 4.0
-
-
 def _check(ok, message):
     """Raise InvalidStateError(message(i)) at the first False i of ok; a stack's names i."""
     if not ok.all():

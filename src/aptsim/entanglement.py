@@ -1,23 +1,12 @@
-"""Concurrence of two-qubit states, plus the closed forms (value, minimum,
-period) for the Bell-initial identical-evolution trajectories.
-
-concurrence() factors rho = F F^H by dynamics.rank_factor, whose one eigh
-also validates rho, and takes Wootters' formula from the singular values of
-F^T (sy x sy) F (linalg.wootters), the same formula the evolution kernel
+"""The paper's closed forms (value, minimum, period) for the concurrence of
+the Bell-initial identical-evolution trajectories. The concurrence of any
+state is Wootters' formula on a rank_factor factor,
+linalg.wootters(dynamics.rank_factor(rho))[0], which the evolution kernel
 applies to rho0."""
 
 import numpy as np
 
-from .dynamics import rank_factor
-from .linalg import wootters
 from .model import Family
-
-
-def concurrence(rho):
-    """max(0, s1 - s2 - s3 - s4), clamped to 1, over the singular values s of
-    F^T (sy x sy) F for rho = F F^H, of one 4x4 state, as a float. An input
-    that is not a state raises InvalidStateError."""
-    return float(wootters(rank_factor(rho))[0])
 
 
 def _unbroken_w(a):

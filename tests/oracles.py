@@ -1,8 +1,8 @@
-"""Reference implementations that only the tests use: a series matrix
-exponential, closed-form 2x2 eigenvalues, the two-qubit tensor
-propagator, and mpmath evaluations of the propagator terms, of Wootters'
-concurrence, of a whole evolution, of a Bell-state sample and of a
-plate decomposition. Except for two_qubit, they are deliberately
+"""Reference implementations that only the tests use: the maximally mixed
+state, a series matrix exponential, closed-form 2x2 eigenvalues, the
+two-qubit tensor propagator, and mpmath evaluations of the propagator terms,
+of Wootters' concurrence, of a whole evolution, of a Bell-state sample and
+of a plate decomposition. Except for two_qubit, they are deliberately
 independent of `aptsim.propagator`, which they check."""
 
 import numpy as np
@@ -56,6 +56,11 @@ def expm_series(m, t, overflow_bound=DEFAULT_OVERFLOW_BOUND):
     if not np.all(np.isfinite(acc)):
         raise OverflowError("matrix exponential produced non-finite entries")
     return acc
+
+
+def maximally_mixed():
+    """I/4, the other end of the Werner family from the Bell state."""
+    return np.eye(4, dtype=complex) / 4.0
 
 
 def eig2(m):

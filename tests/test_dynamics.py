@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from aptsim import dynamics
 from aptsim.dynamics import (MAX_SAMPLES, DegenerateNormError,
                              EvolutionSpec, InvalidStateError, bell_ket, bell_state,
-                             evolve_pairs, maximally_mixed, rank_factor, run, time_grid)
+                             evolve_pairs, rank_factor, run, time_grid)
 from aptsim.model import IDENTITY, AptParams, Family
 from aptsim.propagator import propagators
 
-from oracles import bell_mp, evolve_mp
+from oracles import bell_mp, evolve_mp, maximally_mixed
 
 
 class TestStatesAndValidation:
@@ -420,6 +420,29 @@ class TestStackedEvolution:
         for i, name in enumerate(("conc", "norms", "states")):
             assert np.array_equal(np.concatenate([part[i] for part in parts], axis=1),
                                   whole[i]), name
+
+    # the cuts that leave a one-sample piece, drawn by no example generator:
+    # hypothesis's examples above change with the tests that ran before it
+    @pytest.mark.parametrize("rank", [None, 4])
+    @pytest.mark.parametrize("pair", [(AptParams(a=0.5), AptParams(a=0.8, family=Family.PT)),
+                                      (AptParams(a=1.2), AptParams(a=1.8, gamma=0.7)),
+                                      (AptParams(a=1.0), IDENTITY)],
+                             ids=["broken", "unbroken", "identity"])
+    def test_one_sample_pieces_equal_whole_bit_for_bit(self, pair, rank):
+        initial = None if rank is None else _random_state(rank, 11)
+        times = time_grid(5.0, 0.05)
+        whole = evolve_pairs([pair], times, initial, keep_states=True)
+        for cut in (1, times.size - 1):
+            parts = [evolve_pairs([pair], piece, initial, keep_states=True)
+                     for piece in (times[:cut], times[cut:])]
+            for i, name in enumerate(("conc", "norms", "states")):
+                assert np.array_equal(np.concatenate([part[i] for part in parts], axis=1),
+                                      whole[i]), (cut, name)
+        # every sample of run's grid, evolved as a grid of its own
+        traj = run(EvolutionSpec(p1=pair[0], p2=pair[1], t_max=5.0, dt=0.05, initial=initial))
+        for j, t in enumerate(times):
+            conc, norms, _ = evolve_pairs([pair], times[j:j + 1], initial)
+            assert conc[0, 0] == traj.concurrence[j] and norms[0, 0] == traj.unnormalized_norm[j], t
 
     def test_failure_names_first_failing_pair(self):
         # a = 0.3 overflows at a smaller t than a = 0.5, but the a = 0.5 pair

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aptsim.dynamics import (EvolutionSpec, InvalidStateError, bell_state,
-                             maximally_mixed, rank_factor, run)
-from aptsim.entanglement import (analytic_concurrence_identical, concurrence,
+                             rank_factor, run)
+from aptsim.entanglement import (analytic_concurrence_identical,
                                  concurrence_minimum_identical,
                                  concurrence_period, ep_concurrence)
 from aptsim.linalg import wootters
 from aptsim.model import AptParams, Family
 
-from oracles import wootters_mp
+from oracles import maximally_mixed, wootters_mp
 from trajkit import brute_concurrence, refine_minimum
 
 RNG = np.random.default_rng(99)
@@ -36,15 +36,15 @@ def random_pure_state():
 
 class TestConcurrence:
     def test_bell_is_maximal(self):
-        assert concurrence(bell_state()) == pytest.approx(1.0, abs=1e-12)
+        assert wootters(rank_factor(bell_state()))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_is_zero(self):
-        assert concurrence(maximally_mixed()) == 0.0
+        assert wootters(rank_factor(maximally_mixed()))[0] == 0.0
 
     def test_product_state_is_zero(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
+        assert wootters(rank_factor(rho))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_random_product_states_are_zero(self):
         for _ in range(10):
@@ -52,22 +52,22 @@ class TestConcurrence:
             v = RNG.normal(size=2) + 1j * RNG.normal(size=2)
             ket = np.kron(u / np.linalg.norm(u), v / np.linalg.norm(v))
             rho = np.outer(ket, ket.conj())
-            assert concurrence(rho) < 1e-12
+            assert wootters(rank_factor(rho))[0] < 1e-12
 
     def test_pure_state_matches_direct_formula(self):
         for _ in range(10):
             rho, v = random_pure_state()
             direct = 2.0 * abs(v[0] * v[3] - v[1] * v[2])
-            assert concurrence(rho) == pytest.approx(direct, abs=1e-12)
+            assert wootters(rank_factor(rho))[0] == pytest.approx(direct, abs=1e-12)
 
     def test_local_unitary_invariance(self):
         for _ in range(10):
             rho = random_mixed_state()
-            base = concurrence(rho)
+            base = wootters(rank_factor(rho))[0]
             u = np.kron(random_unitary(), random_unitary())
             rotated = u @ rho @ u.conj().T
             rotated = (rotated + rotated.conj().T) / 2.0
-            assert abs(concurrence(rotated) - base) < 1e-10
+            assert abs(wootters(rank_factor(rotated))[0] - base) < 1e-10
 
     def test_spin_flip_eigenvalues_sorted_and_consistent(self):
         # the s^2 of wootters() are the eigenvalues of rho (sy x sy) rho* (sy x sy)
@@ -78,7 +78,7 @@ class TestConcurrence:
         assert np.all(lams >= 0)
         roots = np.sqrt(lams)
         expected = max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
-        assert concurrence(rho) == pytest.approx(min(expected, 1.0), abs=1e-12)
+        assert wootters(rank_factor(rho))[0] == pytest.approx(min(expected, 1.0), abs=1e-12)
 
     def test_pure_spin_flip_spectrum(self):
         # rank 1: one eigenvalue; the other three come from the zero columns of F
@@ -89,14 +89,14 @@ class TestConcurrence:
 
     def test_invalid_state_rejected(self):
         with pytest.raises(InvalidStateError):
-            concurrence(np.eye(4, dtype=complex))
+            wootters(rank_factor(np.eye(4, dtype=complex)))[0]
 
     def test_werner_state_known_value(self):
         # p * Bell + (1-p) * I/4 has concurrence max(0, (3p - 1)/2)
         for p_mix in (0.2, 0.5, 0.9):
             rho = p_mix * bell_state() + (1.0 - p_mix) * maximally_mixed()
             expected = max(0.0, (3.0 * p_mix - 1.0) / 2.0)
-            assert concurrence(rho) == pytest.approx(expected, abs=1e-10)
+            assert wootters(rank_factor(rho))[0] == pytest.approx(expected, abs=1e-10)
 
 
 def _ket(rng):
@@ -105,9 +105,9 @@ def _ket(rng):
 
 
 class TestConcurrenceAccuracy:
-    """concurrence() against a 50-digit evaluation of Wootters' eigenvalues
-    on rank-deficient states, where square roots of the near-zero eigenvalues
-    of rho rho~ in double precision used to cost up to 2e-8."""
+    """wootters(rank_factor(rho)) against a 50-digit evaluation of Wootters'
+    eigenvalues on rank-deficient states, where square roots of the near-zero
+    eigenvalues of rho rho~ in double precision used to cost up to 2e-8."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(log_eps=st.floats(-14.0, -4.0), seed=st.integers(0, 2 ** 32 - 1))
@@ -118,7 +118,7 @@ class TestConcurrenceAccuracy:
         eps = 10.0 ** log_eps
         rho = (1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.outer(phi, phi.conj())
         rho = (rho + rho.conj().T) / 2.0
-        assert abs(concurrence(rho) - wootters_mp(rho)) < 1e-12
+        assert abs(wootters(rank_factor(rho))[0] - wootters_mp(rho)) < 1e-12
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(rank=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
@@ -128,13 +128,13 @@ class TestConcurrenceAccuracy:
         f = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
         rho = f @ f.conj().T
         rho = (rho + rho.conj().T) / (2.0 * np.real(np.trace(rho)))
-        assert abs(concurrence(rho) - wootters_mp(rho)) < 1e-12
+        assert abs(wootters(rank_factor(rho))[0] - wootters_mp(rho)) < 1e-12
 
 
 class TestBatchedConcurrence:
     def test_matches_concurrence_per_state(self):
         # one eigh and one SVD over a stack of ranks 1-4, near-pure states
-        # among them, against concurrence() one state at a time
+        # among them, against the same formula one state at a time
         rng = np.random.default_rng(5)
         states = [bell_state(), maximally_mixed()]
         for rank in (1, 2, 3, 4, 1, 2):

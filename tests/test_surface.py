@@ -12,7 +12,6 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 # public names that no module calls, each kept for a reason
 KEPT = {
-    "concurrence": "the acceptance tests' reference for one state",
     "analytic_concurrence_identical": "closed form the acceptance tests check against",
     "concurrence_minimum_identical": "closed form the acceptance tests check against",
     "concurrence_period": "closed form the acceptance tests check against",
@@ -20,7 +19,6 @@ KEPT = {
     "classify": "the regime of each qubit, for a run manifest",
     "bd_circuit": "the paper's beam-displacer loss element",
     "basis_set": "the wave-plate settings of the 16 projections",
-    "maximally_mixed": "the I/4 state, the other end of the Werner family",
 }
 
 
@@ -43,7 +41,7 @@ def _named(path):
     """Every identifier a file uses: loaded names, imports, and the attributes
     of aptsim modules (`aptsim.cli.main`, or `propagator.propagators` after
     `from . import propagator`). An attribute of any other object is not a
-    use: a Trajectory's `concurrence` does not call entanglement.concurrence.
+    use: `np.linalg.eigh` names no aptsim function, whatever its name.
     A definition's own name, or an assignment to a name, is not a use of it,
     and docstrings are not read."""
     tree = ast.parse(path.read_text())

@@ -1,15 +1,15 @@
 """Experiment runner: emits figure curve data, parameter sweeps, propagator
 decompositions and tomography reports as deterministic CSV/JSON files.
 
-`figure` and `sweep` run one loop over blocks of at most _CHUNK_ROWS rows,
-each a run of whole curves or a piece of one longer curve (`_blocks`): one
-dynamics.evolve_pairs call on the block's slice of the time grid, then
-`_cells`, which encodes each float column as the exact bytes of "%.6g" % x
-(`_encode` says why), and `_text`. A cell is two uint64 words whose unused
-high bytes are NUL; `_text` writes a block's cells into one table and drops
-the NULs of each curve's bytes with bytes.translate(None, b"\0"), which
-leaves its CSV lines. The time cells are encoded once and sliced, and a
-figure curve's parts are joined once its last block is done.
+The CSV files of `figure` and `sweep` come from one loop over blocks of at
+most _CHUNK_ROWS rows, each a run of whole curves or a piece of one longer
+curve (`_blocks`): one dynamics.evolve_pairs call on the block's slice of
+the time grid, then `_cells`, which encodes each float column as the exact
+bytes of "%.6g" % x (`_encode` says why), and `_text`, which fills a block's
+cells (two uint64 words each, their unused high bytes NUL) into one table
+and drops the NULs of each curve's bytes with bytes.translate. The time cells
+are encoded once; a figure curve's parts are joined after its last block.
+`figure --format json` is one evolve_pairs call: json.dumps sets its peak.
 `decompose` keeps one `%` format per row: its tables have about 50 rows,
 too few to pay for the encoder's cost per call. Every command, which its
 subparser holds as `func`, takes its time grid from dynamics.time_grid and
@@ -49,7 +49,7 @@ def _pt_partner(a):
     return AptParams(a=float(np.sqrt(2.0 - a * a)), family=Family.PT)
 
 
-_A2 = [round(0.5 + i * 0.1, 12) for i in range(21)]  # run_sweep's a2 values at its defaults
+_A2 = [round(0.5 + x, 12) for x in time_grid(2.0, 0.1).tolist()]  # sweep's default a2 axis
 
 # each figure id's (p1, p2) pairs and default t_max
 FIGURES = {
@@ -220,9 +220,7 @@ def run_figure(args):
     times = time_grid(t_max, args.dt)  # every curve shares one grid
     out_dir = Path(args.out)
     if args.format == "json":
-        conc, norms = np.empty((2, len(curves), times.size))
-        for c, r in _blocks(len(curves), times.size):
-            conc[c, r], norms[c, r] = evolve_pairs(curves[c], times[r])[:2]
+        conc, norms = evolve_pairs(curves, times)[:2]
         t = times.tolist()
         payload = [{"a1": _param_token(p1), "a2": _param_token(p2), "t": t,
                     "concurrence": cc.tolist(), "norm": n.tolist()}
@@ -256,8 +254,8 @@ def run_sweep(args):
     if not span + 1.0 <= MAX_SAMPLES:
         raise ValueError(f"--a2-step {args.a2_step} gives {span + 1.0:.3g} a2 values, "
                          f"more than {MAX_SAMPLES}")
-    n = int(np.floor(span + 1e-9))
-    a2_values = [round(args.a2_min + i * args.a2_step, 12) for i in range(n + 1)]
+    a2_values = [round(args.a2_min + x, 12)
+                 for x in time_grid(args.a2_max - args.a2_min, args.a2_step).tolist()]
     if not a2_values[0] > 0:
         raise ValueError(f"--a2-min {args.a2_min} gives a2 = {a2_values[0]} after rounding to "
                          f"12 decimals; a2 must be > 0")

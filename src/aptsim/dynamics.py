@@ -89,8 +89,7 @@ def rank_factor(rho):
         _check(herm <= HERM_TOL, lambda i: f"not Hermitian: max deviation {herm.flat[i]:.3e}")
         _check(np.abs(tr - 1.0) <= TRACE_TOL, lambda i: f"trace is {complex(tr.flat[i])}, expected 1")
     w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-2, -1)) / 2.0)
-    if w[..., 0].min() < EIG_FLOOR:
-        _check(w[..., 0] >= EIG_FLOOR, lambda i: f"negative eigenvalue {w[..., 0].flat[i]:.3e}")
+    _check(w[..., 0] >= EIG_FLOOR, lambda i: f"negative eigenvalue {w[..., 0].flat[i]:.3e}")
     keep = w > _RANK_RTOL * w[..., -1:]
     return v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
 

@@ -12,7 +12,7 @@ from .model import Family
 def _unbroken_w(a):
     """w = a^2 - 1 for an unbroken APT qubit. nan, inf, a <= 1 and an a^2
     that overflows raise ValueError, as they do in AptParams."""
-    w = float(a) * float(a) - 1.0
+    w = (float(a) - 1.0) * (float(a) + 1.0)
     if not 0 < w < np.inf:
         raise ValueError(f"requires finite a > 1 with a^2 - 1 finite, got {a}")
     return w
@@ -38,7 +38,7 @@ def concurrence_period(a, family=Family.APT):
         return float(np.pi / np.sqrt(_unbroken_w(a)))
     if not 0 < a < 1:
         raise ValueError(f"PT period requires 0 < a < 1, got {a}")
-    return float(np.pi / np.sqrt(1.0 - a * a))
+    return float(np.pi / np.sqrt((1.0 - a) * (1.0 + a)))
 
 
 def concurrence_minimum_identical(a):

@@ -211,7 +211,7 @@ def _newton(n, rho):
     which rows stopped within MAX_PASSES passes. Stopped rows leave the loop."""
     x, order, conj_kets, twice_kets, projectors = _start(rho)
     final = np.zeros_like(x)
-    iterations, steps = np.zeros((2, len(rho)), dtype=int)
+    iterations = np.zeros(len(rho), dtype=int)
     passes = 0  # rows only leave the loop, so every row in it has made this many
     converged, rows = np.zeros(len(rho), dtype=bool), np.arange(len(rho))
     damping = np.full(len(rho), _DAMPING)
@@ -256,7 +256,7 @@ def _newton(n, rho):
         take = ok & ~small
         x = x + np.where(take, _STEPS[best], 0.0)[:, None] * d
         x /= np.sqrt((x * x).sum(axis=1, keepdims=True))
-        steps += take
+        iterations[rows] += take
         # a pass without an Armijo step damps the next one harder
         damping = np.where(take | small, _DAMPING, damping * 100.0)
 
@@ -268,12 +268,10 @@ def _newton(n, rho):
         done = stop | (passes >= MAX_PASSES)
         if done.any():
             final[rows[done]] = x[done]
-            iterations[rows[done]] = steps[done]
             converged[rows[done]] = stop[done]
             keep = ~done
-            rows, x, conj_kets, twice_kets, projectors, steps, damping, n = (
-                v[keep] for v in (rows, x, conj_kets, twice_kets, projectors, steps,
-                                  damping, n))
+            rows, x, conj_kets, twice_kets, projectors, damping, n = (
+                v[keep] for v in (rows, x, conj_kets, twice_kets, projectors, damping, n))
     # T T^H in the original basis: T's rows follow each point's pivot order
     t = np.take_along_axis(_to_matrix(final), np.argsort(order, axis=1)[:, :, None], 1)
     return t @ t.conj().transpose(0, 2, 1), iterations, converged

@@ -142,7 +142,9 @@ class TestCsvFilesExact:
 class TestOneKernelCall:
     @pytest.mark.parametrize("argv,out", [(["figure", "--figure", "4a"], "figs"),
                                           (["figure", "--figure", "2b"], "figs"),
-                                          (["sweep"], "s.csv")])
+                                          (["sweep"], "s.csv"),
+                                          (["figure", "--figure", "4a", "--format", "json"],
+                                           "figs")])
     def test_no_refactoring_of_the_bell_state(self, tmp_path, monkeypatch, argv, out):
         calls = {"rank_factor": 0, "evolve_pairs": 0, "propagator_terms": []}
 
@@ -185,8 +187,8 @@ class TestOneKernelCall:
 
 
 class TestBlocks:
-    # each argv is one block at the default _CHUNK_ROWS; smaller blocks cut
-    # it into runs of whole curves and pieces of single curves
+    # each argv is one block at the default _CHUNK_ROWS; smaller blocks cut a
+    # CSV command's grid into runs of whole curves and pieces of single curves
     @pytest.mark.parametrize("chunk_rows", [1, 7, 1000])
     @pytest.mark.parametrize("argv", [
         ["figure", "--figure", "2a"],
@@ -214,8 +216,11 @@ class TestBlocks:
         everything = samples()
         monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
         assert args.func(args) == expected
-        for pairs, times in calls:
-            assert len(pairs) * times.size <= chunk_rows
+        if "json" in argv:  # one call whatever the blocks: json.dumps sets this path's peak
+            assert len(calls) == 1
+        else:
+            for pairs, times in calls:
+                assert len(pairs) * times.size <= chunk_rows
         # each curve and each sample once, curve by curve and in time order
         assert samples() == everything
 
@@ -354,6 +359,22 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("a2_min,a2_max,a2_step,n", [
+        (0.5, 2.5, 0.1, 20), (0.001, 2.0, 0.013, 153), (0.1, 7.3, 0.0007, 10285)])
+    def test_a2_values_are_rounded_multiples_of_the_step(self, tmp_path, monkeypatch,
+                                                         a2_min, a2_max, a2_step, n):
+        # the floats themselves: the CSV's %.6g would hide an ulp
+        seen, evolve = [], cli.evolve_pairs
+        monkeypatch.setattr(cli, "evolve_pairs", lambda pairs, times: (
+            seen.extend(p2.a for _, p2 in pairs) or evolve(pairs, times)))
+        assert cli.main(["sweep", f"--a2-min={a2_min}", f"--a2-max={a2_max}",
+                         f"--a2-step={a2_step}", "--t-max", "0",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        expected = [round(a2_min + i * a2_step, 12) for i in range(n + 1)]
+        assert seen == expected
+        if (a2_min, a2_max, a2_step) == (0.5, 2.5, 0.1):
+            assert cli._A2 == expected
 
     @pytest.mark.parametrize("a2_min", ["1e-13", "0", "-0.5"])
     def test_a2_min_rounding_to_zero_exits_2(self, tmp_path, capsys, a2_min):

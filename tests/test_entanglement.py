@@ -245,6 +245,37 @@ class TestClosedFormDomains:
             assert analytic_concurrence_identical(a, 1e-100) == 1.0
 
 
+def _closed_forms_mp(a, t=3):
+    """50-digit period (APT for a > 1, PT for a < 1) and, for a > 1, the
+    identical-evolution minimum and value at t, of the float a taken as exact."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        a = mp.mpf(a)
+        w = (a - 1) * (a + 1)
+        period = float(mp.pi / mp.sqrt(abs(w)))
+        if w < 0:
+            return period, None, None
+        value = 1 / (1 + 8 * mp.sin(mp.sqrt(w) * t) ** 2 / w
+                     + 8 * mp.sin(mp.sqrt(w) * t) ** 4 / w ** 2)
+        return period, float(1 / (1 + 8 / w + 8 / w ** 2)), float(value)
+
+
+class TestExceptionalPointBand:
+    # a^2 - 1 computed as a * a - 1 cancels next to a = 1; (a - 1)(a + 1) does not
+    @pytest.mark.parametrize("offset", [1e-8, 1e-6, 1e-4, 0.01, 0.3])
+    @pytest.mark.parametrize("side", [1, -1], ids=["apt", "pt"])
+    def test_closed_forms_keep_their_digits(self, offset, side):
+        a = 1.0 + side * offset
+        period, minimum, value = _closed_forms_mp(a)
+        if side < 0:
+            assert concurrence_period(a, Family.PT) == pytest.approx(period, rel=1e-14, abs=0)
+            return
+        assert concurrence_period(a) == pytest.approx(period, rel=1e-14, abs=0)
+        assert concurrence_minimum_identical(a) == pytest.approx(minimum, rel=1e-14, abs=0)
+        assert analytic_concurrence_identical(a, 3.0) == pytest.approx(value, rel=1e-14, abs=0)
+
+
 class TestEpConcurrence:
     def test_time_zero(self):
         assert ep_concurrence(0.0) == 1.0

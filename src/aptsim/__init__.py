@@ -8,13 +8,13 @@ from .dynamics import (DegenerateNormError, EvolutionSpec, InvalidStateError,
 from .entanglement import (analytic_concurrence_identical,
                            concurrence_minimum_identical, concurrence_period,
                            ep_concurrence)
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, uhlmann, wootters
 from .model import IDENTITY, AptParams, Family, Regime, classify, hamiltonian
 from .optics import (BeamPaths, DecompositionError, DecompositionParams,
                      bd_circuit, decompose_grid, hwp, loss_matrix, qwp,
                      reconstruct)
 from .propagator import propagators
 from .tomography import (MleConvergenceError, ProjectionBasis, basis_set,
-                         draw_counts, fidelity, mle_fit)
+                         draw_counts, mle_fit)
 
 __version__ = "0.1.0"

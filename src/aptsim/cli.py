@@ -37,11 +37,10 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import MAX_SAMPLES, evolve_pairs, rank_factor, time_grid
-from .linalg import wootters
+from .linalg import uhlmann, wootters
 from .model import IDENTITY, AptParams, Family
 from .optics import decompose_grid
-from .tomography import (DEFAULT_TOTAL, MAX_TOTAL, MleConvergenceError, draw_counts,
-                         fidelity, mle_fit)
+from .tomography import DEFAULT_TOTAL, MAX_TOTAL, MleConvergenceError, draw_counts, mle_fit
 
 
 def _pt_partner(a):
@@ -301,8 +300,9 @@ def run_tomography(args):
     except MleConvergenceError as exc:
         raise MleConvergenceError(f"t={float(times[exc.points[0]]):g}: {exc}",
                                   exc.points) from exc
-    columns = {"t": times, "fidelity": fidelity(truths, rho_hat), "concurrence_theory": conc,
-               "concurrence_mle": wootters(rank_factor(rho_hat))[0],
+    factor = rank_factor(rho_hat)  # both measures of an estimate take its one factor
+    columns = {"t": times, "fidelity": uhlmann(rank_factor(truths), factor),
+               "concurrence_theory": conc, "concurrence_mle": wootters(factor)[0],
                "log_likelihood": log_likelihood, "iterations": iterations}
     points = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 

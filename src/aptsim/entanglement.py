@@ -13,7 +13,7 @@ def _unbroken_w(a):
     """w = a^2 - 1 for an unbroken APT qubit. nan, inf, a <= 1 and an a^2
     that overflows raise ValueError, as they do in AptParams."""
     w = (float(a) - 1.0) * (float(a) + 1.0)
-    if not 0 < w < np.inf:
+    if not (float(a) > 1.0 and w < np.inf):  # w is even in a
         raise ValueError(f"requires finite a > 1 with a^2 - 1 finite, got {a}")
     return w
 

@@ -1,5 +1,6 @@
-"""Pauli matrices, and Wootters' concurrence of a two-qubit state from any
-factor rho = F F^H."""
+"""Pauli matrices, and two measures of two-qubit states on any factor
+rho = F F^H: Wootters' concurrence and Uhlmann's fidelity, neither of which
+validates, reshapes or factors its input."""
 
 import numpy as np
 
@@ -20,3 +21,12 @@ def wootters(f):
     rho loses no digits."""
     s = np.linalg.svd(f.swapaxes(-2, -1) @ _YY @ f, compute_uv=False)  # r = 0: empty
     return (s[..., :1].sum(axis=-1) - s[..., 1:].sum(axis=-1)).clip(0.0, 1.0), s
+
+
+def uhlmann(a, b):
+    """Uhlmann fidelity (Rep. Math. Phys. 9, 273, 1976) of A A^H and B B^H,
+    factors of shape (..., 4, r), one per pair of leading axes: (sum of the
+    singular values of A^H B)^2 clamped to [0, 1]. No square root is taken,
+    so a rank-1 A A^H = |psi><psi| gives <psi|B B^H|psi> to rounding."""
+    s = np.linalg.svd(a.conj().swapaxes(-2, -1) @ b, compute_uv=False)
+    return (s.sum(axis=-1) ** 2).clip(0.0, 1.0)

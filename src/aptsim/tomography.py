@@ -1,6 +1,6 @@
-"""Measurement chain: projection onto the 16 two-photon bases of James,
-Kwiat, Munro & White (PRA 64, 052312, 2001) with Poisson count
-statistics, and maximum-likelihood reconstruction of the density matrix.
+"""Measurement chain: Poisson counts in the 16 two-photon bases of James,
+Kwiat, Munro & White (PRA 64, 052312, 2001), and the maximum-likelihood
+estimate, whose rank_factor factor linalg.uhlmann and linalg.wootters take.
 
 The fit minimizes f(rho) = sum_b [N p_b - n_b log p_b], p_b = <b|rho|b>,
 the negative Poisson log-likelihood up to a constant, over rho = T T^H with
@@ -314,15 +314,3 @@ def mle_fit(observed, total):
     mus = total * np.maximum(_probabilities(rho), _P_FLOOR)
     log_likelihood = np.sum(observed * np.log(mus) - mus, axis=1)
     return rho, log_likelihood, steps
-
-
-def fidelity(a, b):
-    """Uhlmann fidelity, clamped to [0, 1], of each pair of two (P,4,4)
-    stacks as a (P,) array (P = 1 for two 4x4 states): (sum of the singular
-    values of A^H B)^2 for the rank_factor factors a = A A^H and b = B B^H.
-    No matrix square root is taken, so a rank-1 a = |psi><psi| gives
-    <psi|b|psi> to rounding. A non-state raises InvalidStateError naming its
-    index in its stack."""
-    factor_a, factor_b = (rank_factor(np.reshape(m, (-1, 4, 4))) for m in (a, b))
-    s = np.linalg.svd(factor_a.conj().transpose(0, 2, 1) @ factor_b, compute_uv=False)
-    return np.clip(s.sum(axis=1) ** 2, 0.0, 1.0)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aptsim import cli, dynamics, optics, propagator
+from aptsim import cli, dynamics, optics, propagator, tomography
 from aptsim.dynamics import DegenerateNormError, EvolutionSpec, run
 from aptsim.entanglement import concurrence_minimum_identical
+from aptsim.linalg import uhlmann
 from aptsim.model import IDENTITY, AptParams
 from aptsim.tomography import MleConvergenceError, draw_counts
 
@@ -520,6 +521,25 @@ class TestTomographyCommand:
         point = json.loads(out.read_text())["points"][7]
         assert point["t"] == 3.5
         assert abs(point["concurrence_mle"] - wootters_mp(estimates[0][0][7])) < 1e-14
+
+    def test_estimates_are_factored_once(self, tmp_path, monkeypatch):
+        # draw_counts validates the truths, and the command factors the
+        # truths and the estimates once each: both measures take that factor
+        shapes, estimates = [], []
+        for module in (cli, tomography):
+            factor = module.rank_factor
+            monkeypatch.setattr(module, "rank_factor", lambda rho, factor=factor: (
+                shapes.append(np.shape(rho)) or factor(rho)))
+        fit = cli.mle_fit
+        monkeypatch.setattr(cli, "mle_fit", lambda observed, total: (
+            estimates.append(fit(observed, total)) or estimates[-1]))
+        out = tmp_path / "t.json"
+        assert cli.main(["tomography", "--out", str(out)]) == 0
+        assert shapes == [(10, 4, 4)] * 3
+        truths = dynamics.evolve_pairs([(AptParams(a=1.2), AptParams(a=1.2))],
+                                       dynamics.time_grid(4.5, 0.5), keep_states=True)[2][0]
+        fidelity = uhlmann(dynamics.rank_factor(truths), dynamics.rank_factor(estimates[0][0]))
+        assert [p["fidelity"] for p in json.loads(out.read_text())["points"]] == fidelity.tolist()
 
     def test_seeded_determinism(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

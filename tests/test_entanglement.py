@@ -237,6 +237,18 @@ class TestClosedFormDomains:
         with np.errstate(all="raise"), pytest.raises(ValueError):
             func(*args)
 
+    @pytest.mark.parametrize("a", [-2.0, -1.5, -1.0 - 1e-9])
+    def test_negative_a_raises(self, a):
+        # w = (a - 1)(a + 1) is even in a, so a < -1 gives the w of -a > 1
+        message = f"requires finite a > 1 with a^2 - 1 finite, got {a}"
+        for form in (concurrence_period, concurrence_minimum_identical,
+                     lambda a: analytic_concurrence_identical(a, 1.0)):
+            with pytest.raises(ValueError) as err:
+                form(a)
+            assert str(err.value) == message
+        with pytest.raises(ValueError, match=r"^PT period requires 0 < a < 1, got -0.5$"):
+            concurrence_period(-0.5, Family.PT)
+
     @pytest.mark.parametrize("a", [1e100, 1e150])
     def test_huge_a_has_no_overflow(self, a):
         # w^2 overflows for these a; the value is within 1e-200 of 1

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 import aptsim
 from aptsim import tomography
-from aptsim.dynamics import (InvalidStateError, bell_state, evolve_pairs, rank_factor,
-                             time_grid)
-from aptsim.linalg import wootters
+from aptsim.dynamics import bell_state, evolve_pairs, rank_factor, time_grid
+from aptsim.linalg import uhlmann, wootters
 from aptsim.model import AptParams
 from aptsim.optics import hwp, qwp
 from aptsim.tomography import (BASIS_LABELS, MleConvergenceError,
-                               basis_set, draw_counts, fidelity, mle_fit)
+                               basis_set, draw_counts, mle_fit)
 
 from oracles import maximally_mixed
 
@@ -104,14 +103,14 @@ class TestMleFit:
     def test_noiseless_bell(self):
         observed = draw_counts(bell_state()[None], total=10000, seed=0, noiseless=True)[1]
         rho_hat = mle_fit(observed, 10000)[0]
-        fids = fidelity(bell_state()[None], rho_hat)
+        fids = uhlmann(rank_factor(bell_state()[None]), rank_factor(rho_hat))
         assert fids[0] > 0.999
         assert wootters(rank_factor(rho_hat[0]))[0] > 0.998
 
     def test_noiseless_maximally_mixed(self):
         observed = draw_counts(maximally_mixed()[None], total=10000, seed=0, noiseless=True)[1]
-        fids = fidelity(maximally_mixed()[None],
-                        mle_fit(observed, 10000)[0])
+        fids = uhlmann(rank_factor(maximally_mixed()[None]),
+                       rank_factor(mle_fit(observed, 10000)[0]))
         assert fids[0] > 0.999
 
     def test_output_always_physical(self):
@@ -139,7 +138,7 @@ class TestMleFit:
             for seed in range(15):
                 observed = draw_counts(rho[None], total=total, seed=500 + seed)[1]
                 rho_hat = mle_fit(observed, total)[0]
-                fids.append(fidelity(rho[None], rho_hat)[0])
+                fids.append(uhlmann(rank_factor(rho[None]), rank_factor(rho_hat))[0])
             medians.append(float(np.median(fids)))
         assert medians[0] <= medians[1] <= medians[2]
 
@@ -230,7 +229,7 @@ class TestMleOptimality:
             rho_alone, _, iterations_alone = mle_fit(observed[i:i + 1], 10000)
             for rho_other, iterations_other in ((rho[i], iterations[i]),
                                                 (rho_reversed[9 - i], iterations_reversed[9 - i])):
-                assert fidelity(rho_alone[0], rho_other) >= 1.0 - 1e-9
+                assert uhlmann(rank_factor(rho_alone[0]), rank_factor(rho_other)) >= 1.0 - 1e-9
                 assert iterations_other == iterations_alone[0]
 
     def test_batched_fidelities_match_one_at_a_time(self):
@@ -240,13 +239,14 @@ class TestMleOptimality:
                                                noiseless=i == 4)[1]
                                    for i, rho in enumerate(truths)])
         rho_hat = mle_fit(observed, 2000)[0]
-        fids = fidelity(truths, rho_hat)  # two (P,4,4) stacks: a (P,) array
+        fids = uhlmann(rank_factor(truths), rank_factor(rho_hat))  # two stacks: a (P,) array
         assert fids.shape == (10,)
         for i in range(10):
-            alone = fidelity(truths[i:i + 1], mle_fit(observed[i:i + 1], 2000)[0])
+            alone = uhlmann(rank_factor(truths[i:i + 1]),
+                            rank_factor(mle_fit(observed[i:i + 1], 2000)[0]))
             assert fids[i] == alone[0]
-            single = fidelity(truths[i], rho_hat[i])  # two states: their P = 1 stack
-            assert single.shape == (1,) and fids[i] == single[0]
+            single = uhlmann(rank_factor(truths[i]), rank_factor(rho_hat[i]))  # one value
+            assert single.shape == () and fids[i] == single
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(log_eps=st.floats(-6.0, -3.0), rank=st.integers(1, 4),
@@ -378,33 +378,24 @@ class TestFidelity:
         # square root of a noise eigenvalue is taken: a rank-1 state is 1 to
         # a few eps
         rho = evolve_pairs([(AptParams(a=1.2), AptParams(a=1.3))], [1.0], keep_states=True)[2][0, 0]
-        assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-14)
+        assert uhlmann(rank_factor(rho), rank_factor(rho)) == pytest.approx(1.0, abs=1e-14)
 
     def test_orthogonal_pure_states(self):
         hh = np.zeros((4, 4), dtype=complex)
         hh[0, 0] = 1.0
         vv = np.zeros((4, 4), dtype=complex)
         vv[3, 3] = 1.0
-        assert fidelity(hh, vv) == pytest.approx(0.0, abs=1e-12)
+        assert uhlmann(rank_factor(hh), rank_factor(vv)) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_vs_maximally_mixed(self):
-        assert fidelity(bell_state(), maximally_mixed()) == pytest.approx(0.25, abs=1e-14)
+        assert uhlmann(rank_factor(bell_state()), rank_factor(maximally_mixed())) == pytest.approx(
+            0.25, abs=1e-14)
 
     def test_symmetry(self):
         a = evolve_pairs([(AptParams(a=1.2), AptParams(a=1.3))], [0.7], keep_states=True)[2][0, 0]
         b = maximally_mixed()
-        assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-14)
-
-    def test_non_state_raises_naming_its_index(self):
-        # both stacks are validated, as rank_factor validates every input
-        states = np.array([bell_state(), 2.0 * maximally_mixed(), maximally_mixed()])
-        good = np.array([bell_state()] * 3)
-        for a, b in ((states, good), (good, states)):
-            with pytest.raises(InvalidStateError, match=r"^state 1: trace is \(2\+0j\)"):
-                fidelity(a, b)
-        # two 4x4 states are factored as (1,4,4) stacks
-        with pytest.raises(InvalidStateError, match=r"^state 0: trace is \(2\+0j\)"):
-            fidelity(bell_state(), 2.0 * maximally_mixed())
+        factor_a, factor_b = rank_factor(a), rank_factor(b)
+        assert uhlmann(factor_a, factor_b) == pytest.approx(uhlmann(factor_b, factor_a), abs=1e-14)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(rank=st.integers(1, 4), log_eps=st.floats(-16.0, 0.0),
@@ -423,4 +414,4 @@ class TestFidelity:
             ket = mp.matrix([mp.mpc(complex(x)) for x in psi])
             r = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in rho])
             exact = float(mp.re((ket.H * r * ket)[0]))
-        assert abs(fidelity(truth, rho) - exact) < 1e-13
+        assert abs(uhlmann(rank_factor(truth), rank_factor(rho)) - exact) < 1e-13

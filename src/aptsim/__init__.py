@@ -10,11 +10,9 @@ from .entanglement import (analytic_concurrence_identical,
                            ep_concurrence)
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, uhlmann, wootters
 from .model import IDENTITY, AptParams, Family, Regime, classify, hamiltonian
-from .optics import (BeamPaths, DecompositionError, DecompositionParams,
-                     bd_circuit, decompose_grid, hwp, loss_matrix, qwp,
-                     reconstruct)
+from .optics import (DecompositionError, DecompositionParams, decompose_grid,
+                     hwp, loss_matrix, qwp, reconstruct)
 from .propagator import propagators
-from .tomography import (MleConvergenceError, ProjectionBasis, basis_set,
-                         draw_counts, mle_fit)
+from .tomography import MleConvergenceError, draw_counts, mle_fit
 
 __version__ = "0.1.0"

@@ -82,7 +82,7 @@ def rank_factor(rho):
     herm = np.abs(rho - rho.conj().swapaxes(-2, -1))
     tr = rho.trace(axis1=-2, axis2=-1)
     # one test for the whole stack, which any nan or inf entry fails
-    if not (herm.max() <= HERM_TOL and np.abs(tr - 1.0).max() <= TRACE_TOL):
+    if not (herm.max(initial=0.0) <= HERM_TOL and np.abs(tr - 1.0).max(initial=0.0) <= TRACE_TOL):
         _check(np.isfinite(rho).all(axis=(-2, -1)),
                lambda i: "density matrix has non-finite entries")
         herm = herm.max(axis=(-2, -1))
@@ -172,7 +172,7 @@ def evolve_pairs(pairs, times, initial=None, keep_states=False):
             fh2 = f @ h2.T
             basis[i] = f, -1j * fh2, -1j * (h1 @ f), -(h1 @ fh2)
         # (re, im) pairs of the (P, T, 4r) blocks
-        flat = terms @ basis.reshape(len(pairs), 4, -1).view(float)
+        flat = terms @ basis.reshape(len(pairs), 4, f.size).view(float)
         norms = np.einsum("pti,pti->pt", flat, flat)
     healthy = np.isfinite(norms) & (norms >= NORM_FLOOR)
     if not healthy.all():
@@ -185,7 +185,7 @@ def evolve_pairs(pairs, times, initial=None, keep_states=False):
 
     states = None
     if keep_states:
-        kets = flat.view(complex).reshape(len(pairs), times.size, -1, 4)
+        kets = flat.view(complex).reshape(len(pairs), times.size, len(f), 4)
         m = kets.swapaxes(-1, -2) @ kets.conj()
         states = (m + m.conj().swapaxes(-1, -2)) / (2.0 * norms[..., None, None])
     return conc, norms, states

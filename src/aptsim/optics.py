@@ -1,6 +1,5 @@
-"""Wave-plate operator algebra, decomposition of the nonunitary propagator
-into plate strings around a loss element, and a path-level simulation of
-the paired-beam-displacer circuit that realizes the loss element.
+"""Wave-plate operator algebra, and decomposition of the nonunitary
+propagator into plate strings around a loss element.
 
 Angle conventions: all public setting angles are degrees. With the Jones
 matrices below, QWP(45) HWP(theta) QWP(45) = -i * diag(-e^{-2i theta},
@@ -124,33 +123,3 @@ def decompose_grid(p, times):
         raise DecompositionError(f"t={float(times[i]):g}: the plate strings do not reproduce the "
                                  f"propagator (round-trip error {error:.3e} of max |U|)")
     return d
-
-
-@dataclass(frozen=True)
-class BeamPaths:
-    """Amplitudes after the second displacer. Path 2 carries the surviving
-    Jones vector; the path-1 V and path-3 H components are blocked."""
-    path2: np.ndarray
-    lost_path1_v: complex
-    lost_path3_h: complex
-
-    @property
-    def survival_probability(self):
-        return float(np.real(np.vdot(self.path2, self.path2)))
-
-
-def bd_circuit(state, xi1_deg, xi2_deg):
-    """Send a Jones vector through displacer / per-path HWPs / displacer.
-
-    The first displacer routes H to the lower path and V to the upper one.
-    HWP(xi2) sits in the lower path, HWP(xi1) in the upper. The second
-    displacer recombines the upper-path H and lower-path V components into
-    path 2, so the surviving amplitude is loss_matrix(xi1, xi2) @ state.
-    """
-    state = np.asarray(state, dtype=complex)
-    lower = state[0] * hwp(xi2_deg)[:, 0]   # H component enters the lower arm
-    upper = state[1] * hwp(xi1_deg)[:, 1]   # V component enters the upper arm
-    path2 = np.array([upper[0], lower[1]])
-    return BeamPaths(path2=path2,
-                     lost_path1_v=complex(upper[1]),
-                     lost_path3_h=complex(lower[0]))

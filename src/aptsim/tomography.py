@@ -16,8 +16,6 @@ the batch: its products are stacked matmuls with the batch leading, one BLAS
 call per point, and never a 2-D GEMM whose rows are the batch.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import rank_factor
@@ -31,15 +29,6 @@ _SINGLE_KETS = {
     "D": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
     "R": np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0),
     "L": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
-}
-
-# (QWP, HWP) setting angles, degrees, for each single-photon projection
-_SETTINGS = {
-    "H": (0.0, 0.0),
-    "V": (0.0, 45.0),
-    "D": (45.0, 22.5),
-    "R": (0.0, 22.5),
-    "L": (45.0, 0.0),
 }
 
 DEFAULT_TOTAL = 10000
@@ -84,28 +73,12 @@ _G_SOURCE = (4 * _ROW[:, None] + _ROW) * 2 + (_PART[:, None] != _PART)
 _G_SIGN = 2.0 * (_COL[:, None] == _COL) * np.where((_PART[:, None] == 0) & (_PART == 1), -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ProjectionBasis:
-    label: str
-    ket: np.ndarray
-    settings: tuple  # ((qwp1, hwp1), (qwp2, hwp2)) in degrees
-
-
 class MleConvergenceError(ArithmeticError):
     """The fit hit its pass cap at the batch indices held in `points`."""
 
     def __init__(self, message, points=()):
         super().__init__(message)
         self.points = tuple(points)
-
-
-_BASES = tuple(ProjectionBasis(label, ket, (_SETTINGS[label[0]], _SETTINGS[label[1]]))
-               for label, ket in zip(BASIS_LABELS, _KETS))
-
-
-def basis_set():
-    """The 16 projection bases in canonical order."""
-    return list(_BASES)
 
 
 def _probabilities(rho):
@@ -126,7 +99,7 @@ def draw_counts(states, total=DEFAULT_TOTAL, seed=0, noiseless=False):
     if noiseless:
         return expected, np.rint(expected)
     return expected, np.array([np.random.default_rng(seed + i).poisson(e)
-                               for i, e in enumerate(expected)])
+                               for i, e in enumerate(expected)]).reshape(expected.shape)
 
 
 def _project(m):

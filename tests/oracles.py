@@ -1,13 +1,18 @@
 """Reference implementations that only the tests use: the maximally mixed
 state, a series matrix exponential, closed-form 2x2 eigenvalues, the
-two-qubit tensor propagator, and mpmath evaluations of the propagator terms,
+two-qubit tensor propagator, mpmath evaluations of the propagator terms,
 of Wootters' concurrence, of a whole evolution, of a Bell-state sample and
-of a plate decomposition. Except for two_qubit, they are deliberately
-independent of `aptsim.propagator`, which they check."""
+of a plate decomposition, and a path-level model of the paired-beam-displacer
+circuit, the apparatus that `aptsim.optics.loss_matrix` stands for. Except
+for two_qubit, they are deliberately independent of `aptsim.propagator`,
+which they check; the circuit is built from `aptsim.optics.hwp` plates."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from aptsim.model import Family
+from aptsim.optics import hwp
 from aptsim.propagator import propagators
 
 # Taylor order 24 at scaled norm <= 0.5 makes the truncation error
@@ -205,3 +210,33 @@ def decompose_mp(p, t, dps=40):
         xi1, xi2 = (mp.degrees(mp.asin((mag + sign * off) / c) / 2) for sign in (-1, 1))
         theta = mp.degrees(mp.atan2(b, a) / 4 + mp.pi / 4) % 180
         return theta, xi1, xi2, c
+
+
+@dataclass(frozen=True)
+class BeamPaths:
+    """Amplitudes after the second displacer. Path 2 carries the surviving
+    Jones vector; the path-1 V and path-3 H components are blocked."""
+    path2: np.ndarray
+    lost_path1_v: complex
+    lost_path3_h: complex
+
+    @property
+    def survival_probability(self):
+        return float(np.real(np.vdot(self.path2, self.path2)))
+
+
+def bd_circuit(state, xi1_deg, xi2_deg):
+    """Send a Jones vector through displacer / per-path HWPs / displacer.
+
+    The first displacer routes H to the lower path and V to the upper one.
+    HWP(xi2) sits in the lower path, HWP(xi1) in the upper. The second
+    displacer recombines the upper-path H and lower-path V components into
+    path 2, so the surviving amplitude is loss_matrix(xi1, xi2) @ state.
+    """
+    state = np.asarray(state, dtype=complex)
+    lower = state[0] * hwp(xi2_deg)[:, 0]   # H component enters the lower arm
+    upper = state[1] * hwp(xi1_deg)[:, 1]   # V component enters the upper arm
+    path2 = np.array([upper[0], lower[1]])
+    return BeamPaths(path2=path2,
+                     lost_path1_v=complex(upper[1]),
+                     lost_path3_h=complex(lower[0]))

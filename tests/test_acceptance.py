@@ -11,11 +11,11 @@ from aptsim.entanglement import (analytic_concurrence_identical,
                                  concurrence_period, ep_concurrence)
 from aptsim.linalg import uhlmann, wootters
 from aptsim.model import IDENTITY, AptParams, Family, hamiltonian
-from aptsim.optics import bd_circuit, decompose_grid, loss_matrix, reconstruct
+from aptsim.optics import decompose_grid, loss_matrix, reconstruct
 from aptsim.propagator import propagators
 from aptsim.tomography import draw_counts, mle_fit
 
-from oracles import expm_series
+from oracles import bd_circuit, expm_series
 from trajkit import (brute_concurrence, measured_period, refine_maximum,
                      refine_minimum, refined_peak_times, scan_best_period)
 

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from aptsim import optics
 from aptsim.dynamics import time_grid
 from aptsim.model import AptParams, Family
-from aptsim.optics import (BeamPaths, DecompositionError, DecompositionParams,
-                           bd_circuit, decompose_grid, hwp, loss_matrix, qwp,
-                           reconstruct)
+from aptsim.optics import (DecompositionError, DecompositionParams,
+                           decompose_grid, hwp, loss_matrix, qwp, reconstruct)
 from aptsim.propagator import propagators
+
+from oracles import BeamPaths, bd_circuit
 
 RNG = np.random.default_rng(11)
 
@@ -273,6 +274,10 @@ class TestBeamDisplacerCircuit:
             xi1, xi2 = RNG.uniform(0.0, 45.0, size=2)
             out = bd_circuit(state, float(xi1), float(xi2))
             assert out.survival_probability <= 1.0 + 1e-12
+            # only the blocked paths lose probability
+            lost = abs(out.lost_path1_v) ** 2 + abs(out.lost_path3_h) ** 2
+            assert out.survival_probability + lost == pytest.approx(
+                np.linalg.norm(state) ** 2, abs=1e-12)
 
     def test_result_type(self):
         out = bd_circuit(np.array([1.0, 0.0]), 10.0, 20.0)

@@ -17,8 +17,6 @@ KEPT = {
     "concurrence_period": "closed form the acceptance tests check against",
     "ep_concurrence": "closed form the acceptance tests check against",
     "classify": "the regime of each qubit, for a run manifest",
-    "bd_circuit": "the paper's beam-displacer loss element",
-    "basis_set": "the wave-plate settings of the 16 projections",
 }
 
 

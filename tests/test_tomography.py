@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -15,33 +16,47 @@ from aptsim.dynamics import bell_state, evolve_pairs, rank_factor, time_grid
 from aptsim.linalg import uhlmann, wootters
 from aptsim.model import AptParams
 from aptsim.optics import hwp, qwp
-from aptsim.tomography import (BASIS_LABELS, MleConvergenceError,
-                               basis_set, draw_counts, mle_fit)
+from aptsim.tomography import (BASIS_LABELS, MleConvergenceError, draw_counts,
+                               mle_fit)
 
 from oracles import maximally_mixed
+
+# (QWP, HWP) setting angles, degrees, that project one photon onto each
+# single-photon state of the 16 bases of James, Kwiat, Munro & White
+# (PRA 64, 052312, 2001)
+SETTINGS = {
+    "H": (0.0, 0.0),
+    "V": (0.0, 45.0),
+    "D": (45.0, 22.5),
+    "R": (0.0, 22.5),
+    "L": (45.0, 0.0),
+}
+Basis = namedtuple("Basis", "label ket settings")  # settings: ((qwp1, hwp1), (qwp2, hwp2))
+# each basis in BASIS_LABELS order, with the ket that the fit projects onto
+BASES = [Basis(label, ket, (SETTINGS[label[0]], SETTINGS[label[1]]))
+         for label, ket in zip(BASIS_LABELS, tomography._KETS)]
 
 
 class TestBasisSet:
     def test_labels_and_order(self):
-        bases = basis_set()
-        assert [b.label for b in bases] == list(BASIS_LABELS)
-        assert len(bases) == 16
+        assert [b.label for b in BASES] == list(BASIS_LABELS)
+        assert len(BASES) == 16
 
     def test_first_basis_is_hh(self):
-        b = basis_set()[0]
+        b = BASES[0]
         assert b.label == "HH"
         assert np.allclose(b.ket, [1, 0, 0, 0], atol=1e-15)
 
     def test_dd_ket(self):
-        dd = next(b for b in basis_set() if b.label == "DD")
+        dd = next(b for b in BASES if b.label == "DD")
         assert np.allclose(dd.ket, np.full(4, 0.5), atol=1e-15)
 
     def test_all_unit_norm(self):
-        for b in basis_set():
+        for b in BASES:
             assert np.vdot(b.ket, b.ket) == pytest.approx(1.0, abs=1e-14)
 
     def test_settings_table(self):
-        by_label = {b.label: b for b in basis_set()}
+        by_label = {b.label: b for b in BASES}
         assert by_label["HH"].settings == ((0.0, 0.0), (0.0, 0.0))
         assert by_label["DR"].settings == ((45.0, 22.5), (0.0, 22.5))
         assert by_label["VL"].settings == ((0.0, 45.0), (45.0, 0.0))
@@ -50,13 +65,13 @@ class TestBasisSet:
         # light passes the QWP, then the HWP, then a PBS that transmits H, so
         # photon k is projected onto (HWP QWP)^H |H> at its (qwp, hwp) angles
         horizontal = np.array([1.0, 0.0])
-        for b in basis_set():
+        for b in BASES:
             analyzed = [(hwp(h) @ qwp(q)).conj().T @ horizontal for q, h in b.settings]
             overlap = np.vdot(np.kron(*analyzed), b.ket)
             assert abs(overlap) == pytest.approx(1.0, abs=1e-12), b.label
 
     def test_rl_ket(self):
-        rl = next(b for b in basis_set() if b.label == "RL")
+        rl = next(b for b in BASES if b.label == "RL")
         expected = np.kron([1.0, -1.0j], [1.0, 1.0j]) / 2.0
         assert np.allclose(rl.ket, expected, atol=1e-15)
 
@@ -125,8 +140,8 @@ class TestMleFit:
     def test_log_likelihood_is_poisson(self):
         observed = draw_counts(bell_state()[None], total=1000, seed=9)[1]
         rho_hat, log_likelihood, _ = mle_fit(observed, 1000)
-        mus = np.array([1000 * max(float(np.real(np.vdot(b.ket, rho_hat[0] @ b.ket))), 1e-14)
-                        for b in basis_set()])
+        mus = np.array([1000 * max(float(np.real(np.vdot(ket, rho_hat[0] @ ket))), 1e-14)
+                        for ket in tomography._KETS])
         expected_ll = float(np.sum(observed[0] * np.log(mus) - mus))
         assert log_likelihood[0] == pytest.approx(expected_ll, abs=1e-6)
 
@@ -180,13 +195,27 @@ class TestMleFitInput:
             mle_fit(np.full((3, 16), 10.0), value)
 
 
+@pytest.mark.parametrize("call,shapes", [
+    (lambda: evolve_pairs([], [0.0, 1.0]), [(0, 2), (0, 2), None]),
+    (lambda: evolve_pairs([], [0.0, 1.0], keep_states=True), [(0, 2), (0, 2), (0, 2, 4, 4)]),
+    (lambda: [rank_factor(np.zeros((0, 4, 4)))], [(0, 4, 4)]),
+    (lambda: draw_counts(np.zeros((0, 4, 4))), [(0, 16), (0, 16)]),
+    (lambda: mle_fit(draw_counts(np.zeros((0, 4, 4)))[1], tomography.DEFAULT_TOTAL),
+     [(0, 4, 4), (0,), (0,)])],
+    ids=["evolve_pairs", "evolve_pairs-states", "rank_factor", "draw_counts",
+         "draw_counts-mle_fit"])
+def test_empty_stack_has_documented_shapes(call, shapes):
+    # P = 0 pairs, states or points: each result has its stated shape, with P = 0
+    assert [None if x is None else x.shape for x in call()] == shapes
+
+
 def _frank_wolfe_gap(rho, observed, total):
     """<G, rho> - lambda_min(G) for G the gradient of
     f = sum_b [N p_b - n_b log p_b] at rho, for one point's 16 observed
     counts n_b and the total N of each basis. f is convex, so the gap bounds
     f(rho) - min f over density matrices, and it is 0 only at the
     maximum-likelihood state."""
-    kets = np.array([b.ket for b in basis_set()])
+    kets = tomography._KETS
     p = np.real(np.einsum("bi,ij,bj->b", kets.conj(), rho, kets))
     w = total - np.divide(observed, p, out=np.zeros(16), where=observed != 0)
     g = np.einsum("b,bi,bj->ij", w, kets, kets.conj())

@@ -9,10 +9,10 @@ from .entanglement import (analytic_concurrence_identical,
                            concurrence_minimum_identical, concurrence_period,
                            ep_concurrence)
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, uhlmann, wootters
-from .model import IDENTITY, AptParams, Family, Regime, classify, hamiltonian
 from .optics import (DecompositionError, DecompositionParams, decompose_grid,
                      hwp, loss_matrix, qwp, reconstruct)
-from .propagator import propagators
+from .propagator import (IDENTITY, AptParams, Family, Regime, classify,
+                         hamiltonian, propagators)
 from .tomography import MleConvergenceError, draw_counts, mle_fit
 
 __version__ = "0.1.0"

@@ -38,8 +38,8 @@ import numpy as np
 
 from .dynamics import MAX_SAMPLES, evolve_pairs, rank_factor, time_grid
 from .linalg import uhlmann, wootters
-from .model import IDENTITY, AptParams, Family
 from .optics import decompose_grid
+from .propagator import IDENTITY, AptParams, Family
 from .tomography import DEFAULT_TOTAL, MAX_TOTAL, MleConvergenceError, draw_counts, mle_fit
 
 

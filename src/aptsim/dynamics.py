@@ -10,12 +10,12 @@ its zero columns; the Bell state's factor is a module constant, neither
 validated nor factored again. Each column of F, as a 2x2 block F_k, evolves
 as U1(t) F_k U2(t)^T over the whole grid at once, from t = 0 at absolute
 time, with the propagator terms of each distinct qubit taken once; a qubit
-that does not evolve is model.IDENTITY, gamma = 0, whose terms are those of
-H = 0. The norm is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes from the
-same F (linalg.wootters), and local filtering (Verstraete, Dehaene & De
-Moor, PRA 64, 010101, 2001) with |det U| = 1 for traceless H gives C(t) =
-C(rho0) / N(t): no eigensolver per sample, and no cancellation where the
-state's entries grow large."""
+that does not evolve is propagator.IDENTITY, gamma = 0, whose terms are
+those of H = 0. The norm is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes
+from the same F (linalg.wootters), and local filtering (Verstraete, Dehaene
+& De Moor, PRA 64, 010101, 2001) with |det U| = 1 for traceless H gives
+C(t) = C(rho0) / N(t): no eigensolver per sample, and no cancellation
+where the state's entries grow large."""
 
 from dataclasses import dataclass
 from typing import Optional
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import propagator
 from .linalg import wootters
-from .model import AptParams, hamiltonian
+from .propagator import AptParams, hamiltonian
 
 NORM_FLOOR = 1e-300
 # rank_factor(): largest Hermiticity and trace deviation, least eigenvalue

@@ -6,7 +6,7 @@ applies to rho0."""
 
 import numpy as np
 
-from .model import Family
+from .propagator import Family
 
 
 def _unbroken_w(a):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Family
-from .propagator import propagators
+from .propagator import Family, propagators
 
 _ROUNDTRIP_TOL = 1e-10
 

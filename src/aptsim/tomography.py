@@ -90,15 +90,16 @@ def _probabilities(rho):
 def draw_counts(states, total=DEFAULT_TOTAL, seed=0, noiseless=False):
     """(P,16) expected and observed counts, in basis order, of a (P,4,4) stack
     of states (P = 1 for one 4x4 state), validated together. State i draws
-    observed ~ Poisson(expected) from a generator seeded with seed + i
-    (deterministic), or takes round(expected) in noiseless mode."""
+    observed ~ Poisson(expected) from a generator seeded with [seed, i], a
+    stream of its own for each (seed, i) pair (deterministic), or takes
+    round(expected) in noiseless mode."""
     if not 0 < total <= MAX_TOTAL:
         raise ValueError(f"total must be in (0, {MAX_TOTAL:.0e}], got {total}")
     rank_factor(states)
     expected = np.clip(_probabilities(states) * total, 0.0, total)
     if noiseless:
         return expected, np.rint(expected)
-    return expected, np.array([np.random.default_rng(seed + i).poisson(e)
+    return expected, np.array([np.random.default_rng([seed, i]).poisson(e)
                                for i, e in enumerate(expected)]).reshape(expected.shape)
 
 

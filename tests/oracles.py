@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aptsim.model import Family
 from aptsim.optics import hwp
-from aptsim.propagator import propagators
+from aptsim.propagator import Family, propagators
 
 # Taylor order 24 at scaled norm <= 0.5 makes the truncation error
 # negligible; the 10-odd squarings that restore the full time amplify

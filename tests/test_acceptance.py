@@ -10,9 +10,8 @@ from aptsim.entanglement import (analytic_concurrence_identical,
                                  concurrence_minimum_identical,
                                  concurrence_period, ep_concurrence)
 from aptsim.linalg import uhlmann, wootters
-from aptsim.model import IDENTITY, AptParams, Family, hamiltonian
 from aptsim.optics import decompose_grid, loss_matrix, reconstruct
-from aptsim.propagator import propagators
+from aptsim.propagator import IDENTITY, AptParams, Family, hamiltonian, propagators
 from aptsim.tomography import draw_counts, mle_fit
 
 from oracles import bd_circuit, expm_series

@@ -13,7 +13,7 @@ from aptsim import cli, dynamics, optics, propagator, tomography
 from aptsim.dynamics import DegenerateNormError, EvolutionSpec, run
 from aptsim.entanglement import concurrence_minimum_identical
 from aptsim.linalg import uhlmann
-from aptsim.model import IDENTITY, AptParams
+from aptsim.propagator import IDENTITY, AptParams
 from aptsim.tomography import MleConvergenceError, draw_counts
 
 from oracles import wootters_mp
@@ -438,9 +438,8 @@ class TestDecomposeCommand:
             assert float(row[7]) > 0.0
 
     def test_row_reconstructs_propagator(self, tmp_path):
-        from aptsim.model import AptParams
         from aptsim.optics import DecompositionParams, reconstruct
-        from aptsim.propagator import propagators
+        from aptsim.propagator import AptParams, propagators
 
         out = tmp_path / "dec.csv"
         assert cli.main(["decompose", "--a1", "1.2", "--t-max", "1.0",
@@ -489,8 +488,9 @@ class TestTomographyCommand:
 
     @pytest.mark.parametrize("flags", [[], ["--identity-qubit2"], ["--noiseless"]])
     def test_counts_match_one_state_draws(self, tmp_path, monkeypatch, flags):
-        # the grid's counts, drawn as one array, equal draw_counts one state
-        # at a time, bit for bit
+        # the grid's counts, drawn as one array, equal bit for bit those of
+        # draw_counts with the same seed in which every other state is
+        # replaced: point i's counts depend on its state, the seed and i alone
         seen, fit = [], cli.mle_fit
         monkeypatch.setattr(cli, "mle_fit", lambda observed, total: (
             seen.append((observed, total)) or fit(observed, total)))
@@ -504,9 +504,11 @@ class TestTomographyCommand:
                                        keep_states=True)[2][0]
         assert len(observed) == len(states) == 10
         for i, rho in enumerate(states):
-            one = draw_counts(rho[None], total=10000, seed=11 + i,
+            others = states[::-1].copy()
+            others[i] = rho
+            one = draw_counts(others, total=10000, seed=11,
                               noiseless=flags == ["--noiseless"])[1]
-            assert np.array_equal(observed[i], one[0])
+            assert np.array_equal(observed[i], one[i])
 
     def test_noiseless_concurrence_keeps_small_eigenvalues(self, tmp_path, monkeypatch):
         # at the noiseless t = 3.5 point of the defaults rho_hat has

@@ -7,8 +7,7 @@ from aptsim import dynamics
 from aptsim.dynamics import (MAX_SAMPLES, DegenerateNormError,
                              EvolutionSpec, InvalidStateError, bell_ket, bell_state,
                              evolve_pairs, rank_factor, run, time_grid)
-from aptsim.model import IDENTITY, AptParams, Family
-from aptsim.propagator import propagators
+from aptsim.propagator import IDENTITY, AptParams, Family, propagators
 
 from oracles import bell_mp, evolve_mp, maximally_mixed
 

@@ -9,7 +9,7 @@ from aptsim.entanglement import (analytic_concurrence_identical,
                                  concurrence_minimum_identical,
                                  concurrence_period, ep_concurrence)
 from aptsim.linalg import wootters
-from aptsim.model import AptParams, Family
+from aptsim.propagator import AptParams, Family
 
 from oracles import maximally_mixed, wootters_mp
 from trajkit import brute_concurrence, refine_minimum

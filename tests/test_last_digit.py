@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from aptsim import cli
 from aptsim.dynamics import evolve_pairs, time_grid
-from aptsim.model import IDENTITY, AptParams, Family
 from aptsim.optics import decompose_grid
+from aptsim.propagator import IDENTITY, AptParams, Family
 
 from oracles import bell_mp, decompose_mp
 

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aptsim.model import IDENTITY, AptParams, Family, Regime, classify, hamiltonian
-from aptsim.propagator import propagators
+from aptsim.propagator import (IDENTITY, AptParams, Family, Regime, classify, hamiltonian,
+                               propagators)
 
 from oracles import eig2
 

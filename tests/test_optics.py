@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from aptsim import optics
 from aptsim.dynamics import time_grid
-from aptsim.model import AptParams, Family
 from aptsim.optics import (DecompositionError, DecompositionParams,
                            decompose_grid, hwp, loss_matrix, qwp, reconstruct)
-from aptsim.propagator import propagators
+from aptsim.propagator import AptParams, Family, propagators
 
 from oracles import BeamPaths, bd_circuit
 

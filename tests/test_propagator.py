@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aptsim.model import AptParams, Family, hamiltonian
-from aptsim.propagator import propagator_terms, propagators
+from aptsim.propagator import AptParams, Family, hamiltonian, propagator_terms, propagators
 
 from oracles import expm_series, terms_mp, two_qubit
 

@@ -5,10 +5,11 @@ The CSV files of `figure` and `sweep` come from one loop over blocks of at
 most _CHUNK_ROWS rows, each a run of whole curves or a piece of one longer
 curve (`_blocks`): one dynamics.evolve_pairs call on the block's slice of
 the time grid, then `_cells`, which encodes each float column as the exact
-bytes of "%.6g" % x (`_encode` says why), and `_text`, which fills a block's
-cells (two uint64 words each, their unused high bytes NUL) into one table
-and drops the NULs of each curve's bytes with bytes.translate. The time cells
-are encoded once; a figure curve's parts are joined after its last block.
+bytes of "%.6g" % x (Python's % writes the rare cells `_encode` lists, the
+negative ones among them), and `_text`, which fills a block's cells (two
+uint64 words each, their unused high bytes NUL) into one table and drops
+the NULs of each curve's bytes with bytes.translate. The time cells are
+encoded once; a figure curve's parts are joined after its last block.
 `figure --format json` is one evolve_pairs call: json.dumps sets its peak.
 `decompose` keeps one `%` format per row: its tables have about 50 rows,
 too few to pay for the encoder's cost per call. Every command, which its
@@ -137,35 +138,22 @@ def _cells(x, end):
 def _encode(x, end):
     """_cells of a 1-D block.
 
-    e = floor(log10|x|) and r = |x| / 10^(e-5) in [1e5, 1e6). The power is
-    the correctly rounded double, so r is off by less than 3e-10 and
-    m = rint(r) is the correctly rounded six-digit mantissa unless the exact
-    quotient is within 3e-10 of a half-integer. Values with r in the band
-    |r - m| > 0.5 - _GUARD (exact ties among them) go to Python's own
-    "%.6g" %, as do nan, +-inf, +-0.0 and |x| < 1e-300 (subnormals)."""
-    ax = np.abs(x)
-    fast = (ax >= _TINY) & (ax < np.inf)
-    if not fast.all():
-        ax[~fast] = 1.0
-    e = np.floor(np.log10(ax)).astype(np.intp)
-    r = ax / _POW10.take(e - _E_LO)
+    e = floor(log10 x) and r = x / 10^(e-5). The power is the correctly
+    rounded double, so r is off by less than 3e-10 and m = rint(r) is the
+    correctly rounded six-digit mantissa unless the exact quotient is within
+    3e-10 of a half-integer. Python's own "%.6g" % writes the cells whose r
+    lies in the band |r - m| > 0.5 - _GUARD (exact ties among them), whose m
+    is not in [1e5, 1e6) (log10 missed by one next to a power of ten, or the
+    rounding carried into a seventh digit), and whose x is not in
+    [1e-300, inf): negative values, +-0.0, nan, +-inf and subnormals."""
+    fast = (x >= _TINY) & (x < np.inf)
+    r = np.where(fast, x, 1.0)  # 1.0 stands in for the cells Python writes
+    e = np.floor(np.log10(r)).astype(np.intp)
+    r /= _POW10.take(e - _E_LO)  # in place: one (n,) float fewer alive
     m = np.rint(r)
-    near_tie = np.abs(r - m) > 0.5 - _GUARD
-    # log10 can miss by one next to a power of ten, and rounding can carry
-    # into a seventh digit: one step of e fixes either; a tie at the old e
-    # (r next to 99999.5 or 999999.5) stays flagged
-    moved = np.flatnonzero((m >= 1e6) | (m < 1e5))
-    if moved.size:
-        e[moved] += np.where(m[moved] >= 1e6, 1, -1)
-        r = ax[moved] / _POW10.take(e[moved] - _E_LO)
-        m[moved] = np.rint(r)
-        near_tie[moved] |= ((np.abs(r - m[moved]) > 0.5 - _GUARD)
-                            | (m[moved] < 1e5) | (m[moved] >= 1e6))
-    slow = np.flatnonzero(~fast | near_tie)
+    slow = np.flatnonzero(~fast | (np.abs(r - m) > 0.5 - _GUARD) | (m >= 1e6) | (m < 1e5))
     m[slow] = 1e5  # any valid mantissa; Python writes these cells below
-    hi = np.floor(m / 1000)
-    lo = (m - 1000 * hi).astype(np.intp)
-    hi = hi.astype(np.intp)
+    hi, lo = np.divmod(m.astype(np.intp), 1000)
     n_sig = np.maximum(_SIG_HI.take(hi), _SIG_LO.take(lo))
     ei = e - _E_LO
     point = _POINT.take(ei)
@@ -177,9 +165,7 @@ def _encode(x, end):
     n_lead = np.where(small, 1 - e, n_lead)
     rest = np.where(small, digits, _EXP_WORD.take(ei))
     n_rest = np.where(small, n_sig, _EXP_LEN.take(ei))
-    neg = x < 0
-    lead = np.where(neg, lead << _BYTE | np.uint64(ord("-")), lead)
-    lead &= _LOW_BYTES.take(n_lead + neg)
+    lead &= _LOW_BYTES.take(n_lead)
     rest &= _LOW_BYTES.take(n_rest)
     for i in slow.tolist():
         text = b"%.6g" % x[i]
@@ -289,6 +275,8 @@ def run_tomography(args):
         raise ValueError(f"--total must be in [1, {MAX_TOTAL:.0e}], got {args.total}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.seed >= 2 ** 32:  # draw_counts' bound, checked before any work
+        raise ValueError(f"--seed must be < 2**32, got {args.seed}")
     pair = (AptParams(a=args.a1), IDENTITY if args.identity_qubit2 else AptParams(a=args.a2))
     times = time_grid(args.t_max, args.dt)
     # one array pipeline over the grid: states, counts, fits and concurrences

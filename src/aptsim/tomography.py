@@ -91,10 +91,12 @@ def draw_counts(states, total=DEFAULT_TOTAL, seed=0, noiseless=False):
     """(P,16) expected and observed counts, in basis order, of a (P,4,4) stack
     of states (P = 1 for one 4x4 state), validated together. State i draws
     observed ~ Poisson(expected) from a generator seeded with [seed, i], a
-    stream of its own for each (seed, i) pair (deterministic), or takes
-    round(expected) in noiseless mode."""
+    stream of its own for each (seed, i) pair with 0 <= seed < 2**32 (numpy
+    splits a larger seed into words that other pairs share), or round(expected) if noiseless."""
     if not 0 < total <= MAX_TOTAL:
         raise ValueError(f"total must be in (0, {MAX_TOTAL:.0e}], got {total}")
+    if not 0 <= seed < 2 ** 32:
+        raise ValueError(f"seed must be in [0, 2**32), got {seed}")
     rank_factor(states)
     expected = np.clip(_probabilities(states) * total, 0.0, total)
     if noiseless:

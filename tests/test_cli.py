@@ -140,6 +140,24 @@ class TestCsvFilesExact:
         assert out.read_bytes() == "".join(expected).encode()
 
 
+class TestEncoderPremise:
+    def test_default_cells_rarely_leave_the_fast_path(self, monkeypatch):
+        # _encode hands negative values and mantissas outside [1e5, 1e6) to
+        # Python's %; in the default data files both must stay rare
+        values, cells = [], cli._cells
+        monkeypatch.setattr(cli, "_cells", lambda x, end: (
+            values.append(np.asarray(x, dtype=float).ravel()) or cells(x, end)))
+        for argv in [["figure", "--figure", f] for f in cli.FIGURES] + [["sweep"]]:
+            args = cli.build_parser().parse_args(argv)
+            args.func(args)
+        x = np.concatenate(values)
+        assert not (x < 0).any()
+        x = x[(x >= cli._TINY) & (x < np.inf)]
+        e = np.floor(np.log10(x)).astype(np.intp)
+        m = np.rint(x / cli._POW10.take(e - cli._E_LO))
+        assert np.count_nonzero((m < 1e5) | (m >= 1e6)) <= 1e-3 * sum(map(len, values))
+
+
 class TestOneKernelCall:
     @pytest.mark.parametrize("argv,out", [(["figure", "--figure", "4a"], "figs"),
                                           (["figure", "--figure", "2b"], "figs"),
@@ -397,7 +415,9 @@ class TestBadInput:
         (["tomography", "--a1", "inf"], "error: a must be finite"),
         (["tomography", "--a2", "1e300"], "error: a = 1e+300, gamma = 1.0 overflow k"),
         (["tomography", "--total", "100000000000000000000"], "error: --total must be in"),
-        (["tomography", "--seed", "-3"], "error: --seed must be >= 0, got -3\n")])
+        (["tomography", "--seed", "-3"], "error: --seed must be >= 0, got -3\n"),
+        (["tomography", "--seed", "4294967296"],
+         "error: --seed must be < 2**32, got 4294967296\n")])
     def test_exits_2_naming_the_input(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out.file"
         assert cli.main(argv + ["--out", str(out)]) == 2

@@ -111,6 +111,15 @@ class TestDrawCounts:
         shifted = draw_counts(np.stack([rho, rho]), total=10000, seed=0)[1][1]
         assert not np.array_equal(shifted, draw_counts(rho[None], total=10000, seed=1)[1][0])
 
+    def test_seed_fits_one_word(self):
+        # numpy splits a seed >= 2**32 into 32-bit words: [2**32, 0] would
+        # draw point 1 of seed 0's stream
+        rho = bell_state()[None]
+        assert draw_counts(rho, total=10000, seed=2 ** 32 - 1)[1].shape == (1, 16)
+        for seed in (-1, 2 ** 32, 2 ** 64):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*32\)"):
+                draw_counts(rho, total=10000, seed=seed)
+
     def test_noiseless_mode(self):
         expected, observed = draw_counts(bell_state()[None], total=999, seed=0, noiseless=True)
         for e, o in zip(expected[0], observed[0]):

@@ -10,7 +10,12 @@ negative ones among them), and `_text`, which fills a block's cells (two
 uint64 words each, their unused high bytes NUL) into one table and drops
 the NULs of each curve's bytes with bytes.translate. The time cells are
 encoded once; a figure curve's parts are joined after its last block.
-`figure --format json` is one evolve_pairs call: json.dumps sets its peak.
+`figure --format json` is one evolve_pairs call, and its text sets its
+peak. That text and the `tomography` report come from `_json`, which writes
+exactly what json.dumps(indent=2, sort_keys=True) would, float columns
+checked at once, and raises where json would write NaN or Infinity.
+`tomography` takes the evolved factors over sqrt(N) as its true states for
+the counts and the fidelity, and factors only its estimates.
 `decompose` keeps one `%` format per row: its tables have about 50 rows,
 too few to pay for the encoder's cost per call. Every command, which its
 subparser holds as `func`, takes its time grid from dynamics.time_grid and
@@ -31,6 +36,7 @@ import contextlib
 import errno
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -153,18 +159,27 @@ def _encode(x, end):
     m = np.rint(r)
     slow = np.flatnonzero(~fast | (np.abs(r - m) > 0.5 - _GUARD) | (m >= 1e6) | (m < 1e5))
     m[slow] = 1e5  # any valid mantissa; Python writes these cells below
+    # each (n,) temporary is dropped once read for the last time: the loop
+    # below reads x, slow, lead, rest and n_rest alone
+    del fast, r
     hi, lo = np.divmod(m.astype(np.intp), 1000)
+    del m
     n_sig = np.maximum(_SIG_HI.take(hi), _SIG_LO.take(lo))
     ei = e - _E_LO
     point = _POINT.take(ei)
     digits = _HEAD.take(1000 * point + hi) | _TAIL.take(1000 * point + lo)
+    del hi, lo
     # the integer digits stay; the point only where a significant digit follows
     n_lead = np.maximum(point, n_sig) + (n_sig > point)
+    del point
     small = (e < 0) & (e >= -4)
     lead = np.where(small, np.uint64(0x3030302E30), digits)  # "0.000"
     n_lead = np.where(small, 1 - e, n_lead)
+    del e
     rest = np.where(small, digits, _EXP_WORD.take(ei))
+    del digits
     n_rest = np.where(small, n_sig, _EXP_LEN.take(ei))
+    del small, n_sig, ei
     lead &= _LOW_BYTES.take(n_lead)
     rest &= _LOW_BYTES.take(n_rest)
     for i in slow.tolist():
@@ -199,6 +214,34 @@ def _blocks(n_curves, n_rows):
             for i in range(0, n_curves, step) for j in range(0, n_rows, rows)]
 
 
+_STRING = json.encoder.encode_basestring_ascii  # how json.dumps writes a str
+
+
+def _json(value, indent="\n"):
+    """json.dumps(value, indent=2, sort_keys=True), written directly, for the
+    dicts, lists, 1-D float arrays, str, bool, int and float of a report; a
+    float that is not finite raises ValueError, where json would write NaN or
+    Infinity. `indent` is the newline and indentation of value's own lines."""
+    inner = indent + "  "
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"a report value is {value!r}, which JSON cannot hold")
+        return float.__repr__(value)
+    if isinstance(value, np.ndarray):  # a column of floats, checked at once
+        write = float.__repr__ if np.isfinite(value).all() else _json  # _json raises
+        items = list(map(write, value.tolist()))
+    elif isinstance(value, list):
+        items = [_json(v, inner) for v in value]
+    elif isinstance(value, dict):
+        items = [f"{_STRING(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+    elif isinstance(value, str):
+        return _STRING(value)
+    else:
+        return "true" if value is True else "false" if value is False else int.__repr__(value)
+    left, right = "{}" if isinstance(value, dict) else "[]"
+    return left + inner + ("," + inner).join(items) + indent + right if items else left + right
+
+
 def run_figure(args):
     curves, default_t_max = FIGURES[args.figure]
     t_max = default_t_max if args.t_max is None else args.t_max
@@ -206,11 +249,10 @@ def run_figure(args):
     out_dir = Path(args.out)
     if args.format == "json":
         conc, norms = evolve_pairs(curves, times)[:2]
-        t = times.tolist()
-        payload = [{"a1": _param_token(p1), "a2": _param_token(p2), "t": t,
-                    "concurrence": cc.tolist(), "norm": n.tolist()}
+        payload = [{"a1": _param_token(p1), "a2": _param_token(p2), "t": times,
+                    "concurrence": cc, "norm": n}
                    for (p1, p2), cc, n in zip(curves, conc, norms)]
-        text = json.dumps({"figure": args.figure, "curves": payload}, indent=2, sort_keys=True)
+        text = _json({"figure": args.figure, "curves": payload})
         return {out_dir / f"fig{args.figure}.json": (text + "\n").encode()}
     paths = [out_dir / f"fig{args.figure}_{_param_token(p1)}_{_param_token(p2)}.csv"
              for p1, p2 in curves]
@@ -280,7 +322,8 @@ def run_tomography(args):
     pair = (AptParams(a=args.a1), IDENTITY if args.identity_qubit2 else AptParams(a=args.a2))
     times = time_grid(args.t_max, args.dt)
     # one array pipeline over the grid: states, counts, fits and concurrences
-    (conc,), _, (truths,) = evolve_pairs([pair], times, keep_states=True)
+    (conc,), (norms,), (kets,) = evolve_pairs([pair], times)
+    truths = kets / np.sqrt(norms)[:, None, None]  # the factors of the true states
     observed = draw_counts(truths, total=args.total, seed=args.seed,
                            noiseless=args.noiseless)[1]
     try:
@@ -289,14 +332,14 @@ def run_tomography(args):
         raise MleConvergenceError(f"t={float(times[exc.points[0]]):g}: {exc}",
                                   exc.points) from exc
     factor = rank_factor(rho_hat)  # both measures of an estimate take its one factor
-    columns = {"t": times, "fidelity": uhlmann(rank_factor(truths), factor),
+    columns = {"t": times, "fidelity": uhlmann(truths, factor),
                "concurrence_theory": conc, "concurrence_mle": wootters(factor)[0],
                "log_likelihood": log_likelihood, "iterations": iterations}
     points = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
     report = {k: getattr(args, k) for k in ("a1", "dt", "t_max", "total", "seed", "noiseless")}
     report.update(a2="id" if args.identity_qubit2 else args.a2, points=points)
-    return {Path(args.out): (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()}
+    return {Path(args.out): (_json(report) + "\n").encode()}
 
 
 @functools.cache

@@ -15,7 +15,9 @@ those of H = 0. The norm is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes
 from the same F (linalg.wootters), and local filtering (Verstraete, Dehaene
 & De Moor, PRA 64, 010101, 2001) with |det U| = 1 for traceless H gives
 C(t) = C(rho0) / N(t): no eigensolver per sample, and no cancellation
-where the state's entries grow large."""
+where the state's entries grow large. The evolved states are handed out as
+their factor, rho(t) = F(t) F(t)^H / N(t), never as 4x4 matrices: the
+tomography chain counts, fits against and scores the truth on that factor."""
 
 from dataclasses import dataclass
 from typing import Optional
@@ -142,19 +144,18 @@ class Trajectory:
     unnormalized_norm: np.ndarray
 
 
-def evolve_pairs(pairs, times, initial=None, keep_states=False):
-    """Concurrence and unnormalized norm, each (P, T), and with keep_states
-    the (P, T, 4, 4) states, of `initial` (default: the Bell state) under
-    each (p1, p2) of `pairs` over `times`. U1 F U2^T expands over
-    {I, H1} x {I, H2}: one real (P, T, 4) x (P, 4, 8r) product of scalar
-    terms with four constant complex blocks per pair seen as floats. A norm
-    that is not finite or below NORM_FLOOR raises OverflowError or
-    DegenerateNormError naming the first bad t of the first pair that has
-    one."""
+def evolve_pairs(pairs, times, initial=None):
+    """Concurrence and unnormalized norm N, each (P, T), and the evolved
+    factor F, (P, T, 4, r) with rho(t) = F F^H / N(t), of `initial` (default:
+    the Bell state) under each (p1, p2) of `pairs` over `times`. U1 F U2^T
+    expands over {I, H1} x {I, H2}: one real (P, T, 4) x (P, 4, 8r) product
+    of scalar terms with four constant complex blocks per pair seen as
+    floats; F is a view of that product, not a copy. A norm that is not
+    finite or below NORM_FLOOR raises OverflowError or DegenerateNormError
+    naming the first bad t of the first pair that has one."""
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 1:  # matmul's gemv for one row rounds unlike its gemm: take two
-        return tuple(x if x is None else x[:, :1]
-                     for x in evolve_pairs(pairs, np.repeat(times, 2), initial, keep_states))
+        return tuple(x[:, :1] for x in evolve_pairs(pairs, np.repeat(times, 2), initial))
     factor = _BELL_FACTOR if initial is None else rank_factor(initial)
     factor = factor[:, factor.any(axis=0)]  # the work grows with the rank r
     f = factor.T.reshape(-1, 2, 2)  # rho0 = sum_k vec(F_k) vec(F_k)^H
@@ -182,13 +183,9 @@ def evolve_pairs(pairs, times, initial=None, keep_states=False):
             raise DegenerateNormError(t, norm)
         raise OverflowError(f"evolution norm is not finite at t={t}: {norm!r}")
     conc = np.minimum(wootters(factor)[0] / norms, 1.0)
-
-    states = None
-    if keep_states:
-        kets = flat.view(complex).reshape(len(pairs), times.size, len(f), 4)
-        m = kets.swapaxes(-1, -2) @ kets.conj()
-        states = (m + m.conj().swapaxes(-1, -2)) / (2.0 * norms[..., None, None])
-    return conc, norms, states
+    # the blocks' rows vec(U1 F_k U2^T) are the columns of the evolved factor
+    kets = flat.view(complex).reshape(len(pairs), times.size, len(f), 4)
+    return conc, norms, kets.swapaxes(-1, -2)
 
 
 def run(spec):

@@ -1,6 +1,10 @@
 """Measurement chain: Poisson counts in the 16 two-photon bases of James,
 Kwiat, Munro & White (PRA 64, 052312, 2001), and the maximum-likelihood
 estimate, whose rank_factor factor linalg.uhlmann and linalg.wootters take.
+Every state of the chain is a factor F, rho = F F^H: the truths that
+draw_counts takes, and the fit's own T. One formula, _probabilities,
+p_b = sum_j |<b|F_j>|^2, gives the expected counts, the fit's probabilities
+and the reported log-likelihood.
 
 The fit minimizes f(rho) = sum_b [N p_b - n_b log p_b], p_b = <b|rho|b>,
 the negative Poisson log-likelihood up to a constant, over rho = T T^H with
@@ -10,7 +14,8 @@ line search. It starts from projected linear inversion mixed with a little
 I/4. A point stops once its Newton decrement is tiny and the Frank-Wolfe gap
 <G, rho> - lambda_min(G), G = grad f, certifies the optimum; if the gap
 fails there, a Frank-Wolfe step toward lambda_min(G)'s eigenvector lowers f
-and Newton resumes from it. Each point of a batch keeps its own factor,
+and Newton resumes from it. The pass in which every point left stops runs
+no line search. Each point of a batch keeps its own factor,
 damping, stopping test and step count, so its estimate does not depend on
 the batch: its products are stacked matmuls with the batch leading, one BLAS
 call per point, and never a 2-D GEMM whose rows are the batch.
@@ -18,7 +23,7 @@ call per point, and never a 2-D GEMM whose rows are the batch.
 
 import numpy as np
 
-from .dynamics import rank_factor
+from .dynamics import TRACE_TOL, InvalidStateError
 
 BASIS_LABELS = ("HH", "HV", "VV", "VH", "RH", "RV", "DV", "DH",
                 "DR", "DD", "RD", "HD", "VD", "VL", "HL", "RL")
@@ -38,14 +43,11 @@ MAX_PASSES = 100000  # Newton passes per point; mle_fit reads it at call time
 # row b: the two-photon ket of BASIS_LABELS[b]
 _KETS = np.array([np.kron(_SINGLE_KETS[label[0]], _SINGLE_KETS[label[1]])
                   for label in BASIS_LABELS])
-# row b: |b><b| row-major, as interleaved (re, im) floats. Sums over the
-# basis are broadcast sums or stacked matmuls with the batch leading (one
-# BLAS call per point), never a 2-D GEMM with the batch as a dimension,
-# whose summation order may change with the number of rows: each point's
-# arithmetic is its own.
-_OUTER = np.einsum("bi,bj->bij", _KETS, _KETS.conj()).reshape(16, 16)
-_PROJECTORS = _OUTER.view(float)
-_INVERSION = np.linalg.inv(_OUTER.conj())  # probabilities -> vec(rho)
+# Sums over the basis are broadcast sums or stacked matmuls with the batch
+# leading (one BLAS call per point), never a 2-D GEMM with the batch as a
+# dimension, whose summation order may change with the number of rows: each
+# point's arithmetic is its own.
+_INVERSION = np.linalg.inv(np.einsum("bi,bj->bij", _KETS.conj(), _KETS).reshape(16, 16))
 
 # Newton constants, in units of f / (16 N). A point stops when its Newton
 # decrement (about twice f - min f) and its Frank-Wolfe gap are below the two
@@ -81,24 +83,41 @@ class MleConvergenceError(ArithmeticError):
         self.points = tuple(points)
 
 
-def _probabilities(rho):
-    """(P,16) probabilities <b|rho|b> of a (P,4,4) stack of Hermitian matrices."""
-    flat = np.ascontiguousarray(rho, dtype=complex).view(float).reshape(-1, 1, 32)
-    return (flat * _PROJECTORS).sum(axis=2)
+def _probabilities(conj_kets, f):
+    """The probabilities p_b = <b|F F^H|b> = sum_j |<b|F_j>|^2 of factors F,
+    (..., 16) for conj_kets (..., 16, 4) and F (..., 4, r), and the products
+    Y = conj(K) F, y[b, j] = <b|F_j>."""
+    y = conj_kets @ f
+    y_float = y.view(float)
+    return (y_float * y_float).sum(axis=-1), y
 
 
-def draw_counts(states, total=DEFAULT_TOTAL, seed=0, noiseless=False):
-    """(P,16) expected and observed counts, in basis order, of a (P,4,4) stack
-    of states (P = 1 for one 4x4 state), validated together. State i draws
-    observed ~ Poisson(expected) from a generator seeded with [seed, i], a
-    stream of its own for each (seed, i) pair with 0 <= seed < 2**32 (numpy
-    splits a larger seed into words that other pairs share), or round(expected) if noiseless."""
+def draw_counts(factors, total=DEFAULT_TOTAL, seed=0, noiseless=False):
+    """(P,16) expected and observed counts, in basis order, of the states
+    rho = F F^H of a (..., 4, r) stack of factors F (P = 1 for one (4, r)
+    factor, and P the product of the leading axes for a stack). A factor
+    must have finite entries and sum |F|^2 = Tr rho within TRACE_TOL of 1;
+    InvalidStateError names the first that has not by its index in the
+    flattened stack. Factor i draws observed ~ Poisson(expected) from a
+    generator seeded with [seed, i], a stream of its own for each (seed, i)
+    pair with 0 <= seed < 2**32 (numpy splits a larger seed into words that
+    other pairs share), or round(expected) if noiseless."""
     if not 0 < total <= MAX_TOTAL:
         raise ValueError(f"total must be in (0, {MAX_TOTAL:.0e}], got {total}")
     if not 0 <= seed < 2 ** 32:
         raise ValueError(f"seed must be in [0, 2**32), got {seed}")
-    rank_factor(states)
-    expected = np.clip(_probabilities(states) * total, 0.0, total)
+    f = np.asarray(factors, dtype=complex)
+    if f.ndim < 2 or f.shape[-2] != 4:
+        raise InvalidStateError(f"expected a (..., 4, r) factor, got shape {f.shape}")
+    f = f.reshape(-1, 4, f.shape[-1])
+    trace = (f.real ** 2 + f.imag ** 2).sum(axis=(1, 2))
+    ok = np.abs(trace - 1.0) <= TRACE_TOL  # a nan or inf entry fails it too
+    if not ok.all():
+        i = int(np.argmin(ok))
+        problem = (f"trace is {float(trace[i])!r}, expected 1" if np.isfinite(f[i]).all()
+                   else "non-finite entries")
+        raise InvalidStateError(f"factor {i}: {problem}")
+    expected = np.clip(_probabilities(_KETS.conj(), f)[0] * total, 0.0, total)
     if noiseless:
         return expected, np.rint(expected)
     return expected, np.array([np.random.default_rng([seed, i]).poisson(e)
@@ -183,8 +202,10 @@ def _frank_wolfe_step(x, g_matrix, gap, p, conj_kets, n):
 
 def _newton(n, rho):
     """Minimize f / (16 N), for (P,16) counts n / (16 N), from each row of the
-    (P,4,4) start stack `rho`: the estimates, each row's accepted steps, and
-    which rows stopped within MAX_PASSES passes. Stopped rows leave the loop."""
+    (P,4,4) start stack `rho`: the (P,4,4) factors T of the estimates T T^H,
+    each row's accepted steps, and which rows stopped within MAX_PASSES
+    passes. Stopped rows leave the loop, which ends at the pass in which
+    every row left in it stops."""
     x, order, conj_kets, twice_kets, projectors = _start(rho)
     final = np.zeros_like(x)
     iterations = np.zeros(len(rho), dtype=int)
@@ -192,9 +213,8 @@ def _newton(n, rho):
     converged, rows = np.zeros(len(rho), dtype=bool), np.arange(len(rho))
     damping = np.full(len(rho), _DAMPING)
     while rows.size:
-        y = conj_kets @ _to_matrix(x)  # y[b, j] = <b| column j of T
+        p, y = _probabilities(conj_kets, _to_matrix(x))
         y_float = y.view(float)
-        p = (y_float * y_float).sum(axis=2)
         pf = np.maximum(p, _P_FLOOR)
         w = _WEIGHT - n / pf
         g_matrix = (w[:, None, :] @ projectors)[:, 0]  # G.view(float)
@@ -219,6 +239,10 @@ def _newton(n, rho):
         passes += 1
         small = decrement <= _TOL_DECREMENT
         stop = small & (gap <= _TOL_GAP)
+        if stop.all():  # the last pass needs no line search
+            final[rows] = x / np.sqrt((x * x).sum(axis=1, keepdims=True))
+            converged[rows] = True
+            break
 
         # p along x(s) = (x + s d) / |x + s d|: T is linear in x and x . d = 0,
         # so p(s) - p = (s lin + s^2 (|Y_d|^2 - p |d|^2)) / (1 + s^2 |d|^2)
@@ -248,9 +272,9 @@ def _newton(n, rho):
             keep = ~done
             rows, x, conj_kets, twice_kets, projectors, damping, n = (
                 v[keep] for v in (rows, x, conj_kets, twice_kets, projectors, damping, n))
-    # T T^H in the original basis: T's rows follow each point's pivot order
-    t = np.take_along_axis(_to_matrix(final), np.argsort(order, axis=1)[:, :, None], 1)
-    return t @ t.conj().transpose(0, 2, 1), iterations, converged
+    # T's rows from each point's pivot order back to the basis order
+    return (np.take_along_axis(_to_matrix(final), np.argsort(order, axis=1)[:, :, None], 1),
+            iterations, converged)
 
 
 def mle_fit(observed, total):
@@ -279,14 +303,15 @@ def mle_fit(observed, total):
         raise ValueError(f"total must be finite and > 0, got {total}")
     linear = ((observed / total)[:, None, :] * _INVERSION).sum(axis=2).reshape(-1, 4, 4)
     start = _project((linear + linear.conj().transpose(0, 2, 1)) / 2.0)
-    rho, steps, converged = _newton(observed / (16.0 * total), start)
+    t, steps, converged = _newton(observed / (16.0 * total), start)
     stuck = np.flatnonzero(~converged)
     if stuck.size:
         raise MleConvergenceError(
             f"no convergence within {MAX_PASSES} iterations at points {stuck.tolist()}",
             stuck.tolist())
 
+    rho = t @ t.conj().transpose(0, 2, 1)
     rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
-    mus = total * np.maximum(_probabilities(rho), _P_FLOOR)
+    mus = total * np.maximum(_probabilities(_KETS.conj(), t)[0], _P_FLOOR)
     log_likelihood = np.sum(observed * np.log(mus) - mus, axis=1)
     return rho, log_likelihood, steps

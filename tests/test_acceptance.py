@@ -16,7 +16,7 @@ from aptsim.tomography import draw_counts, mle_fit
 
 from oracles import bd_circuit, expm_series
 from trajkit import (brute_concurrence, measured_period, refine_maximum,
-                     refine_minimum, refined_peak_times, scan_best_period)
+                     refine_minimum, refined_peak_times, scan_best_period, truth_factors)
 
 
 def trajectory(a1, a2, t_max, dt=0.01):
@@ -200,19 +200,19 @@ def test_criterion_11_single_qubit_evolution():
 
 def test_criterion_12_tomography_loop():
     p = AptParams(a=1.2)
-    truths = evolve_pairs([(p, p)], 0.5 * np.arange(10), keep_states=True)[2][0]
+    truths = truth_factors([(p, p)], 0.5 * np.arange(10))[0]
     observed = draw_counts(truths, total=10000, seed=100, noiseless=True)[1]
     rho_hat = mle_fit(observed, 10000)[0]
-    worst_fid = float(uhlmann(rank_factor(truths), rank_factor(rho_hat)).min())
+    worst_fid = float(uhlmann(truths, rank_factor(rho_hat)).min())
     worst_gap = float(np.abs(wootters(rank_factor(rho_hat))[0]
-                             - wootters(rank_factor(truths))[0]).max())
+                             - wootters(truths)[0]).max())
     assert worst_fid > 0.999
     assert worst_gap < 5e-3
 
     # 100 draws of one state, from seeds 3000-3099
-    truths = np.repeat(evolve_pairs([(p, p)], [1.0], keep_states=True)[2][0], 100, axis=0)
+    truths = np.repeat(truth_factors([(p, p)], [1.0])[0], 100, axis=0)
     observed = draw_counts(truths, total=10000, seed=3000)[1]
-    fids = uhlmann(rank_factor(truths), rank_factor(mle_fit(observed, 10000)[0]))
+    fids = uhlmann(truths, rank_factor(mle_fit(observed, 10000)[0]))
     passing = int(np.sum(fids > 0.98))
     assert passing >= 95
     print(f"[acceptance] criterion 12: PASS (noiseless min fid {worst_fid:.6f}, "

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aptsim import cli, dynamics, optics, propagator, tomography
+from aptsim import cli, dynamics, optics, propagator
 from aptsim.dynamics import DegenerateNormError, EvolutionSpec, run
 from aptsim.entanglement import concurrence_minimum_identical
 from aptsim.linalg import uhlmann
@@ -17,6 +17,7 @@ from aptsim.propagator import IDENTITY, AptParams
 from aptsim.tomography import MleConvergenceError, draw_counts
 
 from oracles import wootters_mp
+from trajkit import truth_factors
 
 # nan, +-inf, +-0.0, subnormals, and both sides of the %g switch points
 _EDGE_FLOATS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -195,7 +196,7 @@ class TestOneKernelCall:
         monkeypatch.setattr(cli, "time_grid", lambda t_max, dt: (
             calls["time_grid"].append((t_max, dt)) or grid(t_max, dt)))
         assert cli.main(["tomography", "--out", str(tmp_path / "t.json")]) == 0
-        assert calls == {"evolve_pairs": [{"keep_states": True}], "time_grid": [(4.5, 0.5)]}
+        assert calls == {"evolve_pairs": [{}], "time_grid": [(4.5, 0.5)]}
 
     def test_decompose_decomposes_once(self, tmp_path, monkeypatch):
         calls, decompose = [], cli.decompose_grid
@@ -341,6 +342,29 @@ class TestFigureCommand:
                              "--t-max", "2"]) == 0
         for name in ("fig2a_1.2_1.2.csv", "fig2a_1.8_1.8.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestJsonText:
+    # the JSON files are written directly; json.dumps is the reference. A
+    # float's repr parses back to the same float, so re-dumping the parsed
+    # file gives what json.dumps would have written for the command's values.
+    @pytest.mark.parametrize("argv", [
+        ["tomography"], ["tomography", "--identity-qubit2"], ["tomography", "--noiseless"],
+        ["tomography", "--t-max", "0"],
+        ["tomography", "--a1", "1.05", "--a2", "1.3", "--t-max", "300", "--dt", "0.25",
+         "--total", "500"],
+        *(["figure", "--figure", f, "--format", "json", "--t-max", "0.5"] for f in cli.FIGURES),
+        ["figure", "--figure", "4a", "--format", "json"]], ids=" ".join)
+    def test_equals_json_dumps(self, tmp_path, argv):
+        args = cli.build_parser().parse_args(argv + ["--out", str(tmp_path / "t.json")])
+        (text,) = args.func(args).values()
+        assert text == (json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n").encode()
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), {"a": [1.0, -np.inf]}, {"curves": [{"t": np.array([0.0, np.nan])}]}])
+    def test_non_finite_value_raises(self, value):
+        with pytest.raises(ValueError, match="which JSON cannot hold"):
+            cli._json(value)
 
 
 class TestSweepCommand:
@@ -520,8 +544,7 @@ class TestTomographyCommand:
         assert total == 10000
         p = AptParams(a=1.2)
         pair = (p, IDENTITY if flags == ["--identity-qubit2"] else p)
-        states = dynamics.evolve_pairs([pair], dynamics.time_grid(4.5, 0.5),
-                                       keep_states=True)[2][0]
+        states = truth_factors([pair], dynamics.time_grid(4.5, 0.5))[0]
         assert len(observed) == len(states) == 10
         for i, rho in enumerate(states):
             others = states[::-1].copy()
@@ -545,10 +568,11 @@ class TestTomographyCommand:
         assert abs(point["concurrence_mle"] - wootters_mp(estimates[0][0][7])) < 1e-14
 
     def test_estimates_are_factored_once(self, tmp_path, monkeypatch):
-        # draw_counts validates the truths, and the command factors the
-        # truths and the estimates once each: both measures take that factor
+        # the truths come from evolve_pairs as factors, which draw_counts
+        # validates and uhlmann takes; the command factors the estimates
+        # once: both measures take that factor
         shapes, estimates = [], []
-        for module in (cli, tomography):
+        for module in (cli, dynamics):
             factor = module.rank_factor
             monkeypatch.setattr(module, "rank_factor", lambda rho, factor=factor: (
                 shapes.append(np.shape(rho)) or factor(rho)))
@@ -557,10 +581,10 @@ class TestTomographyCommand:
             estimates.append(fit(observed, total)) or estimates[-1]))
         out = tmp_path / "t.json"
         assert cli.main(["tomography", "--out", str(out)]) == 0
-        assert shapes == [(10, 4, 4)] * 3
-        truths = dynamics.evolve_pairs([(AptParams(a=1.2), AptParams(a=1.2))],
-                                       dynamics.time_grid(4.5, 0.5), keep_states=True)[2][0]
-        fidelity = uhlmann(dynamics.rank_factor(truths), dynamics.rank_factor(estimates[0][0]))
+        assert shapes == [(10, 4, 4)]
+        truths = truth_factors([(AptParams(a=1.2), AptParams(a=1.2))],
+                               dynamics.time_grid(4.5, 0.5))[0]
+        fidelity = uhlmann(truths, dynamics.rank_factor(estimates[0][0]))
         assert [p["fidelity"] for p in json.loads(out.read_text())["points"]] == fidelity.tolist()
 
     def test_seeded_determinism(self, tmp_path):
@@ -591,7 +615,7 @@ class TestOutputFiles:
 
 class TestErrorMapping:
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch):
-        def explode(pairs, times, initial=None, keep_states=False):
+        def explode(pairs, times, initial=None):
             raise DegenerateNormError(1.0, 0.0)
 
         monkeypatch.setattr(cli, "evolve_pairs", explode)

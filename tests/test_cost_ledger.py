@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aptsim import cli, dynamics, tomography
+from aptsim import cli, dynamics
 
 LEDGER = Path(__file__).with_name("cost_ledger.json")
 PEAK_TOL = 0.02
@@ -51,7 +51,7 @@ def measure(argv):
         mp.setattr(module, name, wrapper)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (cli, dynamics, tomography):  # every binding of rank_factor
+        for module in (cli, dynamics):  # every binding of rank_factor
             counted(mp, module, "rank_factor", "rank_factor", lambda out: 1)
         counted(mp, cli, "evolve_pairs", "evolve_pairs", lambda out: 1)
         counted(mp, cli, "mle_fit", "fit_steps", lambda out: int(out[2].sum()))

@@ -10,6 +10,7 @@ from aptsim.dynamics import (MAX_SAMPLES, DegenerateNormError,
 from aptsim.propagator import IDENTITY, AptParams, Family, propagators
 
 from oracles import bell_mp, evolve_mp, maximally_mixed
+from trajkit import evolved_states
 
 
 class TestStatesAndValidation:
@@ -72,7 +73,7 @@ class TestStatesAndValidation:
 
     def test_stack_factor_matches_one_at_a_time(self):
         p1, p2 = AptParams(a=1.2), AptParams(a=0.8)
-        evolved = evolve_pairs([(p1, p2)], [0.0, 0.7, 3.1], keep_states=True)[2][0]
+        evolved = evolved_states([(p1, p2)], [0.0, 0.7, 3.1])[0]
         stack = np.concatenate([maximally_mixed()[None], evolved])
         factors = rank_factor(stack)
         for i, rho in enumerate(stack):
@@ -107,25 +108,24 @@ class TestEvolvedStates:
     def test_time_zero_returns_initial(self):
         p = AptParams(a=1.2)
         for rho0 in (bell_state(), maximally_mixed()):
-            rho = evolve_pairs([(p, p)], [0.0], rho0, keep_states=True)[2][0, 0]
+            rho = evolved_states([(p, p)], [0.0], rho0)[0, 0]
             assert np.allclose(rho, rho0, atol=1e-15)
 
     def test_bell_recovered_after_full_period(self):
         p = AptParams(a=1.2)
         period = np.pi / np.sqrt(1.2 ** 2 - 1.0)
-        rho = evolve_pairs([(p, p)], [period], keep_states=True)[2][0, 0]
+        rho = evolved_states([(p, p)], [period])[0, 0]
         overlap = float(np.real(np.vdot(bell_ket(), rho @ bell_ket())))
         assert overlap > 1.0 - 1e-9
 
     def test_output_satisfies_invariants(self):
         for a1, a2, t in ((1.2, 1.3, 3.0), (0.8, 0.8, 10.0), (1.0, 2.0, 5.0)):
-            rho = evolve_pairs([(AptParams(a=a1), AptParams(a=a2))], [t],
-                               keep_states=True)[2][0, 0]
+            rho = evolved_states([(AptParams(a=a1), AptParams(a=a2))], [t])[0, 0]
             rank_factor(rho)
 
     def test_identity_marker_applies_u_tensor_identity(self):
         p = AptParams(a=1.2)
-        got = evolve_pairs([(p, IDENTITY)], [1.0], keep_states=True)[2][0, 0]
+        got = evolved_states([(p, IDENTITY)], [1.0])[0, 0]
         u = np.kron(propagators(p, [1.0])[0], np.eye(2, dtype=complex))
         m = u @ bell_state() @ u.conj().T
         expected = (m + m.conj().T) / (2.0 * np.real(np.trace(m)))
@@ -142,10 +142,14 @@ class TestEvolvedStates:
             evolve_pairs([(p, p)], [0.5])
         assert err.value.t == 0.5
 
-    def test_keep_states(self):
+    def test_evolved_factors(self):
+        # the factor is a view of the kernel's product, not a copy, and
+        # F F^H / N is a state at every t
         p = AptParams(a=1.2)
         times = time_grid(0.5, 0.25)
-        states = evolve_pairs([(p, p)], times, keep_states=True)[2][0]
+        _, norms, factors = evolve_pairs([(p, p)], times)
+        assert factors.shape == (1, times.size, 4, 1) and not factors.flags.owndata
+        states = evolved_states([(p, p)], times)[0]
         assert len(states) == times.size
         for rho in states:
             rank_factor(rho)
@@ -340,7 +344,8 @@ class TestMixedStateReferee:
         t_max = min(t_max, 40.0 / max(_growth_rate(p1), _growth_rate(p2), 1e-3))
         rho0 = _random_state(rank, seed)
         times = time_grid(t_max, max(t_max / 3.0, 1e-3))
-        conc, norms, states = evolve_pairs([(p1, p2)], times, rho0, keep_states=True)
+        conc, norms, _ = evolve_pairs([(p1, p2)], times, rho0)
+        states = evolved_states([(p1, p2)], times, rho0)
         # the 40-digit oracle at the last three samples, up to t_max, where
         # a broken qubit's |U| is largest: each takes about 15 ms
         ref_c, ref_n, ref_rho = evolve_mp(rho0, p1, p2, times[-3:])
@@ -354,7 +359,7 @@ class TestMixedStateReferee:
     def test_kept_states_match_40_digit_evolution(self, state, regime):
         rho0, pair = _REFEREE_STATES[state], _REFEREE_PAIRS[regime]
         times = np.array([0.0, 1.3, 7.1, 20.0])
-        states = evolve_pairs([pair], times, rho0, keep_states=True)[2]
+        states = evolved_states([pair], times, rho0)
         ref_rho = evolve_mp(bell_state() if rho0 is None else rho0, *pair, times)[2]
         assert np.all(np.abs(states[0] - ref_rho) <= REFEREE_STATE_ABS)
 
@@ -387,16 +392,16 @@ class TestStackedEvolution:
         specs = [EvolutionSpec(p1=p1, p2=p2, t_max=t_max, dt=max(t_max / 50.0, 1e-3),
                                initial=initial) for p1, p2 in pairs]
         times = time_grid(specs[0].t_max, specs[0].dt)
-        conc, norms, states = evolve_pairs(pairs, times, initial, keep_states=True)
+        conc, norms, factors = evolve_pairs(pairs, times, initial)
         assert conc.shape == norms.shape == (len(pairs), times.size)
-        assert states.shape == (len(pairs), times.size, 4, 4)
+        assert factors.shape[:3] == (len(pairs), times.size, 4)
         for i, spec in enumerate(specs):
             traj = run(spec)
             assert np.array_equal(conc[i], traj.concurrence)
             assert np.array_equal(norms[i], traj.unnormalized_norm)
             # each pair's states do not depend on the rest of the stack
-            one = evolve_pairs([pairs[i]], times, initial, keep_states=True)[2]
-            assert np.array_equal(states[i], one[0])
+            one = evolve_pairs([pairs[i]], times, initial)[2]
+            assert np.array_equal(factors[i], one[0])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(pairs=st.lists(st.tuples(_QUBITS, st.one_of(_QUBITS, st.just(IDENTITY))),
@@ -413,10 +418,9 @@ class TestStackedEvolution:
         times = time_grid(t_max, t_max / steps)
         cut = data.draw(st.one_of(st.sampled_from((1, times.size - 1)),
                                   st.integers(1, times.size - 1)))
-        whole = evolve_pairs(pairs, times, initial, keep_states=True)
-        parts = [evolve_pairs(pairs, piece, initial, keep_states=True)
-                 for piece in (times[:cut], times[cut:])]
-        for i, name in enumerate(("conc", "norms", "states")):
+        whole = evolve_pairs(pairs, times, initial)
+        parts = [evolve_pairs(pairs, piece, initial) for piece in (times[:cut], times[cut:])]
+        for i, name in enumerate(("conc", "norms", "factors")):
             assert np.array_equal(np.concatenate([part[i] for part in parts], axis=1),
                                   whole[i]), name
 
@@ -430,11 +434,10 @@ class TestStackedEvolution:
     def test_one_sample_pieces_equal_whole_bit_for_bit(self, pair, rank):
         initial = None if rank is None else _random_state(rank, 11)
         times = time_grid(5.0, 0.05)
-        whole = evolve_pairs([pair], times, initial, keep_states=True)
+        whole = evolve_pairs([pair], times, initial)
         for cut in (1, times.size - 1):
-            parts = [evolve_pairs([pair], piece, initial, keep_states=True)
-                     for piece in (times[:cut], times[cut:])]
-            for i, name in enumerate(("conc", "norms", "states")):
+            parts = [evolve_pairs([pair], piece, initial) for piece in (times[:cut], times[cut:])]
+            for i, name in enumerate(("conc", "norms", "factors")):
                 assert np.array_equal(np.concatenate([part[i] for part in parts], axis=1),
                                       whole[i]), (cut, name)
         # every sample of run's grid, evolved as a grid of its own

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import aptsim
 from aptsim import tomography
-from aptsim.dynamics import bell_state, evolve_pairs, rank_factor, time_grid
+from aptsim.dynamics import (InvalidStateError, bell_ket, bell_state, evolve_pairs, rank_factor,
+                             time_grid)
 from aptsim.linalg import uhlmann, wootters
 from aptsim.optics import hwp, qwp
 from aptsim.propagator import AptParams
@@ -20,6 +21,7 @@ from aptsim.tomography import (BASIS_LABELS, MleConvergenceError, draw_counts,
                                mle_fit)
 
 from oracles import maximally_mixed
+from trajkit import evolved_states, truth_factors
 
 # (QWP, HWP) setting angles, degrees, that project one photon onto each
 # single-photon state of the 16 bases of James, Kwiat, Munro & White
@@ -31,6 +33,7 @@ SETTINGS = {
     "R": (0.0, 22.5),
     "L": (45.0, 0.0),
 }
+BELL = rank_factor(bell_state())[None]  # the factor of one Bell state
 Basis = namedtuple("Basis", "label ket settings")  # settings: ((qwp1, hwp1), (qwp2, hwp2))
 # each basis in BASIS_LABELS order, with the ket that the fit projects onto
 BASES = [Basis(label, ket, (SETTINGS[label[0]], SETTINGS[label[1]]))
@@ -80,73 +83,99 @@ class TestDrawCounts:
     def test_eigenstate_projection(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0  # |HH><HH|
-        expected = dict(zip(BASIS_LABELS, draw_counts(rho[None], total=5000, seed=3)[0][0]))
+        expected = dict(zip(BASIS_LABELS,
+                            draw_counts(rank_factor(rho)[None], total=5000, seed=3)[0][0]))
         assert expected["HH"] == pytest.approx(5000.0, abs=1e-9)
         assert expected["VV"] == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_expected_counts(self):
-        expected = dict(zip(BASIS_LABELS,
-                            draw_counts(bell_state()[None], total=10000, seed=3)[0][0]))
+        expected = dict(zip(BASIS_LABELS, draw_counts(BELL, total=10000, seed=3)[0][0]))
         assert expected["HH"] == pytest.approx(0.0, abs=1e-9)
         assert expected["HV"] == pytest.approx(5000.0, abs=1e-9)
         assert expected["VH"] == pytest.approx(5000.0, abs=1e-9)
         assert expected["DD"] == pytest.approx(5000.0, abs=1e-9)
 
     def test_expected_within_range(self):
-        rho = evolve_pairs([(AptParams(a=1.2), AptParams(a=1.3))], [2.0], keep_states=True)[2][0, 0]
-        for e in draw_counts(rho[None], total=1234, seed=0)[0][0]:
+        truth = truth_factors([(AptParams(a=1.2), AptParams(a=1.3))], [2.0])[0]
+        for e in draw_counts(truth, total=1234, seed=0)[0][0]:
             assert 0.0 <= e <= 1234.0
 
     def test_seeded_determinism(self):
-        a = draw_counts(bell_state()[None], total=10000, seed=77)[1]
-        b = draw_counts(bell_state()[None], total=10000, seed=77)[1]
-        c = draw_counts(bell_state()[None], total=10000, seed=78)[1]
+        a = draw_counts(BELL, total=10000, seed=77)[1]
+        b = draw_counts(BELL, total=10000, seed=77)[1]
+        c = draw_counts(BELL, total=10000, seed=78)[1]
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_next_seed_shares_no_stream(self):
         # point 1 of seed 0 and point 0 of seed 1 draw from generators of
         # their own, not both from one seeded with 1
-        rho = bell_state()
-        shifted = draw_counts(np.stack([rho, rho]), total=10000, seed=0)[1][1]
-        assert not np.array_equal(shifted, draw_counts(rho[None], total=10000, seed=1)[1][0])
+        shifted = draw_counts(np.concatenate([BELL, BELL]), total=10000, seed=0)[1][1]
+        assert not np.array_equal(shifted, draw_counts(BELL, total=10000, seed=1)[1][0])
 
     def test_seed_fits_one_word(self):
         # numpy splits a seed >= 2**32 into 32-bit words: [2**32, 0] would
         # draw point 1 of seed 0's stream
-        rho = bell_state()[None]
-        assert draw_counts(rho, total=10000, seed=2 ** 32 - 1)[1].shape == (1, 16)
+        assert draw_counts(BELL, total=10000, seed=2 ** 32 - 1)[1].shape == (1, 16)
         for seed in (-1, 2 ** 32, 2 ** 64):
             with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*32\)"):
-                draw_counts(rho, total=10000, seed=seed)
+                draw_counts(BELL, total=10000, seed=seed)
 
     def test_noiseless_mode(self):
-        expected, observed = draw_counts(bell_state()[None], total=999, seed=0, noiseless=True)
+        expected, observed = draw_counts(BELL, total=999, seed=0, noiseless=True)
         for e, o in zip(expected[0], observed[0]):
             assert o == round(e)
 
     def test_rejects_nonpositive_total(self):
         with pytest.raises(ValueError):
-            draw_counts(bell_state()[None], total=0)
+            draw_counts(BELL, total=0)
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "factor 1: non-finite entries"),
+        (np.inf, "factor 1: non-finite entries"),
+        (1.0, "factor 1: trace is 1.5, expected 1"),
+        (None, "expected a (..., 4, r) factor, got shape (3, 3, 1)")],
+        ids=["nan", "inf", "trace", "shape"])
+    def test_names_the_first_bad_factor(self, bad, message):
+        # factor 2 is bad too: the first bad one is named
+        factors = np.repeat(bell_ket()[None, :, None], 3, axis=0)
+        if bad is None:
+            factors = factors[:, :3]
+        else:
+            factors[1, 1, 0] = bad
+            factors[2] *= 2.0
+        with pytest.raises(InvalidStateError, match="^" + re.escape(message) + "$"):
+            draw_counts(factors, total=10000, seed=0)
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_expected_is_the_state_probability(self, rank):
+        # the expected counts over the total are <b|F F^H|b>, to rounding
+        f = np.random.default_rng(rank).normal(size=(5, 4, rank, 2)).view(complex)[..., 0]
+        f /= np.sqrt((np.abs(f) ** 2).sum(axis=(1, 2)))[:, None, None]
+        kets = tomography._KETS
+        rho = f @ f.conj().swapaxes(-1, -2)
+        p = np.real(np.einsum("bi,pij,bj->pb", kets.conj(), rho, kets))
+        assert np.max(np.abs(draw_counts(f, total=1, seed=0)[0] - p)) <= 1e-15
 
 
 class TestMleFit:
     def test_noiseless_bell(self):
-        observed = draw_counts(bell_state()[None], total=10000, seed=0, noiseless=True)[1]
+        observed = draw_counts(BELL, total=10000, seed=0, noiseless=True)[1]
         rho_hat = mle_fit(observed, 10000)[0]
         fids = uhlmann(rank_factor(bell_state()[None]), rank_factor(rho_hat))
         assert fids[0] > 0.999
         assert wootters(rank_factor(rho_hat[0]))[0] > 0.998
 
     def test_noiseless_maximally_mixed(self):
-        observed = draw_counts(maximally_mixed()[None], total=10000, seed=0, noiseless=True)[1]
+        observed = draw_counts(rank_factor(maximally_mixed())[None], total=10000, seed=0,
+                               noiseless=True)[1]
         fids = uhlmann(rank_factor(maximally_mixed()[None]),
                        rank_factor(mle_fit(observed, 10000)[0]))
         assert fids[0] > 0.999
 
     def test_output_always_physical(self):
-        rho = evolve_pairs([(AptParams(a=1.2), AptParams(a=1.3))], [1.0], keep_states=True)[2][0, 0]
-        observed = draw_counts(rho[None], total=500, seed=5)[1]
+        truth = truth_factors([(AptParams(a=1.2), AptParams(a=1.3))], [1.0])[0]
+        observed = draw_counts(truth, total=500, seed=5)[1]
         result = mle_fit(observed, 500)
         rho_hat, _, iterations = result
         rank_factor(rho_hat[0])
@@ -154,7 +183,7 @@ class TestMleFit:
         assert iterations[0] > 0
 
     def test_log_likelihood_is_poisson(self):
-        observed = draw_counts(bell_state()[None], total=1000, seed=9)[1]
+        observed = draw_counts(BELL, total=1000, seed=9)[1]
         rho_hat, log_likelihood, _ = mle_fit(observed, 1000)
         mus = np.array([1000 * max(float(np.real(np.vdot(ket, rho_hat[0] @ ket))), 1e-14)
                         for ket in tomography._KETS])
@@ -162,20 +191,20 @@ class TestMleFit:
         assert log_likelihood[0] == pytest.approx(expected_ll, abs=1e-6)
 
     def test_fidelity_improves_with_counts(self):
-        rho = evolve_pairs([(AptParams(a=1.2), AptParams(a=1.2))], [1.0], keep_states=True)[2][0, 0]
+        truth = truth_factors([(AptParams(a=1.2), AptParams(a=1.2))], [1.0])[0]
         medians = []
         for total in (1000, 10000, 1000000):
             fids = []
             for seed in range(15):
-                observed = draw_counts(rho[None], total=total, seed=500 + seed)[1]
+                observed = draw_counts(truth, total=total, seed=500 + seed)[1]
                 rho_hat = mle_fit(observed, total)[0]
-                fids.append(uhlmann(rank_factor(rho[None]), rank_factor(rho_hat))[0])
+                fids.append(uhlmann(truth, rank_factor(rho_hat))[0])
             medians.append(float(np.median(fids)))
         assert medians[0] <= medians[1] <= medians[2]
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(tomography, "MAX_PASSES", 2)
-        observed = draw_counts(bell_state()[None], total=10000, seed=1)[1]
+        observed = draw_counts(BELL, total=10000, seed=1)[1]
         with pytest.raises(MleConvergenceError):
             mle_fit(observed, 10000)
 
@@ -212,8 +241,8 @@ class TestMleFitInput:
 
 
 @pytest.mark.parametrize("call,shapes", [
-    (lambda: evolve_pairs([], [0.0, 1.0]), [(0, 2), (0, 2), None]),
-    (lambda: evolve_pairs([], [0.0, 1.0], keep_states=True), [(0, 2), (0, 2), (0, 2, 4, 4)]),
+    (lambda: evolve_pairs([], [0.0, 1.0]), [(0, 2), (0, 2), (0, 2, 4, 1)]),
+    (lambda: evolve_pairs([], [0.0, 1.0], maximally_mixed()), [(0, 2), (0, 2), (0, 2, 4, 4)]),
     (lambda: [rank_factor(np.zeros((0, 4, 4)))], [(0, 4, 4)]),
     (lambda: draw_counts(np.zeros((0, 4, 4))), [(0, 16), (0, 16)]),
     (lambda: mle_fit(draw_counts(np.zeros((0, 4, 4)))[1], tomography.DEFAULT_TOTAL),
@@ -221,8 +250,9 @@ class TestMleFitInput:
     ids=["evolve_pairs", "evolve_pairs-states", "rank_factor", "draw_counts",
          "draw_counts-mle_fit"])
 def test_empty_stack_has_documented_shapes(call, shapes):
-    # P = 0 pairs, states or points: each result has its stated shape, with P = 0
-    assert [None if x is None else x.shape for x in call()] == shapes
+    # P = 0 pairs, states or points: each result has its stated shape, with
+    # P = 0; the Bell state's factor has rank 1, a full-rank state's 4
+    assert [x.shape for x in call()] == shapes
 
 
 def _frank_wolfe_gap(rho, observed, total):
@@ -257,7 +287,7 @@ class TestMleOptimality:
            count_seed=st.integers(0, 2 ** 31 - 1), log_total=st.floats(2.0, 6.0))
     def test_frank_wolfe_gap_at_estimate(self, rank, state_seed, count_seed, log_total):
         total = int(10 ** log_total)
-        observed = draw_counts(_random_state(rank, state_seed)[None], total=total,
+        observed = draw_counts(rank_factor(_random_state(rank, state_seed))[None], total=total,
                                seed=count_seed)[1]
         rho_hat = mle_fit(observed, total)[0]
         gap = _frank_wolfe_gap(rho_hat[0], observed[0], total)
@@ -266,7 +296,7 @@ class TestMleOptimality:
     def test_batch_matches_one_at_a_time(self):
         p = AptParams(a=1.2)
         observed = np.concatenate([
-            draw_counts(evolve_pairs([(p, p)], [0.5 * i], keep_states=True)[2][0], total=10000,
+            draw_counts(truth_factors([(p, p)], [0.5 * i])[0], total=10000,
                         seed=40 + i, noiseless=i % 3 == 2)[1] for i in range(10)])
         rho, _, iterations = mle_fit(observed, 10000)
         rho_reversed, _, iterations_reversed = mle_fit(observed[::-1], 10000)
@@ -279,18 +309,17 @@ class TestMleOptimality:
 
     def test_batched_fidelities_match_one_at_a_time(self):
         p = AptParams(a=0.8)
-        truths = evolve_pairs([(p, p)], 0.5 * np.arange(10), keep_states=True)[2][0]
-        observed = np.concatenate([draw_counts(rho[None], total=2000, seed=60 + i,
+        truths = truth_factors([(p, p)], 0.5 * np.arange(10))[0]
+        observed = np.concatenate([draw_counts(truth[None], total=2000, seed=60 + i,
                                                noiseless=i == 4)[1]
-                                   for i, rho in enumerate(truths)])
+                                   for i, truth in enumerate(truths)])
         rho_hat = mle_fit(observed, 2000)[0]
-        fids = uhlmann(rank_factor(truths), rank_factor(rho_hat))  # two stacks: a (P,) array
+        fids = uhlmann(truths, rank_factor(rho_hat))  # two stacks: a (P,) array
         assert fids.shape == (10,)
         for i in range(10):
-            alone = uhlmann(rank_factor(truths[i:i + 1]),
-                            rank_factor(mle_fit(observed[i:i + 1], 2000)[0]))
+            alone = uhlmann(truths[i:i + 1], rank_factor(mle_fit(observed[i:i + 1], 2000)[0]))
             assert fids[i] == alone[0]
-            single = uhlmann(rank_factor(truths[i]), rank_factor(rho_hat[i]))  # one value
+            single = uhlmann(truths[i], rank_factor(rho_hat[i]))  # one value
             assert single.shape == () and fids[i] == single
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -304,7 +333,7 @@ class TestMleOptimality:
         eps = 10.0 ** log_eps
         rho = (1.0 - eps) * _random_state(1, state_seed) + eps * _random_state(rank, noise_seed)
         total = int(10 ** log_total)
-        observed = draw_counts(rho[None], total=total, seed=count_seed)[1]
+        observed = draw_counts(rank_factor(rho)[None], total=total, seed=count_seed)[1]
         rho_hat = mle_fit(observed, total)[0]
         gap = _frank_wolfe_gap(rho_hat[0], observed[0], total)
         assert gap < self.GAP_PER_COUNT * 16 * total
@@ -324,14 +353,14 @@ class TestMleOptimality:
         # `tomography --seed s` at its defaults for s = 0-29; a run's slowest
         # point sets its cost. The mean of the largest `iterations` is 10.7.
         p = AptParams(a=1.2)
-        states = evolve_pairs([(p, p)], time_grid(4.5, 0.5), keep_states=True)[2][0]
+        states = truth_factors([(p, p)], time_grid(4.5, 0.5))[0]
         worst = [mle_fit(draw_counts(states, total=10000, seed=s)[1], 10000)[2].max()
                  for s in range(30)]
         assert np.mean(worst) <= 30
 
     def test_batch_is_bit_for_bit_independent(self):
         p = AptParams(a=1.2)
-        states = evolve_pairs([(p, p)], time_grid(4.5, 0.5), keep_states=True)[2][0]
+        states = truth_factors([(p, p)], time_grid(4.5, 0.5))[0]
         observed = np.concatenate([draw_counts(states, total=10000, seed=10,
                                                noiseless=noiseless)[1]
                                    for noiseless in (False, True)])
@@ -349,7 +378,7 @@ class TestMleOptimality:
         # 20 CLI-default points, noisy and noiseless, fitted in consecutive
         # batches of each size against each point fitted alone
         p = AptParams(a=1.2)
-        states = evolve_pairs([(p, p)], time_grid(4.5, 0.5), keep_states=True)[2][0]
+        states = truth_factors([(p, p)], time_grid(4.5, 0.5))[0]
         observed = np.concatenate([draw_counts(states, 10000, 30, noiseless)[1]
                                    for noiseless in (False, True)])
         alone = [mle_fit(observed[i:i + 1], 10000) for i in range(20)]
@@ -371,7 +400,7 @@ class TestMleOptimality:
         monkeypatch.setattr(tomography, "MAX_PASSES", 60)
         monkeypatch.setattr(tomography, "_frank_wolfe_step",
                             lambda x, *rest: steps.append(len(x)) or real_step(x, *rest))
-        observed = draw_counts(bell_state()[None], total=10000, seed=1)[1]
+        observed = draw_counts(BELL, total=10000, seed=1)[1]
         with pytest.raises(MleConvergenceError):
             mle_fit(observed, 10000)
         assert len(steps) > 2
@@ -391,7 +420,7 @@ class TestMleOptimality:
         assert gap < self.GAP_PER_COUNT * 16 * 10000
         # the Frank-Wolfe step keeps the point's fit independent of its batch
         p = AptParams(a=1.2)
-        states = evolve_pairs([(p, p)], time_grid(4.5, 0.5), keep_states=True)[2][0]
+        states = truth_factors([(p, p)], time_grid(4.5, 0.5))[0]
         batch = np.concatenate([draw_counts(states, total=10000, seed=3)[1], observed])
         result = mle_fit(batch, 10000)
         for fitted, one in zip(result, alone):
@@ -400,7 +429,7 @@ class TestMleOptimality:
     def test_batch_error_names_stalled_points(self, monkeypatch):
         # two Bell states drawn with seed 1
         monkeypatch.setattr(tomography, "MAX_PASSES", 2)
-        observed = draw_counts(np.array([bell_state()] * 2), total=10000, seed=1)[1]
+        observed = draw_counts(np.concatenate([BELL] * 2), total=10000, seed=1)[1]
         with pytest.raises(MleConvergenceError) as err:
             mle_fit(observed, 10000)
         assert err.value.points == (0, 1)
@@ -421,7 +450,7 @@ class TestFidelity:
         # both factors come from eigh, cut at rank_factor's threshold, and no
         # square root of a noise eigenvalue is taken: a rank-1 state is 1 to
         # a few eps
-        rho = evolve_pairs([(AptParams(a=1.2), AptParams(a=1.3))], [1.0], keep_states=True)[2][0, 0]
+        rho = evolved_states([(AptParams(a=1.2), AptParams(a=1.3))], [1.0])[0, 0]
         assert uhlmann(rank_factor(rho), rank_factor(rho)) == pytest.approx(1.0, abs=1e-14)
 
     def test_orthogonal_pure_states(self):
@@ -436,7 +465,7 @@ class TestFidelity:
             0.25, abs=1e-14)
 
     def test_symmetry(self):
-        a = evolve_pairs([(AptParams(a=1.2), AptParams(a=1.3))], [0.7], keep_states=True)[2][0, 0]
+        a = evolved_states([(AptParams(a=1.2), AptParams(a=1.3))], [0.7])[0, 0]
         b = maximally_mixed()
         factor_a, factor_b = rank_factor(a), rank_factor(b)
         assert uhlmann(factor_a, factor_b) == pytest.approx(uhlmann(factor_b, factor_a), abs=1e-14)

@@ -9,10 +9,25 @@ from aptsim.dynamics import bell_state, evolve_pairs, rank_factor
 from aptsim.linalg import wootters
 
 
+def truth_factors(pairs, times, initial=None):
+    """(P, T, 4, r) factors of the normalized evolved states, evolve_pairs'
+    factor over sqrt(N(t)), as the tomography command makes them."""
+    _, norms, kets = evolve_pairs(pairs, times, initial)
+    return kets / np.sqrt(norms)[..., None, None]
+
+
+def evolved_states(pairs, times, initial=None):
+    """(P, T, 4, 4) normalized evolved states, the Hermitian part of
+    F F^H / N(t) for evolve_pairs' factor F."""
+    _, norms, kets = evolve_pairs(pairs, times, initial)
+    m = kets @ kets.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / (2.0 * norms[..., None, None])
+
+
 def brute_concurrence(p1, p2, t, initial=None):
     """Single-point concurrence of the evolved state, full matrix route."""
     rho0 = bell_state() if initial is None else initial
-    rho = evolve_pairs([(p1, p2)], [t], rho0, keep_states=True)[2][0, 0]
+    rho = evolved_states([(p1, p2)], [t], rho0)[0, 0]
     return wootters(rank_factor(rho))[0]
 
 

@@ -15,7 +15,8 @@ peak. That text and the `tomography` report come from `_json`, which writes
 exactly what json.dumps(indent=2, sort_keys=True) would, float columns
 checked at once, and raises where json would write NaN or Infinity.
 `tomography` takes the evolved factors over sqrt(N) as its true states for
-the counts and the fidelity, and factors only its estimates.
+the counts and the fidelity, and the fit's own factors as its estimates:
+it factors no state.
 `decompose` keeps one `%` format per row: its tables have about 50 rows,
 too few to pay for the encoder's cost per call. Every command, which its
 subparser holds as `func`, takes its time grid from dynamics.time_grid and
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import MAX_SAMPLES, evolve_pairs, rank_factor, time_grid
+from .dynamics import MAX_SAMPLES, evolve_pairs, time_grid
 from .linalg import uhlmann, wootters
 from .optics import decompose_grid
 from .propagator import IDENTITY, AptParams, Family
@@ -217,28 +218,40 @@ def _blocks(n_curves, n_rows):
 _STRING = json.encoder.encode_basestring_ascii  # how json.dumps writes a str
 
 
-def _json(value, indent="\n"):
+def _json(value, indent="\n", columns=None):
     """json.dumps(value, indent=2, sort_keys=True), written directly, for the
     dicts, lists, 1-D float arrays, str, bool, int and float of a report; a
     float that is not finite raises ValueError, where json would write NaN or
-    Infinity. `indent` is the newline and indentation of value's own lines."""
+    Infinity. `indent` is the newline and indentation of value's own lines.
+    An array is written once per indent, however often it appears (every
+    figure curve holds the one time grid): `columns` keeps its text by
+    (id, indent) for the call that writes the whole value."""
     inner = indent + "  "
+    columns = {} if columns is None else columns
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"a report value is {value!r}, which JSON cannot hold")
         return float.__repr__(value)
     if isinstance(value, np.ndarray):  # a column of floats, checked at once
-        write = float.__repr__ if np.isfinite(value).all() else _json  # _json raises
-        items = list(map(write, value.tolist()))
-    elif isinstance(value, list):
-        items = [_json(v, inner) for v in value]
-    elif isinstance(value, dict):
-        items = [f"{_STRING(key)}: {_json(value[key], inner)}" for key in sorted(value)]
-    elif isinstance(value, str):
+        key = (id(value), indent)
+        if key not in columns:
+            write = float.__repr__ if np.isfinite(value).all() else _json  # _json raises
+            columns[key] = _bracket("[]", list(map(write, value.tolist())), indent)
+        return columns[key]
+    if isinstance(value, list):
+        return _bracket("[]", [_json(v, inner, columns) for v in value], indent)
+    if isinstance(value, dict):
+        return _bracket("{}", [f"{_STRING(key)}: {_json(value[key], inner, columns)}"
+                               for key in sorted(value)], indent)
+    if isinstance(value, str):
         return _STRING(value)
-    else:
-        return "true" if value is True else "false" if value is False else int.__repr__(value)
-    left, right = "{}" if isinstance(value, dict) else "[]"
+    return "true" if value is True else "false" if value is False else int.__repr__(value)
+
+
+def _bracket(brackets, items, indent):
+    """The JSON text of items inside brackets, one item per line below indent."""
+    left, right = brackets
+    inner = indent + "  "
     return left + inner + ("," + inner).join(items) + indent + right if items else left + right
 
 
@@ -327,11 +340,11 @@ def run_tomography(args):
     observed = draw_counts(truths, total=args.total, seed=args.seed,
                            noiseless=args.noiseless)[1]
     try:
-        rho_hat, log_likelihood, iterations = mle_fit(observed, args.total)
+        factor, log_likelihood, iterations = mle_fit(observed, args.total)
     except MleConvergenceError as exc:
         raise MleConvergenceError(f"t={float(times[exc.points[0]]):g}: {exc}",
                                   exc.points) from exc
-    factor = rank_factor(rho_hat)  # both measures of an estimate take its one factor
+    # both measures of an estimate take the fit's own factor
     columns = {"t": times, "fidelity": uhlmann(truths, factor),
                "concurrence_theory": conc, "concurrence_mle": wootters(factor)[0],
                "log_likelihood": log_likelihood, "iterations": iterations}

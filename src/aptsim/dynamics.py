@@ -6,14 +6,15 @@ pairs (p1, p2) over one time grid, such as time_grid() validates and returns;
 the CLI commands call it once per block of their curves, and run() is its
 P = 1 case over time_grid(spec.t_max, spec.dt). rho0 = F F^H is factored once
 by rank_factor(), whose eigh also checks that rho0 is a state, and F drops
-its zero columns; the Bell state's factor is a module constant, neither
-validated nor factored again. Each column of F, as a 2x2 block F_k, evolves
-as U1(t) F_k U2(t)^T over the whole grid at once, from t = 0 at absolute
-time, with the propagator terms of each distinct qubit taken once; a qubit
-that does not evolve is propagator.IDENTITY, gamma = 0, whose terms are
-those of H = 0. The norm is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes
-from the same F (linalg.wootters), and local filtering (Verstraete, Dehaene
-& De Moor, PRA 64, 010101, 2001) with |det U| = 1 for traceless H gives
+its zero columns; the Bell state's factor and its concurrence are module
+constants, neither validated, factored nor measured again. Each column of
+F, as a 2x2 block F_k, evolves as U1(t) F_k U2(t)^T over the whole grid at
+once, from t = 0 at absolute time, with the propagator terms of each
+distinct qubit taken once; a qubit that does not evolve is
+propagator.IDENTITY, gamma = 0, whose terms are those of H = 0. The norm
+is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes from the same F
+(linalg.wootters), and local filtering (Verstraete, Dehaene & De Moor,
+PRA 64, 010101, 2001) with |det U| = 1 for traceless H gives
 C(t) = C(rho0) / N(t): no eigensolver per sample, and no cancellation
 where the state's entries grow large. The evolved states are handed out as
 their factor, rho(t) = F(t) F(t)^H / N(t), never as 4x4 matrices: the
@@ -96,9 +97,11 @@ def rank_factor(rho):
     return v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
 
 
-# eigh is deterministic, so this is the factor rank_factor(bell_state()) gives
+# eigh is deterministic, so this is the factor rank_factor(bell_state()) gives,
+# and C(rho0) is the one evolve_pairs would take from it
 _BELL_FACTOR = rank_factor(bell_state())
 _BELL_FACTOR.flags.writeable = False
+_BELL_CONCURRENCE = wootters(_BELL_FACTOR[:, _BELL_FACTOR.any(axis=0)])[0]
 
 
 def _samples(t_max, dt):
@@ -182,7 +185,8 @@ def evolve_pairs(pairs, times, initial=None):
         if np.isfinite(norm):
             raise DegenerateNormError(t, norm)
         raise OverflowError(f"evolution norm is not finite at t={t}: {norm!r}")
-    conc = np.minimum(wootters(factor)[0] / norms, 1.0)
+    initial_concurrence = _BELL_CONCURRENCE if initial is None else wootters(factor)[0]
+    conc = np.minimum(initial_concurrence / norms, 1.0)
     # the blocks' rows vec(U1 F_k U2^T) are the columns of the evolved factor
     kets = flat.view(complex).reshape(len(pairs), times.size, len(f), 4)
     return conc, norms, kets.swapaxes(-1, -2)

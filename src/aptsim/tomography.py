@@ -1,10 +1,10 @@
 """Measurement chain: Poisson counts in the 16 two-photon bases of James,
 Kwiat, Munro & White (PRA 64, 052312, 2001), and the maximum-likelihood
-estimate, whose rank_factor factor linalg.uhlmann and linalg.wootters take.
-Every state of the chain is a factor F, rho = F F^H: the truths that
-draw_counts takes, and the fit's own T. One formula, _probabilities,
-p_b = sum_j |<b|F_j>|^2, gives the expected counts, the fit's probabilities
-and the reported log-likelihood.
+estimate. Every state of the chain is a factor F, rho = F F^H: the truths
+that draw_counts takes, and the estimates that mle_fit returns, the fit's
+own factor T, which linalg.uhlmann and linalg.wootters take as they are.
+One formula, _probabilities, p_b = sum_j |<b|F_j>|^2, gives the expected
+counts, the fit's probabilities and the reported log-likelihood.
 
 The fit minimizes f(rho) = sum_b [N p_b - n_b log p_b], p_b = <b|rho|b>,
 the negative Poisson log-likelihood up to a constant, over rho = T T^H with
@@ -18,8 +18,12 @@ and Newton resumes from it. The pass in which every point left stops runs
 no line search. Each point of a batch keeps its own factor,
 damping, stopping test and step count, so its estimate does not depend on
 the batch: its products are stacked matmuls with the batch leading, one BLAS
-call per point, and never a 2-D GEMM whose rows are the batch.
+call per point, and never a 2-D GEMM whose rows are the batch. A pass writes
+its factors and its bordered Newton system into buffers that the fit
+allocates once; rows that stop leave the loop and the buffers' tail.
 """
+
+import itertools
 
 import numpy as np
 
@@ -58,6 +62,8 @@ _TOL_DECREMENT = 1e-13
 _TOL_GAP = 1e-6
 _ARMIJO = 1e-4
 _STEPS = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.25, 0.125, 0.0625])
+_STEPS_SQUARED = _STEPS ** 2
+_ARMIJO_STEPS = -_ARMIJO * _STEPS  # Armijo's bound on f(s) - f per unit slope
 _DAMPING = 1e-12
 _WEIGHT = 1.0 / 16.0  # N_b / sum_b N_b: one total N in every basis
 # p_b is floored here before any logarithm or division, in the fit and in
@@ -73,6 +79,26 @@ _ROW, _COL, _PART = np.array([(i, j, part) for i in range(4) for j in range(i + 
 _X_INDEX = (4 * _ROW + _COL) * 2 + _PART
 _G_SOURCE = (4 * _ROW[:, None] + _ROW) * 2 + (_PART[:, None] != _PART)
 _G_SIGN = 2.0 * (_COL[:, None] == _COL) * np.where((_PART[:, None] == 0) & (_PART == 1), -1.0, 1.0)
+# dp[k, b] = dp_b/dx_k is entry b * 32 + _X_INDEX[k] of the (16, 32) float
+# table 2 K_bi Y_bj
+_DP_SOURCE = _X_INDEX[:, None] + 32 * np.arange(16)
+_EYE = np.eye(16)
+
+
+def _order_tables():
+    """The ket tables of the fit for each of the 24 pivot orders of the rows
+    of T: conj(K), 2 K as (16, 4, 1) and the (16, 32) float table of
+    |b><b|, with the kets' entries in that row order; and the (4, 4, 4, 4)
+    table of each order's row in them."""
+    orders = np.array(list(itertools.permutations(range(4))))
+    kets = np.ascontiguousarray(_KETS[:, orders].transpose(1, 0, 2))
+    outer = (kets[:, :, :, None] * kets.conj()[:, :, None, :]).view(float).reshape(-1, 16, 32)
+    index = np.zeros((4,) * 4, dtype=int)
+    index[tuple(orders.T)] = np.arange(len(orders))
+    return kets.conj(), 2.0 * kets[:, :, :, None], outer, index
+
+
+_ORDER_CONJ_KETS, _ORDER_TWICE_KETS, _ORDER_PROJECTORS, _ORDER_INDEX = _order_tables()
 
 
 class MleConvergenceError(ArithmeticError):
@@ -120,8 +146,11 @@ def draw_counts(factors, total=DEFAULT_TOTAL, seed=0, noiseless=False):
     expected = np.clip(_probabilities(_KETS.conj(), f)[0] * total, 0.0, total)
     if noiseless:
         return expected, np.rint(expected)
-    return expected, np.array([np.random.default_rng([seed, i]).poisson(e)
-                               for i, e in enumerate(expected)]).reshape(expected.shape)
+    # the key [seed, i] as two uint32 words seeds the stream of the list
+    # [seed, i], and is built faster
+    draws = [np.random.default_rng(np.array([seed, i], dtype=np.uint32)).poisson(e)
+             for i, e in enumerate(expected)]
+    return expected, np.array(draws).reshape(expected.shape)
 
 
 def _project(m):
@@ -146,31 +175,32 @@ def _start(rho):
     """Unit coordinates of the Cholesky factor of (1 - _MIX) rho + _MIX I/4
     in diagonal-pivoting order, so the columns that vanish at a rank-deficient
     optimum come last; that order; and the kets in it, as conj(K), 2 K and
-    the (P,16,32) float table of |b><b|."""
+    the (P,16,32) float table of |b><b|, gathered from _order_tables'."""
     m = (1.0 - _MIX) * rho + (_MIX / 4.0) * np.eye(4)
     rows, order = np.arange(len(m)), np.zeros((len(m), 4), dtype=int)
     schur, free = m, np.ones((len(m), 4), dtype=bool)
-    for k in range(4):
+    for k in range(3):
         diag = np.where(free, np.real(np.diagonal(schur, axis1=1, axis2=2)), -np.inf)
         order[:, k] = pivot = diag.argmax(axis=1)
         free[rows, pivot] = False
         col = schur[rows, :, pivot] / np.sqrt(diag[rows, pivot])[:, None]
         schur = schur - col[:, :, None] * col.conj()[:, None, :]
-    m = np.take_along_axis(np.take_along_axis(m, order[:, :, None], 1), order[:, None, :], 2)
+    order[:, 3] = 6 - order[:, :3].sum(axis=1)  # the last pivot is the one left
+    m = m[rows[:, None, None], order[:, :, None], order[:, None, :]]
     x = np.take(np.linalg.cholesky(m).view(float).reshape(-1, 32), _X_INDEX, axis=1)
-    kets = np.ascontiguousarray(_KETS[:, order].transpose(1, 0, 2))
-    outer = (kets[:, :, :, None] * kets.conj()[:, :, None, :]).view(float).reshape(-1, 16, 32)
-    return (x / np.sqrt((x * x).sum(axis=1, keepdims=True)), order, kets.conj(),
-            2.0 * kets[:, :, :, None], outer)
+    i = _ORDER_INDEX[tuple(order.T)]
+    return (x / np.sqrt((x * x).sum(axis=1, keepdims=True)), order, _ORDER_CONJ_KETS[i],
+            _ORDER_TWICE_KETS[i], _ORDER_PROJECTORS[i])
 
 
-def _armijo(p, pf, delta, n, lengths, slope):
-    """Armijo's test f(s) - f <= -_ARMIJO * length * slope at L lengths, for
-    (P,16) probabilities p, floored pf and (P,16,L) changes delta of p: whether
-    any length passes, and the index of the passing one that lowers f most."""
+def _armijo(p, pf, delta, n, bound, slope):
+    """Armijo's test f(s) - f <= bound * slope, bound = -_ARMIJO * length, at
+    L lengths, for (P,16) probabilities p, floored pf and (P,16,L) changes
+    delta of p: whether any length passes, and the index of the passing one
+    that lowers f most."""
     change = np.maximum(p[:, :, None] + delta, _P_FLOOR) - pf[:, :, None]
     gain = (_WEIGHT * delta - n[:, :, None] * np.log1p(change / pf[:, :, None])).sum(axis=1)
-    accept = gain <= -_ARMIJO * lengths * slope[:, None]
+    accept = gain <= bound * slope[:, None]
     return accept.any(axis=1), np.where(accept, gain, np.inf).argmin(axis=1)
 
 
@@ -189,7 +219,7 @@ def _frank_wolfe_step(x, g_matrix, gap, p, conj_kets, n):
     curvature = (n[:, :, None] * dp * dp / (pf * pf)[:, :, None]).sum(axis=1)[:, 0]
     length = np.divide(gap, curvature, out=np.ones_like(gap), where=curvature > 0.0)
     lengths = np.clip(length[:, None] * _STEPS, 0.0, 1.0)
-    ok, best = _armijo(p, pf, lengths[:, None, :] * dp, n, lengths, gap)
+    ok, best = _armijo(p, pf, lengths[:, None, :] * dp, n, -_ARMIJO * lengths, gap)
     s = np.where(ok, lengths[np.arange(len(best)), best], 0.0)
     factor = np.concatenate([np.sqrt(1.0 - s)[:, None, None] * _to_matrix(x),
                              np.sqrt(s)[:, None, None] * u], axis=2)
@@ -203,17 +233,25 @@ def _frank_wolfe_step(x, g_matrix, gap, p, conj_kets, n):
 def _newton(n, rho):
     """Minimize f / (16 N), for (P,16) counts n / (16 N), from each row of the
     (P,4,4) start stack `rho`: the (P,4,4) factors T of the estimates T T^H,
-    each row's accepted steps, and which rows stopped within MAX_PASSES
-    passes. Stopped rows leave the loop, which ends at the pass in which
-    every row left in it stops."""
+    their rows in basis order, each row's accepted steps, and which rows
+    stopped within MAX_PASSES passes. Stopped rows leave the loop, which ends
+    at the pass in which every row left in it stops."""
     x, order, conj_kets, twice_kets, projectors = _start(rho)
     final = np.zeros_like(x)
     iterations = np.zeros(len(rho), dtype=int)
     passes = 0  # rows only leave the loop, so every row in it has made this many
     converged, rows = np.zeros(len(rho), dtype=bool), np.arange(len(rho))
     damping = np.full(len(rho), _DAMPING)
+    root_n = np.sqrt(n)
+    # buffers written in place each pass: T and d, scattered from x and d at
+    # _X_INDEX onto zeros that stay, and the bordered system with its right
+    # side, whose corner and last entry stay 0
+    t, t_d = np.zeros((2, len(rho), 4, 4), dtype=complex)
+    t_float, d_float = t.view(float).reshape(-1, 32), t_d.view(float).reshape(-1, 32)
+    system, rhs = np.zeros((len(rho), 17, 17)), np.zeros((len(rho), 17, 1))
     while rows.size:
-        p, y = _probabilities(conj_kets, _to_matrix(x))
+        t_float[:, _X_INDEX] = x
+        p, y = _probabilities(conj_kets, t)
         y_float = y.view(float)
         pf = np.maximum(p, _P_FLOOR)
         w = _WEIGHT - n / pf
@@ -221,20 +259,19 @@ def _newton(n, rho):
         lam_min = np.linalg.eigvalsh(g_matrix.view(complex).reshape(-1, 4, 4))[:, 0]
         gap = (w * p).sum(axis=1) - lam_min
         # dp[k, b] = dp_b/dx_k: 2 K_bi Y_bj at the coordinates of T
-        dp = np.take((twice_kets * y[:, :, None, :]).view(float).reshape(-1, 16, 32),
-                     _X_INDEX, axis=2).transpose(0, 2, 1).copy()
+        dp = (twice_kets * y[:, :, None, :]).view(float).reshape(-1, 512).take(_DP_SOURCE, axis=1)
         grad = (dp @ w[:, :, None])[:, :, 0]
-        jac = (np.sqrt(n) / pf)[:, None, :] * dp
+        jac = (root_n / pf)[:, None, :] * dp
         # sum_b (n_b / p_b^2) dp_b dp_b^T
-        hess = jac @ jac.transpose(0, 2, 1) + np.take(g_matrix, _G_SOURCE, axis=1) * _G_SIGN
+        hess = jac @ jac.transpose(0, 2, 1)
+        hess += np.take(g_matrix, _G_SOURCE, axis=1) * _G_SIGN
         # Newton step on the sphere |x| = 1, bordered by x. Its Hessian's
         # multiplier <G, rho> is replaced by lambda_min(G) <= <G, rho>, which
         # makes it positive definite on the tangent space and equal at the optimum.
-        system = np.zeros((len(x), 17, 17))
-        system[:, :16, :16] = hess + np.eye(16) * (damping - 2.0 * lam_min)[:, None, None]
+        np.add(hess, _EYE * (damping - 2.0 * lam_min)[:, None, None], out=system[:, :16, :16])
         system[:, 16, :16] = system[:, :16, 16] = x
-        rhs = np.concatenate([-grad, np.zeros((len(x), 1))], axis=1)[:, :, None]
-        d = np.linalg.solve(system, rhs)[:, :16, 0].copy()
+        np.negative(grad, out=rhs[:, :16, 0])
+        d = np.linalg.solve(system, rhs)[:, :16, 0]
         decrement = -(grad * d).sum(axis=1)
         passes += 1
         small = decrement <= _TOL_DECREMENT
@@ -246,13 +283,14 @@ def _newton(n, rho):
 
         # p along x(s) = (x + s d) / |x + s d|: T is linear in x and x . d = 0,
         # so p(s) - p = (s lin + s^2 (|Y_d|^2 - p |d|^2)) / (1 + s^2 |d|^2)
-        y_d = (conj_kets @ _to_matrix(d)).view(float)
+        d_float[:, _X_INDEX] = d
+        y_d = (conj_kets @ t_d).view(float)
         dd = (d * d).sum(axis=1)
         lin = 2.0 * (y_float * y_d).sum(axis=2)
         quad = (y_d * y_d).sum(axis=2) - p * dd[:, None]
-        delta = ((lin[:, :, None] * _STEPS + quad[:, :, None] * _STEPS ** 2)
-                 / (1.0 + dd[:, None, None] * _STEPS ** 2))
-        ok, best = _armijo(p, pf, delta, n, _STEPS, decrement)
+        delta = ((lin[:, :, None] * _STEPS + quad[:, :, None] * _STEPS_SQUARED)
+                 / (1.0 + dd[:, None, None] * _STEPS_SQUARED))
+        ok, best = _armijo(p, pf, delta, n, _ARMIJO_STEPS, decrement)
         take = ok & ~small
         x = x + np.where(take, _STEPS[best], 0.0)[:, None] * d
         x /= np.sqrt((x * x).sum(axis=1, keepdims=True))
@@ -269,18 +307,22 @@ def _newton(n, rho):
         if done.any():
             final[rows[done]] = x[done]
             converged[rows[done]] = stop[done]
-            keep = ~done
-            rows, x, conj_kets, twice_kets, projectors, damping, n = (
-                v[keep] for v in (rows, x, conj_kets, twice_kets, projectors, damping, n))
+            keep = np.flatnonzero(~done)
+            rows, x, conj_kets, twice_kets, projectors, damping, n, root_n = (
+                v[keep] for v in (rows, x, conj_kets, twice_kets, projectors, damping, n, root_n))
+            t, t_d, t_float, d_float, system, rhs = (
+                v[:rows.size] for v in (t, t_d, t_float, d_float, system, rhs))
     # T's rows from each point's pivot order back to the basis order
-    return (np.take_along_axis(_to_matrix(final), np.argsort(order, axis=1)[:, :, None], 1),
+    return (_to_matrix(final)[np.arange(len(order))[:, None], np.argsort(order, axis=1)],
             iterations, converged)
 
 
 def mle_fit(observed, total):
     """Maximum-likelihood fits of (P,16) observed counts in basis order, taken
     with one total in every basis; row i depends on row i alone. Returns the
-    (P,4,4) estimates, their log-likelihoods and each point's accepted steps.
+    estimates as the fit's own (P,4,4) factors T, rho = T T^H (triangular in
+    the point's pivot order, rows in basis order), their log-likelihoods and
+    each point's accepted steps.
 
     A point converges when its Newton decrement is below 1e-13 * 16 total
     and its Frank-Wolfe gap below 1e-6 * 16 total; MleConvergenceError
@@ -310,8 +352,6 @@ def mle_fit(observed, total):
             f"no convergence within {MAX_PASSES} iterations at points {stuck.tolist()}",
             stuck.tolist())
 
-    rho = t @ t.conj().transpose(0, 2, 1)
-    rho = (rho + rho.conj().transpose(0, 2, 1)) / 2.0
     mus = total * np.maximum(_probabilities(_KETS.conj(), t)[0], _P_FLOOR)
     log_likelihood = np.sum(observed * np.log(mus) - mus, axis=1)
-    return rho, log_likelihood, steps
+    return t, log_likelihood, steps

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aptsim import cli
-from aptsim.dynamics import EvolutionSpec, evolve_pairs, rank_factor, run
+from aptsim.dynamics import EvolutionSpec, evolve_pairs, run
 from aptsim.entanglement import (analytic_concurrence_identical,
                                  concurrence_minimum_identical,
                                  concurrence_period, ep_concurrence)
@@ -202,17 +202,16 @@ def test_criterion_12_tomography_loop():
     p = AptParams(a=1.2)
     truths = truth_factors([(p, p)], 0.5 * np.arange(10))[0]
     observed = draw_counts(truths, total=10000, seed=100, noiseless=True)[1]
-    rho_hat = mle_fit(observed, 10000)[0]
-    worst_fid = float(uhlmann(truths, rank_factor(rho_hat)).min())
-    worst_gap = float(np.abs(wootters(rank_factor(rho_hat))[0]
-                             - wootters(truths)[0]).max())
+    t_hat = mle_fit(observed, 10000)[0]
+    worst_fid = float(uhlmann(truths, t_hat).min())
+    worst_gap = float(np.abs(wootters(t_hat)[0] - wootters(truths)[0]).max())
     assert worst_fid > 0.999
     assert worst_gap < 5e-3
 
     # 100 draws of one state, from seeds 3000-3099
     truths = np.repeat(truth_factors([(p, p)], [1.0])[0], 100, axis=0)
     observed = draw_counts(truths, total=10000, seed=3000)[1]
-    fids = uhlmann(truths, rank_factor(mle_fit(observed, 10000)[0]))
+    fids = uhlmann(truths, mle_fit(observed, 10000)[0])
     passing = int(np.sum(fids > 0.98))
     assert passing >= 95
     print(f"[acceptance] criterion 12: PASS (noiseless min fid {worst_fid:.6f}, "

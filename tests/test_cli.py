@@ -17,7 +17,7 @@ from aptsim.propagator import IDENTITY, AptParams
 from aptsim.tomography import MleConvergenceError, draw_counts
 
 from oracles import wootters_mp
-from trajkit import truth_factors
+from trajkit import fitted_states, truth_factors
 
 # nan, +-inf, +-0.0, subnormals, and both sides of the %g switch points
 _EDGE_FLOATS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -166,7 +166,9 @@ class TestOneKernelCall:
                                           (["figure", "--figure", "4a", "--format", "json"],
                                            "figs")])
     def test_no_refactoring_of_the_bell_state(self, tmp_path, monkeypatch, argv, out):
-        calls = {"rank_factor": 0, "evolve_pairs": 0, "propagator_terms": []}
+        # the Bell state's factor and concurrence are constants: neither
+        # rank_factor nor wootters runs
+        calls = {"rank_factor": 0, "wootters": 0, "evolve_pairs": 0, "propagator_terms": []}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -177,13 +179,14 @@ class TestOneKernelCall:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(dynamics, "rank_factor")
-        counted(cli, "rank_factor")
+        counted(dynamics, "wootters")
+        counted(cli, "wootters")
         counted(cli, "evolve_pairs")
         terms = propagator.propagator_terms
         monkeypatch.setattr(propagator, "propagator_terms", lambda p, times: (
             calls["propagator_terms"].append(p) or terms(p, times)))
         assert cli.main(argv + ["--out", str(tmp_path / out)]) == 0
-        assert calls["rank_factor"] == 0 and calls["evolve_pairs"] == 1
+        assert calls["rank_factor"] == calls["wootters"] == 0 and calls["evolve_pairs"] == 1
         # one propagator per distinct qubit: a1 = 0.8 is also on the a2 grid
         qubits = calls["propagator_terms"]
         assert len(qubits) == len(set(qubits)) == (1 if argv[-1] == "2b" else 21)
@@ -365,6 +368,18 @@ class TestJsonText:
     def test_non_finite_value_raises(self, value):
         with pytest.raises(ValueError, match="which JSON cannot hold"):
             cli._json(value)
+
+
+def test_shared_time_column_is_written_once(monkeypatch):
+    # the 21 curves of figure 4a hold one time grid of 51 samples: its text
+    # is made once, each curve's concurrence and norm once each
+    lengths, bracket = [], cli._bracket
+    monkeypatch.setattr(cli, "_bracket", lambda brackets, items, indent: (
+        lengths.append(len(items)) or bracket(brackets, items, indent)))
+    args = cli.build_parser().parse_args(["figure", "--figure", "4a", "--format", "json",
+                                          "--t-max", "0.5"])
+    args.func(args)
+    assert lengths.count(51) == 1 + 2 * 21
 
 
 class TestSweepCommand:
@@ -554,8 +569,8 @@ class TestTomographyCommand:
             assert np.array_equal(observed[i], one[i])
 
     def test_noiseless_concurrence_keeps_small_eigenvalues(self, tmp_path, monkeypatch):
-        # at the noiseless t = 3.5 point of the defaults rho_hat has
-        # eigenvalues 4.7e-15 and 2.7e-11; cutting the first moves
+        # at the noiseless t = 3.5 point of the defaults the estimate T T^H
+        # has eigenvalues 4.7e-15 and 2.7e-11; cutting the first moves
         # concurrence_mle 5.1e-13 from the 50-digit value
         pytest.importorskip("mpmath")
         estimates, fit = [], cli.mle_fit
@@ -565,26 +580,26 @@ class TestTomographyCommand:
         assert cli.main(["tomography", "--noiseless", "--out", str(out)]) == 0
         point = json.loads(out.read_text())["points"][7]
         assert point["t"] == 3.5
-        assert abs(point["concurrence_mle"] - wootters_mp(estimates[0][0][7])) < 1e-14
+        rho = fitted_states(estimates[0][0][7])
+        assert abs(point["concurrence_mle"] - wootters_mp(rho)) < 1e-14
 
-    def test_estimates_are_factored_once(self, tmp_path, monkeypatch):
+    def test_estimates_are_never_factored(self, tmp_path, monkeypatch):
         # the truths come from evolve_pairs as factors, which draw_counts
-        # validates and uhlmann takes; the command factors the estimates
-        # once: both measures take that factor
+        # validates and uhlmann takes, and the estimates from mle_fit as
+        # its own factors, which both measures take: no state is factored
         shapes, estimates = [], []
-        for module in (cli, dynamics):
-            factor = module.rank_factor
-            monkeypatch.setattr(module, "rank_factor", lambda rho, factor=factor: (
-                shapes.append(np.shape(rho)) or factor(rho)))
+        factor = dynamics.rank_factor
+        monkeypatch.setattr(dynamics, "rank_factor", lambda rho: (
+            shapes.append(np.shape(rho)) or factor(rho)))
         fit = cli.mle_fit
         monkeypatch.setattr(cli, "mle_fit", lambda observed, total: (
             estimates.append(fit(observed, total)) or estimates[-1]))
         out = tmp_path / "t.json"
         assert cli.main(["tomography", "--out", str(out)]) == 0
-        assert shapes == [(10, 4, 4)]
+        assert shapes == [] and not hasattr(cli, "rank_factor")
         truths = truth_factors([(AptParams(a=1.2), AptParams(a=1.2))],
                                dynamics.time_grid(4.5, 0.5))[0]
-        fidelity = uhlmann(truths, dynamics.rank_factor(estimates[0][0]))
+        fidelity = uhlmann(truths, estimates[0][0])
         assert [p["fidelity"] for p in json.loads(out.read_text())["points"]] == fidelity.tolist()
 
     def test_seeded_determinism(self, tmp_path):

@@ -51,8 +51,7 @@ def measure(argv):
         mp.setattr(module, name, wrapper)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (cli, dynamics):  # every binding of rank_factor
-            counted(mp, module, "rank_factor", "rank_factor", lambda out: 1)
+        counted(mp, dynamics, "rank_factor", "rank_factor", lambda out: 1)  # its one binding
         counted(mp, cli, "evolve_pairs", "evolve_pairs", lambda out: 1)
         counted(mp, cli, "mle_fit", "fit_steps", lambda out: int(out[2].sum()))
         args.func(args)

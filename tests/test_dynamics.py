@@ -466,3 +466,14 @@ class TestStackedEvolution:
         expected = rank_factor(bell_state())
         assert dynamics._BELL_FACTOR.dtype == expected.dtype
         assert np.array_equal(dynamics._BELL_FACTOR, expected)
+
+    def test_bell_default_equals_explicit_bell_state(self):
+        # the default's factor and C(rho0) are constants: the same bits as
+        # factoring and measuring bell_state() on every call
+        pairs = [(AptParams(a=1.2), AptParams(a=1.3)), (AptParams(a=0.8), IDENTITY),
+                 (AptParams(a=1.0), AptParams(a=0.6, family=Family.PT))]
+        times = time_grid(10.0, 0.01)
+        default = evolve_pairs(pairs, times)
+        explicit = evolve_pairs(pairs, times, initial=bell_state())
+        for name, x, y in zip(("concurrence", "norm", "factor"), default, explicit):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name

@@ -21,7 +21,7 @@ from aptsim.tomography import (BASIS_LABELS, MleConvergenceError, draw_counts,
                                mle_fit)
 
 from oracles import maximally_mixed
-from trajkit import evolved_states, truth_factors
+from trajkit import evolved_states, fitted_states, truth_factors
 
 # (QWP, HWP) setting angles, degrees, that project one photon onto each
 # single-photon state of the 16 bases of James, Kwiat, Munro & White
@@ -121,6 +121,14 @@ class TestDrawCounts:
             with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*32\)"):
                 draw_counts(BELL, total=10000, seed=seed)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 31, 2 ** 32 - 1])
+    def test_streams_are_the_documented_ones(self, seed):
+        # point i draws from default_rng([seed, i]), as README states
+        truths = truth_factors([(AptParams(a=1.2), AptParams(a=1.3))], time_grid(4.5, 0.5))[0]
+        expected, observed = draw_counts(truths, total=10000, seed=seed)
+        for i, e in enumerate(expected):
+            assert np.array_equal(observed[i], np.random.default_rng([seed, i]).poisson(e))
+
     def test_noiseless_mode(self):
         expected, observed = draw_counts(BELL, total=999, seed=0, noiseless=True)
         for e, o in zip(expected[0], observed[0]):
@@ -161,30 +169,30 @@ class TestDrawCounts:
 class TestMleFit:
     def test_noiseless_bell(self):
         observed = draw_counts(BELL, total=10000, seed=0, noiseless=True)[1]
-        rho_hat = mle_fit(observed, 10000)[0]
-        fids = uhlmann(rank_factor(bell_state()[None]), rank_factor(rho_hat))
+        t_hat = mle_fit(observed, 10000)[0]
+        fids = uhlmann(rank_factor(bell_state()[None]), t_hat)
         assert fids[0] > 0.999
-        assert wootters(rank_factor(rho_hat[0]))[0] > 0.998
+        assert wootters(t_hat[0])[0] > 0.998
 
     def test_noiseless_maximally_mixed(self):
         observed = draw_counts(rank_factor(maximally_mixed())[None], total=10000, seed=0,
                                noiseless=True)[1]
-        fids = uhlmann(rank_factor(maximally_mixed()[None]),
-                       rank_factor(mle_fit(observed, 10000)[0]))
+        fids = uhlmann(rank_factor(maximally_mixed()[None]), mle_fit(observed, 10000)[0])
         assert fids[0] > 0.999
 
     def test_output_always_physical(self):
         truth = truth_factors([(AptParams(a=1.2), AptParams(a=1.3))], [1.0])[0]
         observed = draw_counts(truth, total=500, seed=5)[1]
         result = mle_fit(observed, 500)
-        rho_hat, _, iterations = result
-        rank_factor(rho_hat[0])
+        t_hat, _, iterations = result
+        rank_factor(fitted_states(t_hat[0]))
         assert len(result) == 3  # estimates, log-likelihoods, steps: no scores
         assert iterations[0] > 0
 
     def test_log_likelihood_is_poisson(self):
         observed = draw_counts(BELL, total=1000, seed=9)[1]
-        rho_hat, log_likelihood, _ = mle_fit(observed, 1000)
+        t_hat, log_likelihood, _ = mle_fit(observed, 1000)
+        rho_hat = fitted_states(t_hat)
         mus = np.array([1000 * max(float(np.real(np.vdot(ket, rho_hat[0] @ ket))), 1e-14)
                         for ket in tomography._KETS])
         expected_ll = float(np.sum(observed[0] * np.log(mus) - mus))
@@ -197,8 +205,8 @@ class TestMleFit:
             fids = []
             for seed in range(15):
                 observed = draw_counts(truth, total=total, seed=500 + seed)[1]
-                rho_hat = mle_fit(observed, total)[0]
-                fids.append(uhlmann(truth, rank_factor(rho_hat))[0])
+                t_hat = mle_fit(observed, total)[0]
+                fids.append(uhlmann(truth, t_hat)[0])
             medians.append(float(np.median(fids)))
         assert medians[0] <= medians[1] <= medians[2]
 
@@ -255,13 +263,15 @@ def test_empty_stack_has_documented_shapes(call, shapes):
     assert [x.shape for x in call()] == shapes
 
 
-def _frank_wolfe_gap(rho, observed, total):
+def _frank_wolfe_gap(factor, observed, total):
     """<G, rho> - lambda_min(G) for G the gradient of
-    f = sum_b [N p_b - n_b log p_b] at rho, for one point's 16 observed
+    f = sum_b [N p_b - n_b log p_b] at rho = T T^H, the state of mle_fit's
+    factor T, for one point's 16 observed
     counts n_b and the total N of each basis. f is convex, so the gap bounds
     f(rho) - min f over density matrices, and it is 0 only at the
     maximum-likelihood state."""
     kets = tomography._KETS
+    rho = fitted_states(factor)
     p = np.real(np.einsum("bi,ij,bj->b", kets.conj(), rho, kets))
     w = total - np.divide(observed, p, out=np.zeros(16), where=observed != 0)
     g = np.einsum("b,bi,bj->ij", w, kets, kets.conj())
@@ -289,8 +299,8 @@ class TestMleOptimality:
         total = int(10 ** log_total)
         observed = draw_counts(rank_factor(_random_state(rank, state_seed))[None], total=total,
                                seed=count_seed)[1]
-        rho_hat = mle_fit(observed, total)[0]
-        gap = _frank_wolfe_gap(rho_hat[0], observed[0], total)
+        t_hat = mle_fit(observed, total)[0]
+        gap = _frank_wolfe_gap(t_hat[0], observed[0], total)
         assert gap < self.GAP_PER_COUNT * 16 * total
 
     def test_batch_matches_one_at_a_time(self):
@@ -298,13 +308,13 @@ class TestMleOptimality:
         observed = np.concatenate([
             draw_counts(truth_factors([(p, p)], [0.5 * i])[0], total=10000,
                         seed=40 + i, noiseless=i % 3 == 2)[1] for i in range(10)])
-        rho, _, iterations = mle_fit(observed, 10000)
-        rho_reversed, _, iterations_reversed = mle_fit(observed[::-1], 10000)
+        t, _, iterations = mle_fit(observed, 10000)
+        t_reversed, _, iterations_reversed = mle_fit(observed[::-1], 10000)
         for i in range(10):
-            rho_alone, _, iterations_alone = mle_fit(observed[i:i + 1], 10000)
-            for rho_other, iterations_other in ((rho[i], iterations[i]),
-                                                (rho_reversed[9 - i], iterations_reversed[9 - i])):
-                assert uhlmann(rank_factor(rho_alone[0]), rank_factor(rho_other)) >= 1.0 - 1e-9
+            t_alone, _, iterations_alone = mle_fit(observed[i:i + 1], 10000)
+            for t_other, iterations_other in ((t[i], iterations[i]),
+                                              (t_reversed[9 - i], iterations_reversed[9 - i])):
+                assert uhlmann(t_alone[0], t_other) >= 1.0 - 1e-9
                 assert iterations_other == iterations_alone[0]
 
     def test_batched_fidelities_match_one_at_a_time(self):
@@ -313,13 +323,13 @@ class TestMleOptimality:
         observed = np.concatenate([draw_counts(truth[None], total=2000, seed=60 + i,
                                                noiseless=i == 4)[1]
                                    for i, truth in enumerate(truths)])
-        rho_hat = mle_fit(observed, 2000)[0]
-        fids = uhlmann(truths, rank_factor(rho_hat))  # two stacks: a (P,) array
+        t_hat = mle_fit(observed, 2000)[0]
+        fids = uhlmann(truths, t_hat)  # two stacks: a (P,) array
         assert fids.shape == (10,)
         for i in range(10):
-            alone = uhlmann(truths[i:i + 1], rank_factor(mle_fit(observed[i:i + 1], 2000)[0]))
+            alone = uhlmann(truths[i:i + 1], mle_fit(observed[i:i + 1], 2000)[0])
             assert fids[i] == alone[0]
-            single = uhlmann(truths[i], rank_factor(rho_hat[i]))  # one value
+            single = uhlmann(truths[i], t_hat[i])  # one value
             assert single.shape == () and fids[i] == single
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -334,8 +344,8 @@ class TestMleOptimality:
         rho = (1.0 - eps) * _random_state(1, state_seed) + eps * _random_state(rank, noise_seed)
         total = int(10 ** log_total)
         observed = draw_counts(rank_factor(rho)[None], total=total, seed=count_seed)[1]
-        rho_hat = mle_fit(observed, total)[0]
-        gap = _frank_wolfe_gap(rho_hat[0], observed[0], total)
+        t_hat = mle_fit(observed, total)[0]
+        gap = _frank_wolfe_gap(t_hat[0], observed[0], total)
         assert gap < self.GAP_PER_COUNT * 16 * total
 
     def test_tail_point_converges(self):
@@ -344,9 +354,9 @@ class TestMleOptimality:
         # thousands make a near-pure, badly conditioned fit
         observed = np.array([[2486, 2519, 2468, 2575, 6, 5, 2457, 2422,
                               1, 2351, 1, 2341, 2327, 4930, 4964, 5]])
-        rho_hat, _, iterations = mle_fit(observed, 10000)
+        t_hat, _, iterations = mle_fit(observed, 10000)
         assert iterations[0] <= 40
-        gap = _frank_wolfe_gap(rho_hat[0], observed[0], 10000)
+        gap = _frank_wolfe_gap(t_hat[0], observed[0], 10000)
         assert gap < self.GAP_PER_COUNT * 16 * 10000
 
     def test_slowest_point_of_default_runs(self):
@@ -415,7 +425,7 @@ class TestMleOptimality:
         observed = np.array([[2436, 2538, 2588, 2522, 0, 1, 2475, 2502,
                               0, 2477, 0, 2412, 2403, 4920, 5041, 0]])
         alone = mle_fit(observed, 10000)
-        rank_factor(alone[0][0])
+        rank_factor(fitted_states(alone[0][0]))
         gap = _frank_wolfe_gap(alone[0][0], observed[0], 10000)
         assert gap < self.GAP_PER_COUNT * 16 * 10000
         # the Frank-Wolfe step keeps the point's fit independent of its batch

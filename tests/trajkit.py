@@ -24,6 +24,13 @@ def evolved_states(pairs, times, initial=None):
     return (m + m.conj().swapaxes(-1, -2)) / (2.0 * norms[..., None, None])
 
 
+def fitted_states(factors):
+    """(..., 4, 4) density matrices T T^H of mle_fit's factors T, made
+    exactly Hermitian."""
+    m = factors @ factors.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
 def brute_concurrence(p1, p2, t, initial=None):
     """Single-point concurrence of the evolved state, full matrix route."""
     rho0 = bell_state() if initial is None else initial

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import MAX_SAMPLES, evolve_pairs, time_grid
-from .linalg import uhlmann, wootters
+from .linalg import _read_only, uhlmann, wootters
 from .optics import decompose_grid
 from .propagator import IDENTITY, AptParams, Family
 from .tomography import DEFAULT_TOTAL, MAX_TOTAL, MleConvergenceError, draw_counts, mle_fit
@@ -95,7 +95,7 @@ _CHUNK_ROWS = 1 << 16     # rows evolved, encoded and filled into text per block
 _BLOCK = 1 << 12          # values encoded per step
 _BYTE = np.uint64(8)
 _COMMA, _NEWLINE = ord(","), ord("\n")
-_ENDS = np.array([_COMMA, _NEWLINE])  # ends of a figure row's concurrence and norm
+_ENDS = _read_only(np.array([_COMMA, _NEWLINE]))  # ends of a figure row's concurrence and norm
 
 
 def _encoder_tables():
@@ -122,8 +122,9 @@ def _encoder_tables():
     exp_word = np.frombuffer(b"".join(x.ljust(8, b"\0") for x in exponent), dtype="<u8")
     low_bytes = np.uint64(2 ** 64 - 1) >> (_BYTE * (8 - np.arange(9, dtype=np.uint64)))
     low_bytes[0] = 0
-    return (pow10, head.ravel(), tail.ravel(), sig, np.where(v > 0, 3 + sig, 0), point,
-            exp_word.astype(np.uint64), np.array([len(x) for x in exponent]), low_bytes)
+    return tuple(map(_read_only, (
+        pow10, head.ravel(), tail.ravel(), sig, np.where(v > 0, 3 + sig, 0), point,
+        exp_word.astype(np.uint64), np.array([len(x) for x in exponent]), low_bytes)))
 
 
 (_POW10, _HEAD, _TAIL, _SIG_HI, _SIG_LO, _POINT, _EXP_WORD, _EXP_LEN,

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import propagator
-from .linalg import wootters
+from .linalg import _read_only, wootters
 from .propagator import AptParams, hamiltonian
 
 NORM_FLOOR = 1e-300
@@ -99,8 +99,7 @@ def rank_factor(rho):
 
 # eigh is deterministic, so this is the factor rank_factor(bell_state()) gives,
 # and C(rho0) is the one evolve_pairs would take from it
-_BELL_FACTOR = rank_factor(bell_state())
-_BELL_FACTOR.flags.writeable = False
+_BELL_FACTOR = _read_only(rank_factor(bell_state()))
 _BELL_CONCURRENCE = wootters(_BELL_FACTOR[:, _BELL_FACTOR.any(axis=0)])[0]
 
 

@@ -1,14 +1,22 @@
 """Pauli matrices, and two measures of two-qubit states on any factor
 rho = F F^H: Wootters' concurrence and Uhlmann's fidelity, neither of which
-validates, reshapes or factors its input."""
+validates, reshapes or factors its input. Every module-level array of the
+package is read-only, so that no caller's in-place write changes a kernel."""
 
 import numpy as np
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-_YY = np.kron(SIGMA_Y, SIGMA_Y)
+def _read_only(a):
+    """The array a, marked read-only."""
+    a.flags.writeable = False
+    return a
+
+
+SIGMA_X = _read_only(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+SIGMA_Y = _read_only(np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex))
+SIGMA_Z = _read_only(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
+
+_YY = _read_only(np.kron(SIGMA_Y, SIGMA_Y))
 
 
 def wootters(f):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _read_only
 from .propagator import Family, propagators
 
 _ROUNDTRIP_TOL = 1e-10
@@ -72,9 +73,9 @@ class DecompositionParams:
 
 
 # the fixed plates of both strings, multiplied in the order the strings use
-_FIRST_HEAD = hwp(0.0) @ hwp(22.5) @ qwp(45.0)
-_QWP45 = qwp(45.0)
-_HWP67_5 = hwp(67.5)
+_FIRST_HEAD = _read_only(hwp(0.0) @ hwp(22.5) @ qwp(45.0))
+_QWP45 = _read_only(qwp(45.0))
+_HWP67_5 = _read_only(hwp(67.5))
 
 
 def reconstruct(d):

@@ -18,16 +18,14 @@ and Newton resumes from it. The pass in which every point left stops runs
 no line search. Each point of a batch keeps its own factor,
 damping, stopping test and step count, so its estimate does not depend on
 the batch: its products are stacked matmuls with the batch leading, one BLAS
-call per point, and never a 2-D GEMM whose rows are the batch. A pass writes
-its factors and its bordered Newton system into buffers that the fit
-allocates once; rows that stop leave the loop and the buffers' tail.
+call per point, and never a 2-D GEMM whose rows are the batch. A point that
+stops leaves the loop.
 """
-
-import itertools
 
 import numpy as np
 
 from .dynamics import TRACE_TOL, InvalidStateError
+from .linalg import _read_only
 
 BASIS_LABELS = ("HH", "HV", "VV", "VH", "RH", "RV", "DV", "DH",
                 "DR", "DD", "RD", "HD", "VD", "VL", "HL", "RL")
@@ -45,13 +43,14 @@ MAX_TOTAL = 10 ** 18  # numpy draws Poisson counts up to a mean of about 9.2e18
 MAX_PASSES = 100000  # Newton passes per point; mle_fit reads it at call time
 
 # row b: the two-photon ket of BASIS_LABELS[b]
-_KETS = np.array([np.kron(_SINGLE_KETS[label[0]], _SINGLE_KETS[label[1]])
-                  for label in BASIS_LABELS])
+_KETS = _read_only(np.array([np.kron(_SINGLE_KETS[label[0]], _SINGLE_KETS[label[1]])
+                              for label in BASIS_LABELS]))
 # Sums over the basis are broadcast sums or stacked matmuls with the batch
 # leading (one BLAS call per point), never a 2-D GEMM with the batch as a
 # dimension, whose summation order may change with the number of rows: each
 # point's arithmetic is its own.
-_INVERSION = np.linalg.inv(np.einsum("bi,bj->bij", _KETS.conj(), _KETS).reshape(16, 16))
+_INVERSION = _read_only(np.linalg.inv(
+    np.einsum("bi,bj->bij", _KETS.conj(), _KETS).reshape(16, 16)))
 
 # Newton constants, in units of f / (16 N). A point stops when its Newton
 # decrement (about twice f - min f) and its Frank-Wolfe gap are below the two
@@ -61,9 +60,7 @@ _MIX = 1e-3
 _TOL_DECREMENT = 1e-13
 _TOL_GAP = 1e-6
 _ARMIJO = 1e-4
-_STEPS = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.25, 0.125, 0.0625])
-_STEPS_SQUARED = _STEPS ** 2
-_ARMIJO_STEPS = -_ARMIJO * _STEPS  # Armijo's bound on f(s) - f per unit slope
+_STEPS = _read_only(np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.25, 0.125, 0.0625]))
 _DAMPING = 1e-12
 _WEIGHT = 1.0 / 16.0  # N_b / sum_b N_b: one total N in every basis
 # p_b is floored here before any logarithm or division, in the fit and in
@@ -74,31 +71,16 @@ _P_FLOOR = 1e-14
 # interleaved re/im) at _X_INDEX: the lower triangle, real on the diagonal.
 # The Hessian of <G, T T^H> in x is 2 (G (x) I), gathered from G.view(float)
 # at _G_SOURCE and scaled by _G_SIGN.
-_ROW, _COL, _PART = np.array([(i, j, part) for i in range(4) for j in range(i + 1)
-                              for part in range(1 + (i > j))]).T
-_X_INDEX = (4 * _ROW + _COL) * 2 + _PART
-_G_SOURCE = (4 * _ROW[:, None] + _ROW) * 2 + (_PART[:, None] != _PART)
-_G_SIGN = 2.0 * (_COL[:, None] == _COL) * np.where((_PART[:, None] == 0) & (_PART == 1), -1.0, 1.0)
+_ROW, _COL, _PART = _read_only(np.array([(i, j, part) for i in range(4) for j in range(i + 1)
+                                         for part in range(1 + (i > j))])).T
+_X_INDEX = _read_only((4 * _ROW + _COL) * 2 + _PART)
+_G_SOURCE = _read_only((4 * _ROW[:, None] + _ROW) * 2 + (_PART[:, None] != _PART))
+_G_SIGN = _read_only(2.0 * (_COL[:, None] == _COL)
+                     * np.where((_PART[:, None] == 0) & (_PART == 1), -1.0, 1.0))
 # dp[k, b] = dp_b/dx_k is entry b * 32 + _X_INDEX[k] of the (16, 32) float
 # table 2 K_bi Y_bj
-_DP_SOURCE = _X_INDEX[:, None] + 32 * np.arange(16)
-_EYE = np.eye(16)
-
-
-def _order_tables():
-    """The ket tables of the fit for each of the 24 pivot orders of the rows
-    of T: conj(K), 2 K as (16, 4, 1) and the (16, 32) float table of
-    |b><b|, with the kets' entries in that row order; and the (4, 4, 4, 4)
-    table of each order's row in them."""
-    orders = np.array(list(itertools.permutations(range(4))))
-    kets = np.ascontiguousarray(_KETS[:, orders].transpose(1, 0, 2))
-    outer = (kets[:, :, :, None] * kets.conj()[:, :, None, :]).view(float).reshape(-1, 16, 32)
-    index = np.zeros((4,) * 4, dtype=int)
-    index[tuple(orders.T)] = np.arange(len(orders))
-    return kets.conj(), 2.0 * kets[:, :, :, None], outer, index
-
-
-_ORDER_CONJ_KETS, _ORDER_TWICE_KETS, _ORDER_PROJECTORS, _ORDER_INDEX = _order_tables()
+_DP_SOURCE = _read_only(_X_INDEX[:, None] + 32 * np.arange(16))
+_EYE = _read_only(np.eye(16))
 
 
 class MleConvergenceError(ArithmeticError):
@@ -174,8 +156,8 @@ def _to_matrix(x):
 def _start(rho):
     """Unit coordinates of the Cholesky factor of (1 - _MIX) rho + _MIX I/4
     in diagonal-pivoting order, so the columns that vanish at a rank-deficient
-    optimum come last; that order; and the kets in it, as conj(K), 2 K and
-    the (P,16,32) float table of |b><b|, gathered from _order_tables'."""
+    optimum come last; that order; and each point's kets with their entries
+    in it, as conj(K), 2 K and the (P,16,32) float table of |b><b|."""
     m = (1.0 - _MIX) * rho + (_MIX / 4.0) * np.eye(4)
     rows, order = np.arange(len(m)), np.zeros((len(m), 4), dtype=int)
     schur, free = m, np.ones((len(m), 4), dtype=bool)
@@ -188,19 +170,19 @@ def _start(rho):
     order[:, 3] = 6 - order[:, :3].sum(axis=1)  # the last pivot is the one left
     m = m[rows[:, None, None], order[:, :, None], order[:, None, :]]
     x = np.take(np.linalg.cholesky(m).view(float).reshape(-1, 32), _X_INDEX, axis=1)
-    i = _ORDER_INDEX[tuple(order.T)]
-    return (x / np.sqrt((x * x).sum(axis=1, keepdims=True)), order, _ORDER_CONJ_KETS[i],
-            _ORDER_TWICE_KETS[i], _ORDER_PROJECTORS[i])
+    kets = np.ascontiguousarray(_KETS[:, order].transpose(1, 0, 2))
+    outer = (kets[:, :, :, None] * kets.conj()[:, :, None, :]).view(float).reshape(-1, 16, 32)
+    return (x / np.sqrt((x * x).sum(axis=1, keepdims=True)), order, kets.conj(),
+            2.0 * kets[:, :, :, None], outer)
 
 
-def _armijo(p, pf, delta, n, bound, slope):
-    """Armijo's test f(s) - f <= bound * slope, bound = -_ARMIJO * length, at
-    L lengths, for (P,16) probabilities p, floored pf and (P,16,L) changes
-    delta of p: whether any length passes, and the index of the passing one
-    that lowers f most."""
+def _armijo(p, pf, delta, n, lengths, slope):
+    """Armijo's test f(s) - f <= -_ARMIJO * length * slope at L lengths, for
+    (P,16) probabilities p, floored pf and (P,16,L) changes delta of p: whether
+    any length passes, and the index of the passing one that lowers f most."""
     change = np.maximum(p[:, :, None] + delta, _P_FLOOR) - pf[:, :, None]
     gain = (_WEIGHT * delta - n[:, :, None] * np.log1p(change / pf[:, :, None])).sum(axis=1)
-    accept = gain <= bound * slope[:, None]
+    accept = gain <= -_ARMIJO * lengths * slope[:, None]
     return accept.any(axis=1), np.where(accept, gain, np.inf).argmin(axis=1)
 
 
@@ -219,7 +201,7 @@ def _frank_wolfe_step(x, g_matrix, gap, p, conj_kets, n):
     curvature = (n[:, :, None] * dp * dp / (pf * pf)[:, :, None]).sum(axis=1)[:, 0]
     length = np.divide(gap, curvature, out=np.ones_like(gap), where=curvature > 0.0)
     lengths = np.clip(length[:, None] * _STEPS, 0.0, 1.0)
-    ok, best = _armijo(p, pf, lengths[:, None, :] * dp, n, -_ARMIJO * lengths, gap)
+    ok, best = _armijo(p, pf, lengths[:, None, :] * dp, n, lengths, gap)
     s = np.where(ok, lengths[np.arange(len(best)), best], 0.0)
     factor = np.concatenate([np.sqrt(1.0 - s)[:, None, None] * _to_matrix(x),
                              np.sqrt(s)[:, None, None] * u], axis=2)
@@ -242,16 +224,8 @@ def _newton(n, rho):
     passes = 0  # rows only leave the loop, so every row in it has made this many
     converged, rows = np.zeros(len(rho), dtype=bool), np.arange(len(rho))
     damping = np.full(len(rho), _DAMPING)
-    root_n = np.sqrt(n)
-    # buffers written in place each pass: T and d, scattered from x and d at
-    # _X_INDEX onto zeros that stay, and the bordered system with its right
-    # side, whose corner and last entry stay 0
-    t, t_d = np.zeros((2, len(rho), 4, 4), dtype=complex)
-    t_float, d_float = t.view(float).reshape(-1, 32), t_d.view(float).reshape(-1, 32)
-    system, rhs = np.zeros((len(rho), 17, 17)), np.zeros((len(rho), 17, 1))
     while rows.size:
-        t_float[:, _X_INDEX] = x
-        p, y = _probabilities(conj_kets, t)
+        p, y = _probabilities(conj_kets, _to_matrix(x))
         y_float = y.view(float)
         pf = np.maximum(p, _P_FLOOR)
         w = _WEIGHT - n / pf
@@ -261,16 +235,16 @@ def _newton(n, rho):
         # dp[k, b] = dp_b/dx_k: 2 K_bi Y_bj at the coordinates of T
         dp = (twice_kets * y[:, :, None, :]).view(float).reshape(-1, 512).take(_DP_SOURCE, axis=1)
         grad = (dp @ w[:, :, None])[:, :, 0]
-        jac = (root_n / pf)[:, None, :] * dp
+        jac = (np.sqrt(n) / pf)[:, None, :] * dp
         # sum_b (n_b / p_b^2) dp_b dp_b^T
-        hess = jac @ jac.transpose(0, 2, 1)
-        hess += np.take(g_matrix, _G_SOURCE, axis=1) * _G_SIGN
+        hess = jac @ jac.transpose(0, 2, 1) + np.take(g_matrix, _G_SOURCE, axis=1) * _G_SIGN
         # Newton step on the sphere |x| = 1, bordered by x. Its Hessian's
         # multiplier <G, rho> is replaced by lambda_min(G) <= <G, rho>, which
         # makes it positive definite on the tangent space and equal at the optimum.
-        np.add(hess, _EYE * (damping - 2.0 * lam_min)[:, None, None], out=system[:, :16, :16])
+        system = np.zeros((rows.size, 17, 17))
+        system[:, :16, :16] = hess + _EYE * (damping - 2.0 * lam_min)[:, None, None]
         system[:, 16, :16] = system[:, :16, 16] = x
-        np.negative(grad, out=rhs[:, :16, 0])
+        rhs = np.concatenate([-grad, np.zeros((rows.size, 1))], axis=1)[:, :, None]
         d = np.linalg.solve(system, rhs)[:, :16, 0]
         decrement = -(grad * d).sum(axis=1)
         passes += 1
@@ -283,14 +257,13 @@ def _newton(n, rho):
 
         # p along x(s) = (x + s d) / |x + s d|: T is linear in x and x . d = 0,
         # so p(s) - p = (s lin + s^2 (|Y_d|^2 - p |d|^2)) / (1 + s^2 |d|^2)
-        d_float[:, _X_INDEX] = d
-        y_d = (conj_kets @ t_d).view(float)
+        y_d = (conj_kets @ _to_matrix(d)).view(float)
         dd = (d * d).sum(axis=1)
         lin = 2.0 * (y_float * y_d).sum(axis=2)
         quad = (y_d * y_d).sum(axis=2) - p * dd[:, None]
-        delta = ((lin[:, :, None] * _STEPS + quad[:, :, None] * _STEPS_SQUARED)
-                 / (1.0 + dd[:, None, None] * _STEPS_SQUARED))
-        ok, best = _armijo(p, pf, delta, n, _ARMIJO_STEPS, decrement)
+        delta = ((lin[:, :, None] * _STEPS + quad[:, :, None] * _STEPS ** 2)
+                 / (1.0 + dd[:, None, None] * _STEPS ** 2))
+        ok, best = _armijo(p, pf, delta, n, _STEPS, decrement)
         take = ok & ~small
         x = x + np.where(take, _STEPS[best], 0.0)[:, None] * d
         x /= np.sqrt((x * x).sum(axis=1, keepdims=True))
@@ -308,10 +281,8 @@ def _newton(n, rho):
             final[rows[done]] = x[done]
             converged[rows[done]] = stop[done]
             keep = np.flatnonzero(~done)
-            rows, x, conj_kets, twice_kets, projectors, damping, n, root_n = (
-                v[keep] for v in (rows, x, conj_kets, twice_kets, projectors, damping, n, root_n))
-            t, t_d, t_float, d_float, system, rhs = (
-                v[:rows.size] for v in (t, t_d, t_float, d_float, system, rhs))
+            rows, x, conj_kets, twice_kets, projectors, damping, n = (
+                v[keep] for v in (rows, x, conj_kets, twice_kets, projectors, damping, n))
     # T's rows from each point's pivot order back to the basis order
     return (_to_matrix(final)[np.arange(len(order))[:, None], np.argsort(order, axis=1)],
             iterations, converged)

@@ -112,6 +112,17 @@ def wootters_mp(rho, dps=50):
         return float(_wootters_mp(_mp_matrix(rho)))
 
 
+def factor_wootters_mp(t, dps=50):
+    """Wootters' concurrence of T T^H for the float factor T, taken as exact,
+    at `dps` digits. The product is formed at that precision too: rounding
+    T T^H to floats can move a near-zero eigenvalue's square root by 1e-14."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        m = _mp_matrix(t)
+        return float(_wootters_mp(m * m.H))
+
+
 def terms_mp(p, t):
     """(c, ts) of exp(-i H t) = c I - i ts H at one time, at the working
     mpmath precision: cos/sin or cosh/sinh of the exact k of the float

@@ -7,7 +7,11 @@ compared by value, not by digest as in test_golden.py. On x86-64 with numpy
 2.4 and OpenBLAS 0.3.31 they were byte-identical at 1 and at 2 BLAS threads.
 
 After a change that means to alter these outputs, regenerate the pinned
-copies with `PYTHONPATH=src python tests/test_golden_json.py` and say why."""
+copies with `PYTHONPATH=src python tests/test_golden_json.py` and say why.
+The referee test is the evidence such a change cites: each report's
+concurrence_mle is within 1e-14 absolute of the 50-digit Wootters value of
+the fit's own estimate T T^H, formed from T at that precision, whatever the
+estimate's last bits."""
 
 import functools
 import json
@@ -18,6 +22,8 @@ import numpy as np
 import pytest
 
 from aptsim import cli
+
+from oracles import factor_wootters_mp
 
 GOLDEN = Path(__file__).with_name("golden_json.json")
 REL = 1e-12
@@ -65,6 +71,21 @@ def test_tomography_report(argv, tmp_path):
     for key in sorted(want_points.keys() - {"iterations"}):
         np.testing.assert_allclose(got_points[key], want_points[key], rtol=REL, atol=0,
                                    err_msg=key)
+
+
+@pytest.mark.parametrize("argv", TOMOGRAPHY, ids=" ".join)
+def test_concurrence_mle_referee(argv, tmp_path, monkeypatch):
+    # every point of a short report, and 20 spread over the long one
+    pytest.importorskip("mpmath")
+    fits, fit = [], cli.mle_fit
+    monkeypatch.setattr(cli, "mle_fit", lambda observed, total: (
+        fits.append(fit(observed, total)) or fits[-1]))
+    points, factors = _output(argv, tmp_path)["points"], fits[0][0]
+    picks = np.linspace(0, len(points) - 1, min(len(points), 20)).round().astype(int)
+    errors = {points[i]["t"]: abs(points[i]["concurrence_mle"] - factor_wootters_mp(factors[i]))
+              for i in picks.tolist()}
+    assert len(errors) == min(len(points), 20)
+    assert max(errors.values()) < 1e-14, errors
 
 
 @pytest.mark.parametrize("argv", FIGURES, ids=" ".join)

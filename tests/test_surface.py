@@ -1,9 +1,17 @@
 """The library surface carries no public function, class or module-level
 constant that only tests use: each one must be named by the package's own
-code or by the benchmark in perfbench/, or stand on KEPT with its reason."""
+code or by the benchmark in perfbench/, or stand on KEPT with its reason.
+Every module-level array is read-only."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+import aptsim
+from aptsim.propagator import AptParams, hamiltonian
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "aptsim"
@@ -97,3 +105,17 @@ def test_kept_names_have_no_caller_in_the_package():
     # a name the package's own code uses needs no reason to stay
     named = set().union(*(_named(path) for path in MODULES)) & set(KEPT)
     assert not named, f"KEPT names the package itself uses: {sorted(named)}"
+
+
+def test_module_arrays_are_read_only():
+    # the kernels read these tables at call time, so an in-place write by a
+    # caller would silently change every later result
+    arrays = {f"{path.stem}.{name}": value for path in MODULES if path.stem != "__main__"
+              for name, value in vars(importlib.import_module(f"aptsim.{path.stem}")).items()
+              if isinstance(value, np.ndarray)}
+    assert {"linalg.SIGMA_Z", "tomography._KETS", "cli._POW10", "optics._QWP45"} <= set(arrays)
+    assert [name for name, value in arrays.items() if value.flags.writeable] == []
+    h = hamiltonian(AptParams(a=1.2))
+    with pytest.raises(ValueError, match="read-only"):
+        aptsim.SIGMA_Z *= -1
+    assert np.array_equal(hamiltonian(AptParams(a=1.2)), h)

@@ -333,7 +333,7 @@ def run_tomography(args):
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.seed >= 2 ** 32:  # draw_counts' bound, checked before any work
         raise ValueError(f"--seed must be < 2**32, got {args.seed}")
-    pair = (AptParams(a=args.a1), IDENTITY if args.identity_qubit2 else AptParams(a=args.a2))
+    pair = (AptParams(a=args.a1), IDENTITY if args.a2 == "id" else AptParams(a=args.a2))
     times = time_grid(args.t_max, args.dt)
     # one array pipeline over the grid: states, counts, fits and concurrences
     (conc,), (norms,), (kets,) = evolve_pairs([pair], times)
@@ -351,8 +351,8 @@ def run_tomography(args):
                "log_likelihood": log_likelihood, "iterations": iterations}
     points = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
-    report = {k: getattr(args, k) for k in ("a1", "dt", "t_max", "total", "seed", "noiseless")}
-    report.update(a2="id" if args.identity_qubit2 else args.a2, points=points)
+    fields = ("a1", "a2", "dt", "t_max", "total", "seed", "noiseless")
+    report = {k: getattr(args, k) for k in fields} | {"points": points}
     return {Path(args.out): (_json(report) + "\n").encode()}
 
 
@@ -395,8 +395,8 @@ def build_parser():
     tomo.set_defaults(func=run_tomography)
     tomo.add_argument("--a1", type=float, default=1.2)
     tomo.add_argument("--a2", type=float, default=1.2)
-    tomo.add_argument("--identity-qubit2", action="store_true",
-                      help="leave qubit 2 unevolved")
+    tomo.add_argument("--identity-qubit2", action="store_const", dest="a2", const="id",
+                      help="leave qubit 2 unevolved; the later of this and --a2 wins")
     tomo.add_argument("--t-max", type=float, default=4.5)
     tomo.add_argument("--dt", type=float, default=0.5)
     tomo.add_argument("--seed", type=int, default=0)

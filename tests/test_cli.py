@@ -533,6 +533,25 @@ class TestTomographyCommand:
         payload = json.loads(out.read_text())
         assert payload["a2"] == "id"
 
+    def test_identity_qubit2_is_a2(self):
+        args = cli.build_parser().parse_args(["tomography", "--identity-qubit2"])
+        assert args.a2 == "id" and not hasattr(args, "identity_qubit2")
+        assert cli.build_parser().parse_args(["tomography"]).a2 == 1.2
+
+    @pytest.mark.parametrize("flags,a2,qubit2", [
+        (["--a2", "1.5", "--identity-qubit2"], "id", IDENTITY),
+        (["--identity-qubit2", "--a2", "1.5"], 1.5, AptParams(a=1.5))],
+        ids=["identity-later", "a2-later"])
+    def test_later_of_a2_and_identity_qubit2_wins(self, tmp_path, monkeypatch,
+                                                  flags, a2, qubit2):
+        seen, evolve = [], cli.evolve_pairs
+        monkeypatch.setattr(cli, "evolve_pairs", lambda pairs, times: (
+            seen.append(pairs) or evolve(pairs, times)))
+        out = tmp_path / "tomo.json"
+        assert cli.main(["tomography", *flags, "--t-max", "0", "--out", str(out)]) == 0
+        assert seen == [[(AptParams(a=1.2), qubit2)]]
+        assert json.loads(out.read_text())["a2"] == a2
+
     def test_zero_total_exits_2(self, tmp_path):
         assert cli.main(["tomography", "--total", "0",
                          "--out", str(tmp_path / "t.json")]) == 2
@@ -824,6 +843,7 @@ class TestNeverTracebacks:
     @given(argv=_argv())
     @example(argv=["figure", "--figure=A4", "--t-max=400.0", "--dt=100.0"])
     @example(argv=["figure", "--figure=2a", "--t-max=1e+154", "--dt=1e+154"])
+    @example(argv=["tomography", "--a2=1.5", "--identity-qubit2", "--t-max=0"])
     def test_exit_code_and_no_file_on_failure(self, tmp_path_factory, argv):
         out = tmp_path_factory.mktemp("argv")
         target = out / ("figs" if argv[0] == "figure" else "out.file")

@@ -3,8 +3,8 @@ non-Hermitian Hamiltonians, with the optical decomposition of the
 nonunitary propagator and a tomography measurement chain."""
 
 from .dynamics import (DegenerateNormError, EvolutionSpec, InvalidStateError,
-                       Trajectory, bell_ket, bell_state, evolve_pairs,
-                       rank_factor, run, time_grid)
+                       Trajectory, bell_state, evolve_pairs, rank_factor, run,
+                       time_grid)
 from .entanglement import (analytic_concurrence_identical,
                            concurrence_minimum_identical, concurrence_period,
                            ep_concurrence)

@@ -4,12 +4,13 @@ renormalization, and trajectory sampling.
 One stacked kernel, evolve_pairs(), evolves one initial state under P qubit
 pairs (p1, p2) over one time grid, such as time_grid() validates and returns;
 the CLI commands call it once per block of their curves, and run() is its
-P = 1 case over time_grid(spec.t_max, spec.dt). rho0 = F F^H is factored once
-by rank_factor(), whose eigh also checks that rho0 is a state, and F drops
-its zero columns; the Bell state's factor and its concurrence are module
-constants, neither validated, factored nor measured again. Each column of
-F, as a 2x2 block F_k, evolves as U1(t) F_k U2(t)^T over the whole grid at
-once, from t = 0 at absolute time, with the propagator terms of each
+P = 1 case over time_grid(spec.t_max, spec.dt). The kernel takes rho0 as a
+factor F, rho0 = F F^H, and checks only its shape and sum |F|^2 = 1; a
+density matrix enters as rank_factor(rho0), whose eigh checks that it is a
+state, and run() so factors spec.initial. F drops its zero columns; the
+Bell state's factor and its concurrence are module constants. Each column
+of F, as a 2x2 block F_k, evolves as U1(t) F_k U2(t)^T over the whole grid
+at once, from t = 0 at absolute time, with the propagator terms of each
 distinct qubit taken once; a qubit that does not evolve is
 propagator.IDENTITY, gamma = 0, whose terms are those of H = 0. The norm
 is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes from the same F
@@ -53,24 +54,18 @@ class DegenerateNormError(ArithmeticError):
         self.norm = norm
 
 
-def bell_ket():
-    """(|01> + |10>) / sqrt(2), with H = 0 and V = 1."""
+def bell_state():
+    """Density matrix of the Bell state (|01> + |10>)/sqrt(2), with H = 0 and V = 1."""
     v = np.zeros(4, dtype=complex)
     v[1] = v[2] = 1.0 / np.sqrt(2.0)
-    return v
-
-
-def bell_state():
-    """Density matrix of the entangled initial state (|01> + |10>)/sqrt(2)."""
-    v = bell_ket()
     return np.outer(v, v.conj())
 
 
-def _check(ok, message):
-    """Raise InvalidStateError(message(i)) at the first False i of ok; a stack's names i."""
+def _check(ok, message, noun="state"):
+    """Raise InvalidStateError(message(i)) at the first False i of ok; a stack's names `noun i`."""
     if not ok.all():
         i = int(np.argmin(ok))
-        raise InvalidStateError(message(i) if ok.ndim == 0 else f"state {i}: {message(i)}")
+        raise InvalidStateError(message(i) if ok.ndim == 0 else f"{noun} {i}: {message(i)}")
 
 
 def rank_factor(rho):
@@ -127,8 +122,8 @@ def time_grid(t_max, dt):
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """One trajectory request: qubit parameters, grid, and initial state
-    (defaults to the Bell state)."""
+    """One trajectory request: qubit parameters, grid, and initial density
+    matrix (defaults to the Bell state)."""
     p1: AptParams
     p2: AptParams
     t_max: float
@@ -148,8 +143,10 @@ class Trajectory:
 
 def evolve_pairs(pairs, times, initial=None):
     """Concurrence and unnormalized norm N, each (P, T), and the evolved
-    factor F, (P, T, 4, r) with rho(t) = F F^H / N(t), of `initial` (default:
-    the Bell state) under each (p1, p2) of `pairs` over `times`. U1 F U2^T
+    factor F, (P, T, 4, r) with rho(t) = F F^H / N(t), of rho0 = F0 F0^H for
+    the (4, r) factor F0 = `initial` (default: the Bell state's) under each
+    (p1, p2) of `pairs` over `times`; InvalidStateError unless F0 is (4, r)
+    with sum |F0|^2 within TRACE_TOL of 1, so finite. U1 F U2^T
     expands over {I, H1} x {I, H2}: one real (P, T, 4) x (P, 4, 8r) product
     of scalar terms with four constant complex blocks per pair seen as
     floats; F is a view of that product, not a copy. A norm that is not
@@ -158,7 +155,11 @@ def evolve_pairs(pairs, times, initial=None):
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 1:  # matmul's gemv for one row rounds unlike its gemm: take two
         return tuple(x[:, :1] for x in evolve_pairs(pairs, np.repeat(times, 2), initial))
-    factor = _BELL_FACTOR if initial is None else rank_factor(initial)
+    factor = _BELL_FACTOR if initial is None else np.asarray(initial, dtype=complex)
+    trace = np.vdot(factor, factor).real  # sum |F|^2: nan or inf for a non-finite F
+    if factor.ndim != 2 or len(factor) != 4 or not abs(trace - 1.0) <= TRACE_TOL:
+        raise InvalidStateError(f"expected a (4, r) factor with sum |F|^2 = 1, got {factor.shape}, "
+                                f"sum {float(trace)!r}: pass rank_factor(rho) for a matrix rho")
     factor = factor[:, factor.any(axis=0)]  # the work grows with the rank r
     f = factor.T.reshape(-1, 2, 2)  # rho0 = sum_k vec(F_k) vec(F_k)^H
     terms = np.empty((len(pairs), times.size, 4))
@@ -192,10 +193,11 @@ def evolve_pairs(pairs, times, initial=None):
 
 
 def run(spec):
-    """Sample concurrence and unnormalized norm over the grid of spec.
+    """Sample concurrence and unnormalized norm of rank_factor(spec.initial) over spec's grid.
 
     DegenerateNormError or OverflowError names the first bad sample.
     """
     times = time_grid(spec.t_max, spec.dt)
-    conc, norms, _ = evolve_pairs([(spec.p1, spec.p2)], times, spec.initial)
+    initial = None if spec.initial is None else rank_factor(spec.initial)
+    conc, norms, _ = evolve_pairs([(spec.p1, spec.p2)], times, initial)
     return Trajectory(times=times, concurrence=conc[0], unnormalized_norm=norms[0])

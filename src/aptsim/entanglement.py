@@ -1,8 +1,8 @@
 """The paper's closed forms (value, minimum, period) for the concurrence of
 the Bell-initial identical-evolution trajectories. The concurrence of any
-state is Wootters' formula on a rank_factor factor,
-linalg.wootters(dynamics.rank_factor(rho))[0], which the evolution kernel
-applies to rho0."""
+state is Wootters' formula on a factor F of it, linalg.wootters(F)[0]: the
+evolution kernel applies it to its initial factor, and a density matrix
+takes it as linalg.wootters(dynamics.rank_factor(rho))[0]."""
 
 import numpy as np
 

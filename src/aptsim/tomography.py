@@ -24,7 +24,7 @@ stops leaves the loop.
 
 import numpy as np
 
-from .dynamics import TRACE_TOL, InvalidStateError
+from .dynamics import TRACE_TOL, InvalidStateError, _check
 from .linalg import _read_only
 
 BASIS_LABELS = ("HH", "HV", "VV", "VH", "RH", "RV", "DV", "DH",
@@ -119,12 +119,9 @@ def draw_counts(factors, total=DEFAULT_TOTAL, seed=0, noiseless=False):
         raise InvalidStateError(f"expected a (..., 4, r) factor, got shape {f.shape}")
     f = f.reshape(-1, 4, f.shape[-1])
     trace = (f.real ** 2 + f.imag ** 2).sum(axis=(1, 2))
-    ok = np.abs(trace - 1.0) <= TRACE_TOL  # a nan or inf entry fails it too
-    if not ok.all():
-        i = int(np.argmin(ok))
-        problem = (f"trace is {float(trace[i])!r}, expected 1" if np.isfinite(f[i]).all()
-                   else "non-finite entries")
-        raise InvalidStateError(f"factor {i}: {problem}")
+    _check(np.abs(trace - 1.0) <= TRACE_TOL,  # a nan or inf entry fails it too
+           lambda i: (f"trace is {float(trace[i])!r}, expected 1" if np.isfinite(f[i]).all()
+                      else "non-finite entries"), "factor")
     expected = np.clip(_probabilities(_KETS.conj(), f)[0] * total, 0.0, total)
     if noiseless:
         return expected, np.rint(expected)

@@ -1,9 +1,10 @@
 """Reference implementations that only the tests use: the maximally mixed
 state, a series matrix exponential, closed-form 2x2 eigenvalues, the
 two-qubit tensor propagator, mpmath evaluations of the propagator terms,
-of Wootters' concurrence, of a whole evolution, of a Bell-state sample and
-of a plate decomposition, and a path-level model of the paired-beam-displacer
-circuit, the apparatus that `aptsim.optics.loss_matrix` stands for. Except
+of Wootters' concurrence, of a whole evolution, of its norm alone, of a
+Bell-state sample and of a plate decomposition, and a path-level model of
+the paired-beam-displacer circuit, the apparatus that
+`aptsim.optics.loss_matrix` stands for. Except
 for two_qubit, they are deliberately independent of `aptsim.propagator`,
 which they check; the circuit is built from `aptsim.optics.hwp` plates."""
 
@@ -175,6 +176,24 @@ def evolve_mp(rho0, p1, p2, times, dps=40):
             norms.append(float(n))
             states.append([[complex(m[i, j] / n) for j in range(4)] for i in range(4)])
     return np.array(conc), np.array(norms), np.array(states)
+
+
+def norm_mp(factor, p1, p2, times, dps=40):
+    """N at each t of `times`, as a float array, of the state F F^H of the
+    float (4, r) factor F, taken as exact, under U1(t) (x) U2(t), at `dps`
+    digits: N = sum_k |U1 F_k U2^T|^2 for each column F_k read as a 2x2 block
+    (row-major), with U = c I - i ts H. No eigensolver, so every sample of a
+    grid is cheap."""
+    import mpmath as mp
+
+    norms = []
+    with mp.workdps(dps):
+        blocks = [_mp_matrix(np.reshape(column, (2, 2))) for column in np.asarray(factor).T]
+        for t in times:
+            u1, u2 = _propagator_mp(p1, t), _propagator_mp(p2, t)
+            norms.append(float(sum(abs(x) ** 2 for block in blocks
+                                   for x in u1 * block * u2.T)))
+    return np.array(norms)
 
 
 def _bell_phi(p1, p2, t):

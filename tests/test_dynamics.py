@@ -5,20 +5,20 @@ from hypothesis import strategies as st
 
 from aptsim import dynamics
 from aptsim.dynamics import (MAX_SAMPLES, DegenerateNormError,
-                             EvolutionSpec, InvalidStateError, bell_ket, bell_state,
+                             TRACE_TOL, EvolutionSpec, InvalidStateError, bell_state,
                              evolve_pairs, rank_factor, run, time_grid)
 from aptsim.propagator import IDENTITY, AptParams, Family, propagators
 
-from oracles import bell_mp, evolve_mp, maximally_mixed
+from oracles import bell_mp, evolve_mp, maximally_mixed, norm_mp
 from trajkit import evolved_states
 
 
 class TestStatesAndValidation:
     def test_bell_ket_components(self):
-        v = bell_ket()
-        assert v[0] == 0 and v[3] == 0
-        assert v[1] == pytest.approx(1 / np.sqrt(2))
-        assert np.vdot(v, v) == pytest.approx(1.0)
+        # bell_state() is |v><v| for the ket v = (|01> + |10>) / sqrt(2)
+        v = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        assert np.array_equal(bell_state(), np.outer(v, v))
+        assert np.trace(bell_state()) == pytest.approx(1.0)
 
     def test_bell_state_valid(self):
         rank_factor(bell_state())
@@ -108,14 +108,14 @@ class TestEvolvedStates:
     def test_time_zero_returns_initial(self):
         p = AptParams(a=1.2)
         for rho0 in (bell_state(), maximally_mixed()):
-            rho = evolved_states([(p, p)], [0.0], rho0)[0, 0]
+            rho = evolved_states([(p, p)], [0.0], rank_factor(rho0))[0, 0]
             assert np.allclose(rho, rho0, atol=1e-15)
 
     def test_bell_recovered_after_full_period(self):
         p = AptParams(a=1.2)
         period = np.pi / np.sqrt(1.2 ** 2 - 1.0)
         rho = evolved_states([(p, p)], [period])[0, 0]
-        overlap = float(np.real(np.vdot(bell_ket(), rho @ bell_ket())))
+        overlap = float(np.real(np.trace(bell_state() @ rho)))
         assert overlap > 1.0 - 1e-9
 
     def test_output_satisfies_invariants(self):
@@ -344,8 +344,8 @@ class TestMixedStateReferee:
         t_max = min(t_max, 40.0 / max(_growth_rate(p1), _growth_rate(p2), 1e-3))
         rho0 = _random_state(rank, seed)
         times = time_grid(t_max, max(t_max / 3.0, 1e-3))
-        conc, norms, _ = evolve_pairs([(p1, p2)], times, rho0)
-        states = evolved_states([(p1, p2)], times, rho0)
+        conc, norms, _ = evolve_pairs([(p1, p2)], times, rank_factor(rho0))
+        states = evolved_states([(p1, p2)], times, rank_factor(rho0))
         # the 40-digit oracle at the last three samples, up to t_max, where
         # a broken qubit's |U| is largest: each takes about 15 ms
         ref_c, ref_n, ref_rho = evolve_mp(rho0, p1, p2, times[-3:])
@@ -359,9 +359,86 @@ class TestMixedStateReferee:
     def test_kept_states_match_40_digit_evolution(self, state, regime):
         rho0, pair = _REFEREE_STATES[state], _REFEREE_PAIRS[regime]
         times = np.array([0.0, 1.3, 7.1, 20.0])
-        states = evolved_states([pair], times, rho0)
+        states = evolved_states([pair], times, None if rho0 is None else rank_factor(rho0))
         ref_rho = evolve_mp(bell_state() if rho0 is None else rho0, *pair, times)[2]
         assert np.all(np.abs(states[0] - ref_rho) <= REFEREE_STATE_ABS)
+
+
+def _werner_factor(p):
+    """The (4, 5) factor [sqrt(p) |bell>, sqrt((1 - p) / 4) I] of the Werner
+    state p |bell><bell| + (1 - p) I / 4, as the mixed_states benchmark
+    builds it."""
+    bell = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+    return np.hstack([np.sqrt(p) * bell[:, None], np.sqrt((1.0 - p) / 4.0) * np.eye(4)])
+
+
+# initial states as factors F, rho0 = F F^H, by name
+_FACTORS = {"ket": _KET[:, None], "werner-0.34": _werner_factor(0.34),
+            "werner-0.9": _werner_factor(0.9)}
+_BROKEN, _UNBROKEN = AptParams(a=0.8), AptParams(a=1.2)
+# the broken regime, the EP band 1 +- 1e-9, the unbroken regime, its PT
+# partner at the same a, and a qubit that does not evolve
+_NORM_PAIRS = [(_BROKEN, _BROKEN), (AptParams(a=1.0 - 1e-9), AptParams(a=1.0 + 1e-9)),
+               (_UNBROKEN, AptParams(a=1.2, family=Family.PT)), (_BROKEN, IDENTITY),
+               (IDENTITY, _UNBROKEN)]
+
+
+class TestFactorInitial:
+    @pytest.mark.parametrize("state", list(_FACTORS))
+    def test_norm_matches_40_digits_at_every_sample(self, state):
+        # N(t) = sum_k |U1 F_k U2^T|^2 needs no eigensolver at 40 digits, so
+        # every sample is checked, up to a growth of e^40 in a broken |U|
+        # and up to t = 100 where no qubit grows that fast
+        factor = _FACTORS[state]
+        for pair in _NORM_PAIRS:
+            t_max = 40.0 / max(0.4, *(_growth_rate(p) for p in pair))
+            times = time_grid(t_max, t_max / 100.0)
+            norms = evolve_pairs([pair], times, factor)[1][0]
+            ref = norm_mp(factor, *pair, times)
+            assert np.all(np.abs(norms - ref) <= REFEREE_NORM_REL * ref), pair
+
+    @pytest.mark.parametrize("regime", list(_REFEREE_PAIRS))
+    @pytest.mark.parametrize("state", list(_FACTORS))
+    def test_factor_agrees_with_rank_factor_of_its_state(self, state, regime):
+        # F and rank_factor(F F^H) are two factors of one rho0: they agree
+        # within the referee's bounds, though not bit for bit
+        factor, pair = _FACTORS[state], _REFEREE_PAIRS[regime]
+        other = rank_factor(factor @ factor.conj().T)
+        times = time_grid(20.0, 0.25)
+        (conc, norms, _), (ref_c, ref_n, _) = (evolve_pairs([pair], times, f)
+                                               for f in (factor, other))
+        assert np.all(np.abs(norms - ref_n) <= REFEREE_NORM_REL * ref_n)
+        assert np.all(np.abs(conc - ref_c) <= REFEREE_CONC_ABS)
+        states, ref_states = (evolved_states([pair], times, f) for f in (factor, other))
+        assert np.all(np.abs(states - ref_states) <= REFEREE_STATE_ABS)
+
+    def test_mixed_matrix_names_rank_factor(self):
+        p = AptParams(a=1.2)
+        for rho in (maximally_mixed(), _werner_factor(0.34) @ _werner_factor(0.34).conj().T):
+            with pytest.raises(InvalidStateError, match=r"pass rank_factor\(rho\)"):
+                evolve_pairs([(p, p)], [0.0, 1.0], rho)
+
+    def test_pure_matrix_is_its_own_factor(self):
+        # rho rho^H = rho for a pure rho, so it evolves as its ket does
+        p1, p2 = AptParams(a=1.2), AptParams(a=0.8)
+        times = time_grid(10.0, 0.1)
+        ket = _FACTORS["ket"]
+        got, ref = (evolve_pairs([(p1, p2)], times, f) for f in (ket @ ket.conj().T, ket))
+        assert np.all(np.abs(got[1] - ref[1]) <= REFEREE_NORM_REL * ref[1])
+        assert np.all(np.abs(got[0] - ref[0]) <= REFEREE_CONC_ABS)
+
+    @pytest.mark.parametrize("factor", [
+        _KET, _KET[None, :, None], _KET[:3, None],
+        np.where(np.arange(4)[:, None] == 1, np.nan, _KET[:, None]),
+        np.where(np.arange(4)[:, None] == 1, np.inf, _KET[:, None]),
+        _KET[:, None] * np.sqrt(1.0 + 2.0 * TRACE_TOL)],
+        ids=["1-d", "stack", "3-rows", "nan", "inf", "trace"])
+    def test_rejects_what_is_not_a_factor(self, factor):
+        p = AptParams(a=1.2)
+        with pytest.raises(InvalidStateError, match="^expected a \\(4, r\\) factor"):
+            evolve_pairs([(p, p)], [0.0, 1.0], factor)
+        # within TRACE_TOL, the same factor is taken
+        evolve_pairs([(p, p)], [0.0, 1.0], _KET[:, None] * np.sqrt(1.0 + 0.5 * TRACE_TOL))
 
 
 # a in the broken regime, at the exceptional point, one EP-band width either
@@ -392,7 +469,9 @@ class TestStackedEvolution:
         specs = [EvolutionSpec(p1=p1, p2=p2, t_max=t_max, dt=max(t_max / 50.0, 1e-3),
                                initial=initial) for p1, p2 in pairs]
         times = time_grid(specs[0].t_max, specs[0].dt)
-        conc, norms, factors = evolve_pairs(pairs, times, initial)
+        # run() factors its matrix as rank_factor does, with the same bits
+        factor = None if initial is None else rank_factor(initial)
+        conc, norms, factors = evolve_pairs(pairs, times, factor)
         assert conc.shape == norms.shape == (len(pairs), times.size)
         assert factors.shape[:3] == (len(pairs), times.size, 4)
         for i, spec in enumerate(specs):
@@ -400,7 +479,7 @@ class TestStackedEvolution:
             assert np.array_equal(conc[i], traj.concurrence)
             assert np.array_equal(norms[i], traj.unnormalized_norm)
             # each pair's states do not depend on the rest of the stack
-            one = evolve_pairs([pairs[i]], times, initial)[2]
+            one = evolve_pairs([pairs[i]], times, factor)[2]
             assert np.array_equal(factors[i], one[0])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -414,7 +493,7 @@ class TestStackedEvolution:
         # grid: any cut must give the whole grid's values, also one that
         # leaves a piece of one sample; rank None is the default Bell state
         t_max = min(t_max, 40.0 / max(1e-3, *(_growth_rate(p) for pair in pairs for p in pair)))
-        initial = None if rank is None else _random_state(rank, seed)
+        initial = None if rank is None else rank_factor(_random_state(rank, seed))
         times = time_grid(t_max, t_max / steps)
         cut = data.draw(st.one_of(st.sampled_from((1, times.size - 1)),
                                   st.integers(1, times.size - 1)))
@@ -432,7 +511,8 @@ class TestStackedEvolution:
                                       (AptParams(a=1.0), IDENTITY)],
                              ids=["broken", "unbroken", "identity"])
     def test_one_sample_pieces_equal_whole_bit_for_bit(self, pair, rank):
-        initial = None if rank is None else _random_state(rank, 11)
+        rho0 = None if rank is None else _random_state(rank, 11)
+        initial = None if rank is None else rank_factor(rho0)
         times = time_grid(5.0, 0.05)
         whole = evolve_pairs([pair], times, initial)
         for cut in (1, times.size - 1):
@@ -441,7 +521,7 @@ class TestStackedEvolution:
                 assert np.array_equal(np.concatenate([part[i] for part in parts], axis=1),
                                       whole[i]), (cut, name)
         # every sample of run's grid, evolved as a grid of its own
-        traj = run(EvolutionSpec(p1=pair[0], p2=pair[1], t_max=5.0, dt=0.05, initial=initial))
+        traj = run(EvolutionSpec(p1=pair[0], p2=pair[1], t_max=5.0, dt=0.05, initial=rho0))
         for j, t in enumerate(times):
             conc, norms, _ = evolve_pairs([pair], times[j:j + 1], initial)
             assert conc[0, 0] == traj.concurrence[j] and norms[0, 0] == traj.unnormalized_norm[j], t
@@ -474,6 +554,6 @@ class TestStackedEvolution:
                  (AptParams(a=1.0), AptParams(a=0.6, family=Family.PT))]
         times = time_grid(10.0, 0.01)
         default = evolve_pairs(pairs, times)
-        explicit = evolve_pairs(pairs, times, initial=bell_state())
+        explicit = evolve_pairs(pairs, times, initial=rank_factor(bell_state()))
         for name, x, y in zip(("concurrence", "norm", "factor"), default, explicit):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), name

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 import aptsim
 from aptsim import tomography
-from aptsim.dynamics import (InvalidStateError, bell_ket, bell_state, evolve_pairs, rank_factor,
-                             time_grid)
+from aptsim.dynamics import InvalidStateError, bell_state, evolve_pairs, rank_factor, time_grid
 from aptsim.linalg import uhlmann, wootters
 from aptsim.optics import hwp, qwp
 from aptsim.propagator import AptParams
@@ -139,18 +138,22 @@ class TestDrawCounts:
             draw_counts(BELL, total=0)
 
     @pytest.mark.parametrize("bad,message", [
-        (np.nan, "factor 1: non-finite entries"),
-        (np.inf, "factor 1: non-finite entries"),
-        (1.0, "factor 1: trace is 1.5, expected 1"),
-        (None, "expected a (..., 4, r) factor, got shape (3, 3, 1)")],
-        ids=["nan", "inf", "trace", "shape"])
+        ({1: np.nan}, "factor 1: non-finite entries"),
+        ({1: np.inf}, "factor 1: non-finite entries"),
+        ({1: 1.0}, "factor 1: trace is 1.5, expected 1"),
+        (None, "expected a (..., 4, r) factor, got shape (3, 3, 1)"),
+        ({0: 1.0, 1: np.nan}, "factor 0: trace is 1.5, expected 1")],
+        ids=["nan", "inf", "trace", "shape", "trace-then-nan"])
     def test_names_the_first_bad_factor(self, bad, message):
-        # factor 2 is bad too: the first bad one is named
-        factors = np.repeat(bell_ket()[None, :, None], 3, axis=0)
+        # factor 2 is bad too: the first bad one is named, whatever its fault;
+        # bad sets entry 1 of the factors it names
+        ket = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+        factors = np.repeat(ket[None, :, None], 3, axis=0)
         if bad is None:
             factors = factors[:, :3]
         else:
-            factors[1, 1, 0] = bad
+            for i, value in bad.items():
+                factors[i, 1, 0] = value
             factors[2] *= 2.0
         with pytest.raises(InvalidStateError, match="^" + re.escape(message) + "$"):
             draw_counts(factors, total=10000, seed=0)
@@ -250,7 +253,8 @@ class TestMleFitInput:
 
 @pytest.mark.parametrize("call,shapes", [
     (lambda: evolve_pairs([], [0.0, 1.0]), [(0, 2), (0, 2), (0, 2, 4, 1)]),
-    (lambda: evolve_pairs([], [0.0, 1.0], maximally_mixed()), [(0, 2), (0, 2), (0, 2, 4, 4)]),
+    (lambda: evolve_pairs([], [0.0, 1.0], rank_factor(maximally_mixed())),
+     [(0, 2), (0, 2), (0, 2, 4, 4)]),
     (lambda: [rank_factor(np.zeros((0, 4, 4)))], [(0, 4, 4)]),
     (lambda: draw_counts(np.zeros((0, 4, 4))), [(0, 16), (0, 16)]),
     (lambda: mle_fit(draw_counts(np.zeros((0, 4, 4)))[1], tomography.DEFAULT_TOTAL),

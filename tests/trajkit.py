@@ -31,10 +31,9 @@ def fitted_states(factors):
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def brute_concurrence(p1, p2, t, initial=None):
-    """Single-point concurrence of the evolved state, full matrix route."""
-    rho0 = bell_state() if initial is None else initial
-    rho = evolved_states([(p1, p2)], [t], rho0)[0, 0]
+def brute_concurrence(p1, p2, t):
+    """Single-point concurrence of the evolved Bell state, full matrix route."""
+    rho = evolved_states([(p1, p2)], [t], rank_factor(bell_state()))[0, 0]
     return wootters(rank_factor(rho))[0]
 
 

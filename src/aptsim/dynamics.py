@@ -5,13 +5,13 @@ One stacked kernel, evolve_pairs(), evolves one initial state under P qubit
 pairs (p1, p2) over one time grid, such as time_grid() validates and returns;
 the CLI commands call it once per block of their curves, and run() is its
 P = 1 case over time_grid(spec.t_max, spec.dt). The kernel takes rho0 as a
-factor F, rho0 = F F^H, and checks only its shape and sum |F|^2 = 1; a
-density matrix enters as rank_factor(rho0), whose eigh checks that it is a
-state, and run() so factors spec.initial. F drops its zero columns; the
-Bell state's factor and its concurrence are module constants. Each column
-of F, as a 2x2 block F_k, evolves as U1(t) F_k U2(t)^T over the whole grid
-at once, from t = 0 at absolute time, with the propagator terms of each
-distinct qubit taken once; a qubit that does not evolve is
+factor F, rho0 = F F^H, checked by _unit_trace, the one factor test, which
+rank_factor and draw_counts apply too; a density matrix enters as
+rank_factor(rho0), and run() so factors spec.initial. F drops its zero
+columns; the Bell state's factor and its concurrence are module constants.
+Each column of F, as a 2x2 block F_k, evolves as U1(t) F_k U2(t)^T over the
+whole grid at once, from t = 0 at absolute time, with the propagator terms
+of each distinct qubit taken once; a qubit that does not evolve is
 propagator.IDENTITY, gamma = 0, whose terms are those of H = 0. The norm
 is N(t) = sum_k |U1 F_k U2^T|^2. C(rho0) comes from the same F
 (linalg.wootters), and local filtering (Verstraete, Dehaene & De Moor,
@@ -31,10 +31,9 @@ from .linalg import _read_only, wootters
 from .propagator import AptParams, hamiltonian
 
 NORM_FLOOR = 1e-300
-# rank_factor(): largest Hermiticity and trace deviation, least eigenvalue
+# largest Hermiticity deviation of a matrix, and trace deviation of a matrix or a factor
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
-EIG_FLOOR = -1e-10
 # Largest time grid a spec accepts; the figure presets use at most 7,001 samples.
 MAX_SAMPLES = 1_000_000
 # eigh resolves eigenvalues to a few eps of the largest; below this they are noise
@@ -42,7 +41,7 @@ _RANK_RTOL = 1e-15
 
 
 class InvalidStateError(ValueError):
-    """A density matrix violates its invariants beyond tolerance."""
+    """A density matrix or a factor is not a state within tolerance."""
 
 
 class DegenerateNormError(ArithmeticError):
@@ -56,9 +55,8 @@ class DegenerateNormError(ArithmeticError):
 
 def bell_state():
     """Density matrix of the Bell state (|01> + |10>)/sqrt(2), with H = 0 and V = 1."""
-    v = np.zeros(4, dtype=complex)
-    v[1] = v[2] = 1.0 / np.sqrt(2.0)
-    return np.outer(v, v.conj())
+    v = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+    return np.outer(v, v)
 
 
 def _check(ok, message, noun="state"):
@@ -68,12 +66,18 @@ def _check(ok, message, noun="state"):
         raise InvalidStateError(message(i) if ok.ndim == 0 else f"{noun} {i}: {message(i)}")
 
 
+def _unit_trace(f):
+    """Each factor's sum |F|^2, alike alone and stacked, and whether it is 1 within TRACE_TOL."""
+    trace = np.square(np.ascontiguousarray(f).view(float)).sum(axis=(-2, -1))
+    return trace, np.abs(trace - 1.0) <= TRACE_TOL
+
+
 def rank_factor(rho):
     """F with F F^H the Hermitian part of rho: (4, 4) for one 4x4 state and
     (..., 4, 4) for a stack, from one eigh. The columns of eigenvalues below
     _RANK_RTOL of the largest are zero, so no state's factor depends on the
-    others. InvalidStateError names the first matrix that is not a state
-    (by the tolerances above) by its index in the flattened stack."""
+    others. InvalidStateError names the first matrix (by its index in the
+    flattened stack) that is not a state or whose factor fails _unit_trace."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {rho.shape}")
@@ -81,15 +85,16 @@ def rank_factor(rho):
     tr = rho.trace(axis1=-2, axis2=-1)
     # one test for the whole stack, which any nan or inf entry fails
     if not (herm.max(initial=0.0) <= HERM_TOL and np.abs(tr - 1.0).max(initial=0.0) <= TRACE_TOL):
-        _check(np.isfinite(rho).all(axis=(-2, -1)),
-               lambda i: "density matrix has non-finite entries")
+        _check(np.isfinite(rho).all(axis=(-2, -1)), lambda i: "density matrix has non-finite entries")
         herm = herm.max(axis=(-2, -1))
         _check(herm <= HERM_TOL, lambda i: f"not Hermitian: max deviation {herm.flat[i]:.3e}")
         _check(np.abs(tr - 1.0) <= TRACE_TOL, lambda i: f"trace is {complex(tr.flat[i])}, expected 1")
     w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-2, -1)) / 2.0)
-    _check(w[..., 0] >= EIG_FLOOR, lambda i: f"negative eigenvalue {w[..., 0].flat[i]:.3e}")
-    keep = w > _RANK_RTOL * w[..., -1:]
-    return v * np.sqrt(np.where(keep, w, 0.0))[..., None, :]
+    factor = v * np.sqrt(np.where(w > _RANK_RTOL * w[..., -1:], w, 0.0))[..., None, :]
+    trace, ok = _unit_trace(factor)
+    _check(ok, lambda i: f"negative eigenvalue {w[..., 0].flat[i]:.3e}" if w[..., 0].flat[i] < 0
+           else f"trace is {complex(trace.flat[i])}, expected 1")  # rounded past the bound
+    return factor
 
 
 # eigh is deterministic, so this is the factor rank_factor(bell_state()) gives,
@@ -156,8 +161,8 @@ def evolve_pairs(pairs, times, initial=None):
     if times.size == 1:  # matmul's gemv for one row rounds unlike its gemm: take two
         return tuple(x[:, :1] for x in evolve_pairs(pairs, np.repeat(times, 2), initial))
     factor = _BELL_FACTOR if initial is None else np.asarray(initial, dtype=complex)
-    trace = np.vdot(factor, factor).real  # sum |F|^2: nan or inf for a non-finite F
-    if factor.ndim != 2 or len(factor) != 4 or not abs(trace - 1.0) <= TRACE_TOL:
+    trace, ok = _unit_trace(factor.reshape(1, -1))  # one row: a sum to name for any shape
+    if factor.ndim != 2 or len(factor) != 4 or not ok:
         raise InvalidStateError(f"expected a (4, r) factor with sum |F|^2 = 1, got {factor.shape}, "
                                 f"sum {float(trace)!r}: pass rank_factor(rho) for a matrix rho")
     factor = factor[:, factor.any(axis=0)]  # the work grows with the rank r
@@ -193,10 +198,8 @@ def evolve_pairs(pairs, times, initial=None):
 
 
 def run(spec):
-    """Sample concurrence and unnormalized norm of rank_factor(spec.initial) over spec's grid.
-
-    DegenerateNormError or OverflowError names the first bad sample.
-    """
+    """Concurrence and unnormalized norm of rank_factor(spec.initial) over spec's grid,
+    whose first bad sample DegenerateNormError or OverflowError names."""
     times = time_grid(spec.t_max, spec.dt)
     initial = None if spec.initial is None else rank_factor(spec.initial)
     conc, norms, _ = evolve_pairs([(spec.p1, spec.p2)], times, initial)

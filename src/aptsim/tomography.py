@@ -2,9 +2,10 @@
 Kwiat, Munro & White (PRA 64, 052312, 2001), and the maximum-likelihood
 estimate. Every state of the chain is a factor F, rho = F F^H: the truths
 that draw_counts takes, and the estimates that mle_fit returns, the fit's
-own factor T, which linalg.uhlmann and linalg.wootters take as they are.
-One formula, _probabilities, p_b = sum_j |<b|F_j>|^2, gives the expected
-counts, the fit's probabilities and the reported log-likelihood.
+own factor T, which linalg.uhlmann and linalg.wootters take as they are,
+and draw_counts checks by dynamics._unit_trace, as evolve_pairs does. One
+formula, _probabilities, p_b = sum_j |<b|F_j>|^2, gives the expected counts,
+the fit's probabilities and the reported log-likelihood.
 
 The fit minimizes f(rho) = sum_b [N p_b - n_b log p_b], p_b = <b|rho|b>,
 the negative Poisson log-likelihood up to a constant, over rho = T T^H with
@@ -15,16 +16,17 @@ I/4. A point stops once its Newton decrement is tiny and the Frank-Wolfe gap
 <G, rho> - lambda_min(G), G = grad f, certifies the optimum; if the gap
 fails there, a Frank-Wolfe step toward lambda_min(G)'s eigenvector lowers f
 and Newton resumes from it. The pass in which every point left stops runs
-no line search. Each point of a batch keeps its own factor,
-damping, stopping test and step count, so its estimate does not depend on
-the batch: its products are stacked matmuls with the batch leading, one BLAS
-call per point, and never a 2-D GEMM whose rows are the batch. A point that
-stops leaves the loop.
+no line search. Each point of a batch keeps its own factor, damping,
+stopping test and step count, so its estimate does not depend on the batch:
+its sums over the basis are broadcast sums or stacked matmuls with the batch
+leading, one BLAS call per point, and never a 2-D GEMM whose rows are the
+batch, whose summation order may change with the number of rows. A point
+that stops leaves the loop.
 """
 
 import numpy as np
 
-from .dynamics import TRACE_TOL, InvalidStateError, _check
+from .dynamics import InvalidStateError, _check, _unit_trace
 from .linalg import _read_only
 
 BASIS_LABELS = ("HH", "HV", "VV", "VH", "RH", "RV", "DV", "DH",
@@ -45,10 +47,6 @@ MAX_PASSES = 100000  # Newton passes per point; mle_fit reads it at call time
 # row b: the two-photon ket of BASIS_LABELS[b]
 _KETS = _read_only(np.array([np.kron(_SINGLE_KETS[label[0]], _SINGLE_KETS[label[1]])
                               for label in BASIS_LABELS]))
-# Sums over the basis are broadcast sums or stacked matmuls with the batch
-# leading (one BLAS call per point), never a 2-D GEMM with the batch as a
-# dimension, whose summation order may change with the number of rows: each
-# point's arithmetic is its own.
 _INVERSION = _read_only(np.linalg.inv(
     np.einsum("bi,bj->bij", _KETS.conj(), _KETS).reshape(16, 16)))
 
@@ -118,15 +116,13 @@ def draw_counts(factors, total=DEFAULT_TOTAL, seed=0, noiseless=False):
     if f.ndim < 2 or f.shape[-2] != 4:
         raise InvalidStateError(f"expected a (..., 4, r) factor, got shape {f.shape}")
     f = f.reshape(-1, 4, f.shape[-1])
-    trace = (f.real ** 2 + f.imag ** 2).sum(axis=(1, 2))
-    _check(np.abs(trace - 1.0) <= TRACE_TOL,  # a nan or inf entry fails it too
-           lambda i: (f"trace is {float(trace[i])!r}, expected 1" if np.isfinite(f[i]).all()
-                      else "non-finite entries"), "factor")
+    trace, ok = _unit_trace(f)
+    _check(ok, lambda i: (f"trace is {float(trace[i])!r}, expected 1" if np.isfinite(f[i]).all()
+                          else "non-finite entries"), "factor")
     expected = np.clip(_probabilities(_KETS.conj(), f)[0] * total, 0.0, total)
     if noiseless:
         return expected, np.rint(expected)
-    # the key [seed, i] as two uint32 words seeds the stream of the list
-    # [seed, i], and is built faster
+    # [seed, i] as two uint32 words: the stream of the list [seed, i], built faster
     draws = [np.random.default_rng(np.array([seed, i], dtype=np.uint32)).poisson(e)
              for i, e in enumerate(expected)]
     return expected, np.array(draws).reshape(expected.shape)

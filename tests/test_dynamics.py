@@ -8,6 +8,7 @@ from aptsim.dynamics import (MAX_SAMPLES, DegenerateNormError,
                              TRACE_TOL, EvolutionSpec, InvalidStateError, bell_state,
                              evolve_pairs, rank_factor, run, time_grid)
 from aptsim.propagator import IDENTITY, AptParams, Family, propagators
+from aptsim.tomography import draw_counts
 
 from oracles import bell_mp, evolve_mp, maximally_mixed, norm_mp
 from trajkit import evolved_states
@@ -102,6 +103,56 @@ class TestStatesAndValidation:
             hermitian = (rho + rho.conj().T) / 2.0
             assert np.max(np.abs(one @ one.conj().T - hermitian)) <= 1e-12
             assert np.count_nonzero(~one.any(axis=0)) == 4 - rank
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rank=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           negative=st.one_of(st.floats(-1e-10, 0.0), st.floats(-2e-12, 0.0)),
+           trace=st.floats(-9e-13, 9e-13))
+    def test_every_kernel_takes_what_rank_factor_returns(self, rank, seed, negative, trace):
+        # a state of the given rank whose last eigenvalue moves to `negative`
+        # (rank 4 loses one), its trace off by `trace` and its Hermiticity by
+        # at most 4e-13, both within tolerance: the factor drops `negative`,
+        # and rank_factor refuses the state exactly when that factor's trace
+        # 1 + trace - negative leaves TRACE_TOL
+        rng = np.random.default_rng(seed)
+        v = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        w = np.zeros(4)
+        w[:rank] = rng.uniform(0.1, 1.0, rank)
+        w[3] = 0.0
+        kept = 1.0 + trace - negative
+        w *= kept / w.sum()
+        w[3] = negative
+        a = rng.uniform(-1.0, 1.0, (4, 4)) * (1.0 - np.eye(4))
+        rho = (v * w) @ v.conj().T + 1e-13j * (a + a.T)
+        try:
+            factor = rank_factor(rho)
+        except InvalidStateError as err:
+            assert str(err).startswith("negative eigenvalue -"), str(err)
+            assert abs(kept - 1.0) > TRACE_TOL - 1e-14
+            return
+        assert abs(kept - 1.0) < TRACE_TOL + 1e-14
+        p = AptParams(a=1.2)
+        evolve_pairs([(p, p)], [0.0, 1.0], factor)
+        draw_counts(factor, total=10000, seed=0)
+
+    def test_negative_eigenvalue_is_named_where_the_matrix_enters(self):
+        # the factor, without the eigenvalue, sums to 1 + 5e-11: no kernel
+        # takes it, so neither rank_factor nor run() does
+        rho = np.diag([0.5 + 5e-11, 0.5, 0.0, -5e-11]).astype(complex)
+        p = AptParams(a=1.2)
+        for enter in (lambda: rank_factor(rho),
+                      lambda: run(EvolutionSpec(p1=p, p2=p, t_max=1.0, initial=rho))):
+            with pytest.raises(InvalidStateError, match=r"^negative eigenvalue -5\.000e-11$"):
+                enter()
+
+    def test_trace_rounded_past_the_bound_is_named(self):
+        # the trace 1 + 9.999e-13 is within TRACE_TOL, but sqrt(w)^2 sums
+        # past it: with no negative eigenvalue, the factor's trace is named
+        rho = np.diag([0.2, 0.34, 0.28, 0.18000000000099983]).astype(complex)
+        assert abs(np.trace(rho) - 1.0) <= TRACE_TOL
+        with pytest.raises(InvalidStateError,
+                           match=r"^trace is \(1\.000000000001\+0j\), expected 1$"):
+            rank_factor(rho)
 
 
 class TestEvolvedStates:
@@ -426,6 +477,24 @@ class TestFactorInitial:
         got, ref = (evolve_pairs([(p1, p2)], times, f) for f in (ket @ ket.conj().T, ket))
         assert np.all(np.abs(got[1] - ref[1]) <= REFEREE_NORM_REL * ref[1])
         assert np.all(np.abs(got[0] - ref[0]) <= REFEREE_CONC_ABS)
+
+    def test_evolve_pairs_and_draw_counts_agree_at_the_bound(self):
+        # sum |F|^2 of this seeded (4, 5) factor is 1 + 1e-12 to rounding,
+        # where two summation orders can fall on either side of TRACE_TOL
+        rng = np.random.default_rng(16)
+        f = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        f *= np.sqrt((1.0 + TRACE_TOL) / (f.real ** 2 + f.imag ** 2).sum())
+        assert abs((f.real ** 2 + f.imag ** 2).sum() - 1.0 - TRACE_TOL) <= 1e-15
+        p = AptParams(a=1.2)
+        accepted = []
+        for kernel in (lambda: evolve_pairs([(p, p)], [0.0, 1.0], f),
+                       lambda: draw_counts(f, total=10000, seed=0)):
+            try:
+                kernel()
+                accepted.append(True)
+            except InvalidStateError:
+                accepted.append(False)
+        assert accepted[0] == accepted[1]
 
     @pytest.mark.parametrize("factor", [
         _KET, _KET[None, :, None], _KET[:3, None],
